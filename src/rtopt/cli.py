@@ -56,6 +56,8 @@ def _apply_overrides(cfg: RunConfig, args, override_output: bool = True) -> RunC
     if getattr(args, "format", None) is not None:
         cfg.format = args.format
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError("field 'seed': must be >= 0")
         cfg.seed = args.seed
     if getattr(args, "max_iter", None) is not None:
         if args.max_iter < 1:

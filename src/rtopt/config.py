@@ -71,11 +71,19 @@ def _require(condition: bool, field_name: str, reason: str):
         raise ConfigError(f"field {field_name!r}: {reason}")
 
 
+def _is_finite(v) -> bool:
+    """math.isfinite, false also for an integer too large for a float."""
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 def _as_float(d, name):
     v = d[name]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"field {name!r}: expected a number, got {v!r}")
-    if not math.isfinite(float(v)):
+    if not _is_finite(v):
         raise ConfigError(f"field {name!r}: must be finite, got {v!r}")
     return float(v)
 
@@ -144,7 +152,7 @@ def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
     _require(isinstance(u0, list) and len(u0) > 0, "u0", "expected a non-empty array")
     for x in u0:
         _require(
-            isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x),
+            isinstance(x, (int, float)) and not isinstance(x, bool) and _is_finite(x),
             "u0",
             f"components must be finite numbers, got {x!r}",
         )
@@ -211,6 +219,7 @@ def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
     _require(0 < cfg["alpha"] <= 1, "alpha", "must be in (0, 1]")
     _require(cfg["noise_level"] >= 0, "noise_level", "must be >= 0")
     _require(cfg["tolerance"] > 0, "tolerance", "must be > 0")
+    _require(cfg["seed"] >= 0, "seed", "must be >= 0")
     _require(cfg["max_iterations"] >= 1, "max_iterations", "must be >= 1")
     _require(cfg["max_plant_evaluations"] >= 1, "max_plant_evaluations", "must be >= 1")
     _require(cfg["subproblem_budget"] >= 1, "subproblem_budget", "must be >= 1")
@@ -229,7 +238,7 @@ def load_config(path) -> RunConfig | list[RunConfig]:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     if isinstance(raw, list):
         return [config_from_dict(entry, where=f"{path}[{i}]") for i, entry in enumerate(raw)]

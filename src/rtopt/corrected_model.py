@@ -116,10 +116,13 @@ class CorrectedModel:
     def dimension(self) -> int:
         return self.base_model.dimension
 
+    # u goes to the base oracle unconverted: its input check is the only
+    # validation, and it raises before any arithmetic below.
+
     def value(self, u) -> float:
         """Corrected value at u (shifted form when shift_enabled)."""
-        u = as_input_vector(u, self.dimension)
         base = self.base_model.value(u)
+        u = np.asarray(u, dtype=float).reshape(-1)
         if self.shift_enabled:
             return (
                 base
@@ -130,16 +133,16 @@ class CorrectedModel:
 
     def gradient(self, u) -> np.ndarray:
         """Corrected gradient at u; identical under both shift modes."""
-        u = as_input_vector(u, self.dimension)
         return self.base_model.gradient(u) + self.modifiers
 
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference
         form so both shift modes produce bit-identical results.
         """
-        u = as_input_vector(u, self.dimension)
+        base = self.base_model.value(u)
+        u = np.asarray(u, dtype=float).reshape(-1)
         return (
-            self.base_model.value(u)
+            base
             - self._model_at_anchor
             + float(self.modifiers @ (u - self.anchor))
         )

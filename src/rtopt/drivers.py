@@ -14,6 +14,7 @@ plus termination metadata and plant-probe counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,7 +224,7 @@ def run_basic_ma(
         value = problem.evaluate_plant(u)
         grad = problem.plant_gradient(u)
         for k in range(stop.max_iterations):
-            gnorm = float(np.linalg.norm(grad))
+            gnorm = math.sqrt(float(grad.dot(grad)))
             if gnorm <= stop.tolerance:
                 status = "converged"
                 break
@@ -255,7 +256,7 @@ def run_basic_ma(
             )
             u, value, grad = candidate, cand_value, cand_grad
         # the cap can land exactly on the converging iteration
-        if status == "max-iterations" and float(np.linalg.norm(grad)) <= stop.tolerance:
+        if status == "max-iterations" and math.sqrt(float(grad.dot(grad))) <= stop.tolerance:
             status = "converged"
     except OracleError:
         status = "oracle-failure"
@@ -271,14 +272,14 @@ def run_basic_ma(
         plant_gradient_evaluations=g1 - g0,
         final_reference=u.copy(),
         final_plant_value=value,
-        final_gradient_norm=float(np.linalg.norm(grad)),
+        final_gradient_norm=math.sqrt(float(grad.dot(grad))),
         notes=notes,
     )
 
 
 def _tr_loop(
     problem: ProblemPair,
-    u0,
+    u: np.ndarray,
     delta0: float,
     constants: TrustRegionConstants,
     alpha: float,
@@ -288,7 +289,6 @@ def _tr_loop(
     subproblem_budget: int,
     config: dict,
 ) -> RunTrace:
-    u = as_input_vector(u0, problem.dimension)
     if delta0 <= 0:
         raise ValueError("delta0 must be > 0")
     if delta0 > constants.radius_max:
@@ -308,7 +308,7 @@ def _tr_loop(
         ref_grad = problem.plant_gradient(u)
         state = TrustRegionState(reference=u, radius=delta0, reference_plant_value=ref_value)
         for k in range(stop.max_iterations):
-            gnorm = float(np.linalg.norm(ref_grad))
+            gnorm = math.sqrt(float(ref_grad.dot(ref_grad)))
             if gnorm <= stop.tolerance:
                 status = "converged"
                 break
@@ -335,7 +335,6 @@ def _tr_loop(
             rho = compute_rho(anchor_value, cand_value, 0.0, model.value_change(candidate))
             accepted = accept_candidate(state, candidate, cand_value, rho, constants)
             state.radius = update_radius(radius, rho, constants)
-            state.iteration = k + 1
             records.append(
                 IterationRecord(
                     k=k,
@@ -353,7 +352,7 @@ def _tr_loop(
             if accepted:
                 ref_grad = problem.plant_gradient(state.reference)
         # the cap can land exactly on the converging iteration
-        if status == "max-iterations" and float(np.linalg.norm(ref_grad)) <= stop.tolerance:
+        if status == "max-iterations" and math.sqrt(float(ref_grad.dot(ref_grad))) <= stop.tolerance:
             status = "converged"
     except OracleError:
         status = "oracle-failure"
@@ -373,7 +372,7 @@ def _tr_loop(
         plant_gradient_evaluations=g1 - g0,
         final_reference=final_ref,
         final_plant_value=final_val,
-        final_gradient_norm=float(np.linalg.norm(ref_grad)),
+        final_gradient_norm=math.sqrt(float(ref_grad.dot(ref_grad))),
         notes=notes,
     )
 

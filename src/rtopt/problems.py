@@ -44,7 +44,7 @@ def as_input_vector(u, dimension: int | None = None) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: expected length {dimension}, got {arr.size}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValueError("input vector contains non-finite components")
     return arr
 
@@ -90,7 +90,7 @@ class ScalarOracle:
             raise OracleError(
                 f"gradient length {out.size} does not match dimension {self.dimension}"
             )
-        if not np.all(np.isfinite(out)):
+        if not all(map(math.isfinite, out.tolist())):
             raise OracleError(f"oracle gradient is non-finite at u={u!r}")
         return out
 

@@ -61,7 +61,7 @@ class SubproblemResult:
 def _ball_projection(anchor: np.ndarray, radius: float):
     def project(u):
         d = u - anchor
-        norm = float(np.linalg.norm(d))
+        norm = math.sqrt(float(d.dot(d)))
         if norm <= radius:
             return u.copy()
         return anchor + d * (radius / norm)
@@ -90,7 +90,7 @@ def cauchy_point(
         raise ValueError("radius must be > 0")
     anchor = as_input_vector(anchor, model.dimension)
     g = model.gradient(anchor)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(float(g.dot(g)))
     if gnorm == 0.0:
         return anchor.copy(), 0.0
 
@@ -206,8 +206,8 @@ def projected_descent(
     g_prev = None
 
     while evals < budget:
-        residual = np.linalg.norm(project(x - g) - x)
-        if residual <= tol * max(1.0, float(np.linalg.norm(x))):
+        r = project(x - g) - x
+        if math.sqrt(float(r.dot(r))) <= tol * max(1.0, math.sqrt(float(x.dot(x)))):
             break
         if x_prev is not None:
             s = x - x_prev
@@ -228,7 +228,7 @@ def projected_descent(
                 break
             cand = project(x - t * g)
             d = cand - x
-            if float(np.linalg.norm(d)) == 0.0:
+            if math.sqrt(float(d.dot(d))) == 0.0:
                 break
             fc = change_fn(cand)
             evals += 1
@@ -278,7 +278,8 @@ def solve_subproblem(
     cp_change = model.value_change(cp)
 
     x0 = cp if start is None else as_input_vector(start, model.dimension)
-    gnorm = float(np.linalg.norm(model.gradient(anchor)))
+    g = model.gradient(anchor)
+    gnorm = math.sqrt(float(g.dot(g)))
     initial_step = radius / gnorm if gnorm > 0 else 1.0
     best, best_change, evals = projected_descent(
         model.value_change, model.gradient, x0, project, budget, initial_step
@@ -345,7 +346,7 @@ def estimate_beta(
         raise ValueError("radius must be > 0")
     anchor = as_input_vector(anchor, model.dimension)
     g = model.gradient(anchor)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = math.sqrt(float(g.dot(g)))
     if gnorm == 0.0:
         return 1.0 + floor_eps
     d = -g / gnorm

@@ -4,7 +4,7 @@ radius update."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,8 +67,6 @@ class TrustRegionState:
     reference: np.ndarray
     radius: float
     reference_plant_value: float
-    iteration: int = 0
-    reference_moves: int = field(default=0)
 
     def __post_init__(self):
         self.reference = as_input_vector(self.reference)
@@ -118,7 +116,6 @@ def accept_candidate(
     if rho is not None and rho >= constants.eta1:
         state.reference = as_input_vector(candidate, state.reference.size)
         state.reference_plant_value = float(candidate_plant_value)
-        state.reference_moves += 1
         return True
     return False
 

@@ -49,6 +49,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot parse"):
             load_config(path)
 
+    def test_integer_past_parser_digit_limit_is_config_error(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(
+            '{"problem": "P1", "algorithm": "ma-tr", "u0": [0, 0], "delta0": 1'
+            + "0" * 5000
+            + "}",
+            encoding="utf-8",
+        )
+        with pytest.raises(ConfigError, match="cannot parse"):
+            load_config(path)
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")
@@ -148,6 +159,19 @@ class TestValidation:
     def test_seed_must_be_integer(self):
         with pytest.raises(ConfigError, match="'seed'"):
             config_from_dict(self.base(seed=1.5))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="'seed'"):
+            config_from_dict(self.base(seed=-1))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("u0", [10**400, 0]), ("delta0", 10**400), ("radius_max", 10**400)],
+        ids=["u0", "delta0", "radius_max"],
+    )
+    def test_integer_too_large_for_a_float_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            config_from_dict(self.base(**{name: value}))
 
 
 class TestRunConfigDispatch:

@@ -1,0 +1,144 @@
+"""Input validation at the oracle boundary.
+
+``reference_as_input_vector`` is the NumPy element-wise validator kept as
+the reference: ``as_input_vector`` must return the same bytes for every
+input it accepts and raise the same ``ValueError`` for every input it
+rejects.  The corrected model validates through its base oracle, so its
+results must equal those for an input validated up front.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from rtopt import CorrectedModel, OracleError, ScalarOracle
+from rtopt.problems import as_input_vector
+
+
+def reference_as_input_vector(u, dimension=None):
+    arr = np.array(u, dtype=float, copy=True)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
+    if arr.ndim != 1:
+        raise ValueError(f"input must be a 1-D vector, got shape {arr.shape}")
+    if dimension is not None and arr.size != dimension:
+        raise ValueError(
+            f"dimension mismatch: expected length {dimension}, got {arr.size}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("input vector contains non-finite components")
+    return arr
+
+
+scalars = st.one_of(st.floats(), st.integers(min_value=-(2**53), max_value=2**53))
+inputs = st.one_of(
+    scalars,
+    st.lists(scalars, max_size=4),
+    st.lists(scalars, max_size=4).map(tuple),
+    hnp.arrays(
+        st.sampled_from([np.int64, np.float32, np.float64]),
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+    ),
+)
+
+
+def outcome(validate, u, dimension):
+    try:
+        return validate(u, dimension)
+    except ValueError as exc:
+        return exc
+
+
+@settings(max_examples=400)
+@given(u=inputs, dimension_mode=st.sampled_from(["none", "correct", "wrong"]))
+def test_as_input_vector_matches_reference(u, dimension_mode):
+    size = np.size(u)
+    dimension = {"none": None, "correct": size, "wrong": size + 1}[dimension_mode]
+    snapshot = copy.deepcopy(u)
+    expected = outcome(reference_as_input_vector, u, dimension)
+    got = outcome(as_input_vector, u, dimension)
+    if isinstance(expected, ValueError):
+        assert isinstance(got, ValueError)
+        assert str(got) == str(expected)
+        return
+    assert got.dtype == np.float64
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+    got[...] = -1.0
+    assert np.array_equal(np.asarray(u), np.asarray(snapshot))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gradient_signals_oracle_failure(bad):
+    oracle = ScalarOracle(lambda u: 0.0, lambda u: np.array([0.0, bad]), 2)
+    with pytest.raises(OracleError, match="gradient is non-finite"):
+        oracle.gradient([0.0, 0.0])
+
+
+def corrected(shift_enabled, dim=2):
+    base = ScalarOracle(lambda u: float(np.dot(u, u)), lambda u: 2.0 * u, dim)
+    return CorrectedModel(
+        base,
+        [1.5, -0.25][:dim],
+        anchor=[0.5, -2.0][:dim],
+        shift_enabled=shift_enabled,
+        plant_value_at_anchor=3.0 if shift_enabled else None,
+    )
+
+
+METHODS = ("value", "value_change", "gradient")
+
+
+@pytest.mark.parametrize("shift_enabled", [False, True])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        ([1.0, 2.0, 3.0], "dimension mismatch"),
+        ([1.0], "dimension mismatch"),
+        ([np.nan, 0.0], "non-finite"),
+        ([0.0, -np.inf], "non-finite"),
+        ([[0.0, 1.0]], "1-D"),
+    ],
+)
+def test_corrected_model_rejects_bad_input(shift_enabled, method, u, message):
+    cm = corrected(shift_enabled)
+    counts = (cm.base_model.value_calls, cm.base_model.gradient_calls)
+    with pytest.raises(ValueError, match=message):
+        getattr(cm, method)(u)
+    assert (cm.base_model.value_calls, cm.base_model.gradient_calls) == counts
+
+
+finite = st.floats(min_value=-100.0, max_value=100.0)
+pairs = st.tuples(finite, finite)
+
+
+@settings(max_examples=100)
+@given(
+    u=st.one_of(
+        pairs,
+        pairs.map(list),
+        pairs.map(lambda p: np.array(p, dtype=np.float32)),
+        st.tuples(st.integers(-100, 100), st.integers(-100, 100)).map(np.array),
+    ),
+    shift_enabled=st.booleans(),
+)
+def test_corrected_model_equals_prevalidated_input(u, shift_enabled):
+    cm = corrected(shift_enabled)
+    v = reference_as_input_vector(u, 2)
+    assert cm.value(u) == cm.value(v)
+    assert cm.value_change(u) == cm.value_change(v)
+    assert cm.gradient(u).tobytes() == cm.gradient(v).tobytes()
+
+
+@pytest.mark.parametrize("u", [0.75, np.float64(0.75), np.array(0.75), [0.75]])
+def test_corrected_model_promotes_scalar_input_in_one_dimension(u):
+    cm = corrected(shift_enabled=False, dim=1)
+    v = np.array([0.75])
+    assert cm.value(u) == cm.value(v)
+    assert cm.value_change(u) == cm.value_change(v)
+    assert cm.gradient(u).tobytes() == cm.gradient(v).tobytes()

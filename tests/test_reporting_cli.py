@@ -251,6 +251,11 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_negative_seed_override_exits_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"problem": "P1", "algorithm": "basic-ma", "u0": [0, 0]})
+        assert main(["run", str(path), "--seed", "-1"]) == 1
+        assert "'seed'" in capsys.readouterr().err
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -276,6 +281,14 @@ class TestCli:
             "bad.json",
         )
         assert main(["check", str(bad)]) == 1
+        big = write_config(
+            tmp_path,
+            {"problem": "P1", "algorithm": "ma-tr", "u0": [0, 0], "delta0": 10**400},
+            "big.json",
+        )
+        capsys.readouterr()
+        assert main(["check", str(big)]) == 1
+        assert "'delta0'" in capsys.readouterr().err
 
     def test_list_problems(self, capsys):
         assert main(["list-problems"]) == 0
