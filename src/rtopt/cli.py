@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .config import RunConfig, load_config, run_config
+from .config import FORMATS, RunConfig, check_config, load_config, run_config
 from .errors import ConfigError, OracleError
 from .problems import list_problems
 from .reporting import export_trace, summarize
@@ -27,12 +28,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # each override's dest is the RunConfig field it sets
     def add_overrides(p):
         p.add_argument("--output", help="override the trace/summary output path")
-        p.add_argument("--format", choices=("csv", "json"), help="override the export format")
+        p.add_argument("--format", choices=FORMATS, help="override the export format")
         p.add_argument("--seed", type=int, help="override the random seed")
-        p.add_argument("--max-iter", type=int, help="override the iteration cap")
-        p.add_argument("--tol", type=float, help="override the gradient tolerance")
+        p.add_argument(
+            "--max-iter", dest="max_iterations", type=int, help="override the iteration cap"
+        )
+        p.add_argument(
+            "--tol", dest="tolerance", type=float, help="override the gradient tolerance"
+        )
 
     p_run = sub.add_parser("run", help="execute a single configured run")
     p_run.add_argument("config", help="path to a JSON config (single object)")
@@ -50,24 +56,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_OVERRIDES = ("output", "format", "seed", "max_iterations", "tolerance")
+
+
 def _apply_overrides(cfg: RunConfig, args, override_output: bool = True) -> RunConfig:
-    if override_output and getattr(args, "output", None) is not None:
-        cfg.output = args.output
-    if getattr(args, "format", None) is not None:
-        cfg.format = args.format
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError("field 'seed': must be >= 0")
-        cfg.seed = args.seed
-    if getattr(args, "max_iter", None) is not None:
-        if args.max_iter < 1:
-            raise ConfigError("field 'max_iterations': must be >= 1")
-        cfg.max_iterations = args.max_iter
-    if getattr(args, "tol", None) is not None:
-        if args.tol <= 0:
-            raise ConfigError("field 'tolerance': must be > 0")
-        cfg.tolerance = args.tol
-    return cfg
+    """``cfg`` with the given flags applied, checked like a loaded config."""
+    changes = {
+        name: getattr(args, name)
+        for name in _OVERRIDES
+        if getattr(args, name, None) is not None and (override_output or name != "output")
+    }
+    return check_config(replace(cfg, **changes))
 
 
 def _load_many(paths) -> list[RunConfig]:

@@ -13,14 +13,21 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require
 from .problems import ScalarOracle, as_input_vector
 
 __all__ = [
+    "check_alpha",
     "compute_modifiers",
     "filter_modifiers",
     "ModifierFilter",
     "CorrectedModel",
 ]
+
+
+def check_alpha(alpha: float) -> None:
+    """The correction filter gain must lie in (0, 1]."""
+    require(0.0 < alpha <= 1.0, "alpha", f"must be in (0, 1], got {alpha}")
 
 
 def compute_modifiers(plant_grad, model_grad) -> np.ndarray:
@@ -38,8 +45,7 @@ def compute_modifiers(plant_grad, model_grad) -> np.ndarray:
 
 def filter_modifiers(raw_difference, previous, alpha: float) -> np.ndarray:
     """Exponentially smoothed correction: alpha*raw + (1-alpha)*previous."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    check_alpha(alpha)
     raw = np.asarray(raw_difference, dtype=float).reshape(-1)
     prev = np.asarray(previous, dtype=float).reshape(-1)
     if raw.size != prev.size:
@@ -56,15 +62,11 @@ class ModifierFilter:
     the plant gradient exactly at the reference.
     """
 
-    def __init__(self, alpha: float, dimension: int, initial=None):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    def __init__(self, alpha: float, dimension: int):
+        check_alpha(alpha)
         self.alpha = float(alpha)
         self.dimension = int(dimension)
-        if initial is None:
-            self.previous = np.zeros(dimension)
-        else:
-            self.previous = as_input_vector(initial, dimension)
+        self.previous = np.zeros(dimension)
 
     def update(self, plant_grad, model_grad) -> np.ndarray:
         raw = compute_modifiers(plant_grad, model_grad)
@@ -98,19 +100,19 @@ class CorrectedModel:
         shift_enabled: bool = False,
         plant_value_at_anchor: float | None = None,
     ):
+        if shift_enabled and plant_value_at_anchor is None:
+            raise ValueError("shift_enabled requires plant_value_at_anchor to be provided")
         self.base_model = base_model
         self.anchor = as_input_vector(anchor, base_model.dimension)
         self.modifiers = as_input_vector(modifiers, base_model.dimension)
-        self.shift_enabled = bool(shift_enabled)
-        if self.shift_enabled and plant_value_at_anchor is None:
-            raise ValueError(
-                "shift_enabled requires plant_value_at_anchor to be provided"
-            )
-        self.plant_value_at_anchor = (
-            None if plant_value_at_anchor is None else float(plant_value_at_anchor)
-        )
-        # Cached once so value differences are identical under both forms.
         self._model_at_anchor = base_model.value(self.anchor)
+        # The shift lives in this one constant: every value is the value at
+        # the anchor plus the shift-free change from it.
+        self._value_at_anchor = (
+            float(plant_value_at_anchor)
+            if shift_enabled
+            else self._model_at_anchor + float(self.modifiers @ self.anchor)
+        )
 
     @property
     def dimension(self) -> int:
@@ -120,16 +122,9 @@ class CorrectedModel:
     # validation, and it raises before any arithmetic below.
 
     def value(self, u) -> float:
-        """Corrected value at u (shifted form when shift_enabled)."""
-        base = self.base_model.value(u)
-        u = np.asarray(u, dtype=float).reshape(-1)
-        if self.shift_enabled:
-            return (
-                base
-                + (self.plant_value_at_anchor - self._model_at_anchor)
-                + float(self.modifiers @ (u - self.anchor))
-            )
-        return base + float(self.modifiers @ u)
+        """Corrected value at u: model(u) + modifiers . u, or with the shift
+        the measured plant value at the anchor plus the change from it."""
+        return self._value_at_anchor + self.value_change(u)
 
     def gradient(self, u) -> np.ndarray:
         """Corrected gradient at u; identical under both shift modes."""

@@ -1,26 +1,28 @@
-"""The three iterative optimization loops and their run traces.
+"""The three iterative optimization loops, their run schema and traces.
 
 * ``run_basic_ma``: correct the model at the latest iterate, minimize the
   corrected model over the whole (boxed) input space, always move there.
-* ``run_trust_region``: classic reference-based loop; candidates come from
-  the ball-constrained subproblem on a value-and-gradient matched model,
-  acceptance and radius follow the achieved/predicted decrease ratio.
-* ``run_ma_tr``: same loop built on the gradient-matched corrected model
-  (optionally value-shifted; the iterates do not depend on the shift).
+* ``run_ma_tr``: reference-based loop on the gradient-matched corrected
+  model; candidates come from the ball-constrained subproblem, acceptance
+  and radius follow the achieved/predicted decrease ratio.
+* ``run_trust_region``: the same loop with gain 1 and the value shift
+  recorded.  The loop reads only value changes and gradients, from which
+  the shift cancels, so the iterates are those of ``run_ma_tr``.
 
-Every run returns a :class:`RunTrace` holding one record per iteration
-plus termination metadata and plant-probe counts.
+Every run returns a :class:`RunTrace` holding one record per iteration,
+termination metadata, plant-probe counts and its settings in
+:class:`RunConfig` field order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
-from .corrected_model import CorrectedModel, ModifierFilter
-from .errors import OracleError
+from .corrected_model import CorrectedModel, ModifierFilter, check_alpha
+from .errors import OracleError, require
 from .problems import ProblemPair, as_input_vector
 from .subproblem import projected_descent, solve_subproblem
 from .trust_region import (
@@ -32,7 +34,11 @@ from .trust_region import (
 )
 
 __all__ = [
+    "ALGORITHMS",
+    "FORMATS",
+    "RunConfig",
     "StoppingCriteria",
+    "check_arguments",
     "IterationRecord",
     "RunTrace",
     "run_basic_ma",
@@ -56,6 +62,11 @@ TERMINATION_STATUSES = (
 )
 
 
+ALGORITHMS = ("basic-ma", "trust-region", "ma-tr")
+_LOOPS = ("trust-region", "ma-tr")
+FORMATS = ("csv", "json")
+
+
 @dataclass(frozen=True)
 class StoppingCriteria:
     """Loop termination plumbing; the underlying schemes iterate forever."""
@@ -65,12 +76,127 @@ class StoppingCriteria:
     max_plant_evaluations: int = 10_000
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.max_plant_evaluations < 1:
-            raise ValueError("max_plant_evaluations must be >= 1")
+        require(
+            0.0 < self.tolerance < math.inf,
+            "tolerance",
+            f"must be finite and > 0, got {self.tolerance}",
+        )
+        require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
+        require(self.max_plant_evaluations >= 1, "max_plant_evaluations", "must be >= 1")
+
+
+def _setting(default=MISSING, algorithms=ALGORITHMS, recorded=None, choices=None):
+    """A RunConfig field: ``algorithms`` may set it in a config, ``recorded``
+    (by default the same) record it in ``trace.config``, and ``choices``
+    lists its allowed values when it is a name."""
+    return field(
+        default=default,
+        metadata={
+            "algorithms": algorithms,
+            "recorded": algorithms if recorded is None else recorded,
+            "choices": choices,
+        },
+    )
+
+
+@dataclass
+class RunConfig:
+    """One run's settings: the config-file schema and, for the fields each
+    algorithm records, the key order of ``trace.config``.
+
+    Field types and metadata drive config parsing; the range rules live in
+    the objects a run builds (``TrustRegionConstants``,
+    ``StoppingCriteria``, ``ProblemPair``) and in ``check_arguments``.
+    ``trust-region`` records the gain and the shift it runs with but takes
+    neither as a setting.
+    """
+
+    problem: str = _setting()
+    algorithm: str = _setting(choices=ALGORITHMS)
+    u0: list = _setting()
+    delta0: float = _setting(1.0, _LOOPS)
+    eta1: float = _setting(TrustRegionConstants.eta1, _LOOPS)
+    eta2: float = _setting(TrustRegionConstants.eta2, _LOOPS)
+    gamma1: float = _setting(TrustRegionConstants.gamma1, _LOOPS)
+    gamma2: float = _setting(TrustRegionConstants.gamma2, _LOOPS)
+    expansion_factor: float = _setting(TrustRegionConstants.expansion_factor, _LOOPS)
+    shrink_factor: float = _setting(TrustRegionConstants.shrink_factor, _LOOPS)
+    radius_max: float | None = _setting(None, _LOOPS)
+    alpha: float = _setting(1.0, ("basic-ma", "ma-tr"), recorded=ALGORITHMS)
+    shift_enabled: bool = _setting(False, ("ma-tr",), recorded=_LOOPS)
+    noise_level: float = _setting(0.0)
+    seed: int = _setting(0)
+    tolerance: float = _setting(StoppingCriteria.tolerance)
+    max_iterations: int = _setting(StoppingCriteria.max_iterations)
+    max_plant_evaluations: int = _setting(StoppingCriteria.max_plant_evaluations)
+    subproblem_budget: int = _setting(200, _LOOPS)
+    box_halfwidth: float = _setting(1e6, ("basic-ma",))
+    output: str | None = _setting(None, recorded=())
+    format: str = _setting("csv", recorded=(), choices=FORMATS)
+
+    def constants(self) -> TrustRegionConstants:
+        return TrustRegionConstants(
+            eta1=self.eta1,
+            eta2=self.eta2,
+            gamma1=self.gamma1,
+            gamma2=self.gamma2,
+            expansion_factor=self.expansion_factor,
+            shrink_factor=self.shrink_factor,
+            radius_max=math.inf if self.radius_max is None else self.radius_max,
+        )
+
+    def stopping(self) -> StoppingCriteria:
+        return StoppingCriteria(
+            tolerance=self.tolerance,
+            max_iterations=self.max_iterations,
+            max_plant_evaluations=self.max_plant_evaluations,
+        )
+
+
+# trace.config keys per algorithm, in RunConfig field order
+_RECORDED = {
+    a: tuple(f.name for f in fields(RunConfig) if a in f.metadata["recorded"])
+    for a in ALGORITHMS
+}
+
+
+def check_arguments(
+    alpha: float = 1.0,
+    delta0: float = 1.0,
+    radius_max: float = math.inf,
+    subproblem_budget: int = 1,
+    box_halfwidth: float = 1.0,
+) -> None:
+    """The drivers' argument rules, shared with config loading.  A driver
+    passes the arguments it takes; the defaults are valid placeholders."""
+    check_alpha(alpha)
+    require(0.0 < delta0 < math.inf, "delta0", f"must be finite and > 0, got {delta0}")
+    require(delta0 <= radius_max, "delta0", "must not exceed radius_max")
+    require(subproblem_budget >= 1, "subproblem_budget", "must be >= 1")
+    require(
+        0.0 < box_halfwidth < math.inf,
+        "box_halfwidth",
+        f"must be finite and > 0, got {box_halfwidth}",
+    )
+
+
+def _record_config(algorithm, problem, u, stop, constants=None, **settings) -> dict:
+    """``trace.config``: the settings ``algorithm`` records, in RunConfig
+    field order.  ``settings`` holds the driver's other arguments."""
+    values = {
+        "problem": problem.identifier,
+        "algorithm": algorithm,
+        "u0": [float(x) for x in u],
+        "noise_level": problem.noise_level,
+        "seed": problem.seed,
+        **vars(stop),
+        **settings,
+    }
+    if constants is not None:
+        values.update(vars(constants))
+        if math.isinf(constants.radius_max):
+            values["radius_max"] = None  # RunConfig's "unbounded"
+    return {name: values[name] for name in _RECORDED[algorithm]}
 
 
 @dataclass
@@ -185,7 +311,6 @@ def run_basic_ma(
     stop: StoppingCriteria | None = None,
     box_halfwidth: float = 1e6,
     seed: int = 0,
-    config: dict | None = None,
 ) -> RunTrace:
     """Gradient-matched model correction with a whole-space model solve and
     no acceptance test: the subproblem minimizer is always applied and
@@ -196,25 +321,16 @@ def run_basic_ma(
     below on the search box, or at the iteration/evaluation caps.
     """
     stop = stop or StoppingCriteria()
+    check_arguments(alpha=alpha, box_halfwidth=box_halfwidth)
     u = as_input_vector(u0, problem.dimension)
     rng = np.random.default_rng(seed)
     v0, g0 = problem.plant_evaluations()
     notes = []
     if alpha < 1.0:
         notes.append("no convergence guarantee")
-    if config is None:
-        config = {
-            "problem": problem.identifier,
-            "algorithm": "basic-ma",
-            "u0": [float(x) for x in u],
-            "alpha": alpha,
-            "noise_level": problem.noise_level,
-            "seed": seed,
-            "tolerance": stop.tolerance,
-            "max_iterations": stop.max_iterations,
-            "max_plant_evaluations": stop.max_plant_evaluations,
-            "box_halfwidth": box_halfwidth,
-        }
+    config = _record_config(
+        "basic-ma", problem, u, stop, alpha=alpha, seed=seed, box_halfwidth=box_halfwidth
+    )
 
     records: list[IterationRecord] = []
     status = "max-iterations"
@@ -279,21 +395,36 @@ def run_basic_ma(
 
 
 def _tr_loop(
+    algorithm: str,
     problem: ProblemPair,
-    u: np.ndarray,
+    u0,
     delta0: float,
-    constants: TrustRegionConstants,
+    constants: TrustRegionConstants | None,
     alpha: float,
     shift_enabled: bool,
-    stop: StoppingCriteria,
-    algorithm: str,
+    stop: StoppingCriteria | None,
     subproblem_budget: int,
-    config: dict,
 ) -> RunTrace:
-    if delta0 <= 0:
-        raise ValueError("delta0 must be > 0")
-    if delta0 > constants.radius_max:
-        raise ValueError("delta0 must not exceed radius_max")
+    constants = constants or TrustRegionConstants()
+    stop = stop or StoppingCriteria()
+    check_arguments(
+        alpha=alpha,
+        delta0=delta0,
+        radius_max=constants.radius_max,
+        subproblem_budget=subproblem_budget,
+    )
+    u = as_input_vector(u0, problem.dimension)
+    config = _record_config(
+        algorithm,
+        problem,
+        u,
+        stop,
+        constants,
+        delta0=delta0,
+        alpha=alpha,
+        shift_enabled=shift_enabled,
+        subproblem_budget=subproblem_budget,
+    )
     v0, g0 = problem.plant_evaluations()
     notes = []
     if alpha < 1.0:
@@ -318,13 +449,7 @@ def _tr_loop(
                 status = "max-iterations"
                 break
             lam = filt.update(ref_grad, problem.model_gradient(state.reference))
-            model = CorrectedModel(
-                problem.model,
-                lam,
-                anchor=state.reference,
-                shift_enabled=shift_enabled,
-                plant_value_at_anchor=state.reference_plant_value if shift_enabled else None,
-            )
+            model = CorrectedModel(problem.model, lam, anchor=state.reference)
             anchor = state.reference.copy()
             anchor_value = state.reference_plant_value
             radius = state.radius
@@ -337,8 +462,8 @@ def _tr_loop(
                 status = "stalled"
                 break
             cand_value = problem.evaluate_plant(candidate)
-            # Model values enter the ratio relative to the anchor; the
-            # constant shift cancels from the ratio regardless.
+            # The model enters the ratio as its change from the anchor,
+            # which is the same with or without the value shift.
             rho = compute_rho(anchor_value, cand_value, 0.0, model.value_change(candidate))
             accepted = accept_candidate(state, candidate, cand_value, rho, constants)
             state.radius = update_radius(radius, rho, constants)
@@ -384,32 +509,6 @@ def _tr_loop(
     )
 
 
-def _tr_config(
-    problem, algorithm, u, delta0, constants, alpha, shift_enabled, stop, subproblem_budget
-) -> dict:
-    return {
-        "problem": problem.identifier,
-        "algorithm": algorithm,
-        "u0": [float(x) for x in u],
-        "delta0": delta0,
-        "eta1": constants.eta1,
-        "eta2": constants.eta2,
-        "gamma1": constants.gamma1,
-        "gamma2": constants.gamma2,
-        "expansion_factor": constants.expansion_factor,
-        "shrink_factor": constants.shrink_factor,
-        "radius_max": None if np.isinf(constants.radius_max) else constants.radius_max,
-        "alpha": alpha,
-        "shift_enabled": shift_enabled,
-        "noise_level": problem.noise_level,
-        "seed": problem.seed,
-        "tolerance": stop.tolerance,
-        "max_iterations": stop.max_iterations,
-        "max_plant_evaluations": stop.max_plant_evaluations,
-        "subproblem_budget": subproblem_budget,
-    }
-
-
 def run_trust_region(
     problem: ProblemPair,
     u0,
@@ -419,17 +518,10 @@ def run_trust_region(
     subproblem_budget: int = 200,
 ) -> RunTrace:
     """Reference-based loop on the value-and-gradient matched model: the
-    corrected model is built with the constant shift so its value and
-    gradient both equal the plant's at the reference.
+    ``ma-tr`` loop with gain 1 and the value shift recorded.
     """
-    constants = constants or TrustRegionConstants()
-    stop = stop or StoppingCriteria()
-    u = as_input_vector(u0, problem.dimension)
-    config = _tr_config(
-        problem, "trust-region", u, delta0, constants, 1.0, True, stop, subproblem_budget
-    )
     return _tr_loop(
-        problem, u, delta0, constants, 1.0, True, stop, "trust-region", subproblem_budget, config
+        "trust-region", problem, u0, delta0, constants, 1.0, True, stop, subproblem_budget
     )
 
 
@@ -446,17 +538,9 @@ def run_ma_tr(
     """Reference-based loop on the gradient-matched corrected model.
 
     With ``alpha`` below 1 the correction is filtered and the run is
-    annotated accordingly.  ``shift_enabled`` adds the constant value
-    shift to the model; the produced iterates are identical either way.
+    annotated accordingly.  ``shift_enabled`` is recorded only: the shift
+    cancels from every decrease, so the iterates are identical either way.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    constants = constants or TrustRegionConstants()
-    stop = stop or StoppingCriteria()
-    u = as_input_vector(u0, problem.dimension)
-    config = _tr_config(
-        problem, "ma-tr", u, delta0, constants, alpha, shift_enabled, stop, subproblem_budget
-    )
     return _tr_loop(
-        problem, u, delta0, constants, alpha, shift_enabled, stop, "ma-tr", subproblem_budget, config
+        "ma-tr", problem, u0, delta0, constants, alpha, shift_enabled, stop, subproblem_budget
     )

@@ -7,3 +7,9 @@ class OracleError(RuntimeError):
 
 class ConfigError(ValueError):
     """A run configuration failed validation; the message names the field."""
+
+
+def require(condition: bool, field: str, reason: str) -> None:
+    """Raise a ConfigError naming ``field`` unless ``condition`` holds."""
+    if not condition:
+        raise ConfigError(f"field {field!r}: {reason}")

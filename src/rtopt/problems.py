@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OracleError
+from .errors import OracleError, require
 
 __all__ = [
     "ScalarOracle",
@@ -94,10 +94,6 @@ class ScalarOracle:
             raise OracleError(f"oracle gradient is non-finite at u={u!r}")
         return out
 
-    def reset_counters(self) -> None:
-        self.value_calls = 0
-        self.gradient_calls = 0
-
 
 class ProblemPair:
     """A plant oracle bundled with its (deliberately mismatched) model.
@@ -125,8 +121,12 @@ class ProblemPair:
     ):
         if plant.dimension != model.dimension:
             raise ValueError("plant and model dimensions differ")
-        if noise_level < 0:
-            raise ValueError("noise_level must be >= 0")
+        require(
+            0.0 <= noise_level < math.inf,
+            "noise_level",
+            f"must be finite and >= 0, got {noise_level}",
+        )
+        require(seed >= 0, "seed", f"must be >= 0, got {seed}")
         self.identifier = identifier
         self.label = label
         self.dimension = plant.dimension

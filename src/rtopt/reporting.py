@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .drivers import DEGENERATE, IterationRecord, RunTrace
+from .drivers import DEGENERATE, FORMATS, IterationRecord, RunTrace
 
 __all__ = ["export_trace", "trace_to_dict", "summarize"]
 
@@ -97,8 +97,8 @@ def export_trace(trace: RunTrace, format: str, path) -> Path:
     """Write the trace to ``path`` as CSV (one row per iteration) or JSON
     (full record fields).  Returns the written path.
     """
-    if format not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
+    if format not in FORMATS:
+        raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {format!r}")
     path = Path(path)
     if format == "csv":
         lines = [",".join(CSV_COLUMNS)]

@@ -54,7 +54,6 @@ class SubproblemResult:
     cauchy_point: np.ndarray
     cauchy_step: float
     cauchy_override_applied: bool
-    model_value_at_candidate: float
     descent_evaluations: int
 
 
@@ -286,17 +285,11 @@ def solve_subproblem(
     )
 
     override = best_change > cp_change
-    if override:
-        candidate, cand_change = cp.copy(), cp_change
-    else:
-        candidate, cand_change = best, best_change
-    candidate = project(candidate)
     return SubproblemResult(
-        candidate=candidate,
+        candidate=project(cp if override else best),
         cauchy_point=cp,
         cauchy_step=t_cp,
         cauchy_override_applied=override,
-        model_value_at_candidate=model.value(candidate),
         descent_evaluations=evals,
     )
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import require
 from .problems import as_input_vector
 
 __all__ = [
@@ -44,23 +45,27 @@ class TrustRegionConstants:
     radius_max: float = math.inf
 
     def __post_init__(self):
-        if not 0.0 < self.eta1 <= self.eta2 < 1.0:
-            raise ValueError(
-                f"require 0 < eta1 <= eta2 < 1, got eta1={self.eta1}, eta2={self.eta2}"
-            )
-        if not 0.0 < self.gamma1 <= self.gamma2 < 1.0:
-            raise ValueError(
-                f"require 0 < gamma1 <= gamma2 < 1, got gamma1={self.gamma1}, "
-                f"gamma2={self.gamma2}"
-            )
-        if not self.gamma1 <= self.shrink_factor <= self.gamma2:
-            raise ValueError(
-                f"shrink_factor must lie in [gamma1, gamma2], got {self.shrink_factor}"
-            )
-        if not self.expansion_factor > 1.0:
-            raise ValueError(f"expansion_factor must be > 1, got {self.expansion_factor}")
-        if not self.radius_max > 0.0:
-            raise ValueError(f"radius_max must be > 0, got {self.radius_max}")
+        require(
+            0.0 < self.eta1 <= self.eta2 < 1.0,
+            "eta1",
+            f"require 0 < eta1 <= eta2 < 1, got eta1={self.eta1}, eta2={self.eta2}",
+        )
+        require(
+            0.0 < self.gamma1 <= self.gamma2 < 1.0,
+            "gamma1",
+            f"require 0 < gamma1 <= gamma2 < 1, got gamma1={self.gamma1}, gamma2={self.gamma2}",
+        )
+        require(
+            self.gamma1 <= self.shrink_factor <= self.gamma2,
+            "shrink_factor",
+            f"must lie in [gamma1, gamma2], got {self.shrink_factor}",
+        )
+        require(
+            1.0 < self.expansion_factor < math.inf,
+            "expansion_factor",
+            f"must be finite and > 1, got {self.expansion_factor}",
+        )
+        require(self.radius_max > 0.0, "radius_max", f"must be > 0, got {self.radius_max}")
 
 
 @dataclass

@@ -1,6 +1,9 @@
 """Tests for configuration loading, validation, and dispatch."""
 
 import json
+import re
+from dataclasses import MISSING, fields
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +212,37 @@ class TestRunConfigDispatch:
         assert trace.config["max_iterations"] == 7
         assert trace.config["tolerance"] == 1e-3
         assert trace.iterations <= 7
+
+
+class TestReadmeReference:
+    """The README configuration reference is written by hand; it must list
+    exactly the RunConfig fields, in order, with their defaults."""
+
+    @staticmethod
+    def parse_default(text):
+        text = text.strip()
+        try:
+            return json.loads(text)
+        except ValueError:
+            return text  # a bare name, such as csv
+
+    def test_table_matches_run_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+        required = re.findall(r"`(\w+)`", section.split("Required:", 1)[1].split("Optional", 1)[0])
+        documented = {}
+        for line in section.splitlines():
+            if not line.startswith("| `"):
+                continue
+            cells = line.strip("|").split("|")
+            names = re.findall(r"`(\w+)`", cells[0])
+            defaults = [self.parse_default(d) for d in cells[1].split(",")]
+            assert len(names) == len(defaults), line
+            documented.update(zip(names, defaults))
+
+        assert required + list(documented) == [f.name for f in fields(RunConfig)]
+        for f in fields(RunConfig):
+            if f.default is MISSING:
+                assert f.name in required
+            else:
+                assert documented[f.name] == f.default, f.name

@@ -1,5 +1,7 @@
 """Tests for the three run drivers, trace structure, and loop invariants."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from rtopt import (
     run_ma_tr,
     run_trust_region,
 )
+from rtopt.config import config_from_dict, run_config
 from rtopt.drivers import TERMINATION_STATUSES
 
 STARTS = {"P1": [0.0, 0.0], "P2": [3.0], "P3": [-1.2, 1.0], "P4": [0.0, 0.0]}
@@ -325,6 +328,42 @@ class TestMaTrDriver:
             StoppingCriteria(max_plant_evaluations=0)
 
 
+class TestArgumentRules:
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: StoppingCriteria(tolerance=float("nan")), "tolerance"),
+            (lambda: StoppingCriteria(tolerance=float("inf")), "tolerance"),
+            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=float("nan")), "delta0"),
+            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=float("inf")), "delta0"),
+            (lambda: run_trust_region(get_problem("P1"), [0.0, 0.0], delta0=0.0), "delta0"),
+            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], subproblem_budget=0),
+             "subproblem_budget"),
+            (lambda: run_basic_ma(get_problem("P1"), [0.0, 0.0], box_halfwidth=-1),
+             "box_halfwidth"),
+            (lambda: run_basic_ma(get_problem("P1"), [0.0, 0.0], alpha=1.5), "alpha"),
+            (lambda: get_problem("P1", noise_level=float("nan")), "noise_level"),
+            (lambda: get_problem("P1", seed=-1), "seed"),
+        ],
+        ids=[
+            "tolerance-nan",
+            "tolerance-inf",
+            "delta0-nan",
+            "delta0-inf",
+            "trust-region-delta0-0",
+            "subproblem-budget-0",
+            "box-halfwidth-negative",
+            "basic-ma-alpha",
+            "noise-level-nan",
+            "seed-negative",
+        ],
+    )
+    def test_library_arguments_rejected_naming_the_argument(self, call, name):
+        # the rules config loading applies, with the argument named
+        with pytest.raises(ValueError, match=f"'{name}'"):
+            call()
+
+
 class TestCheckConvergence:
     def test_threshold_cases(self):
         trace = run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=2.0)
@@ -350,3 +389,76 @@ class TestCheckConvergence:
         trace = run_ma_tr(get_problem("P1"), [0.0, 0.0])
         with pytest.raises(ValueError, match="tolerance"):
             check_convergence(trace, 0.0)
+
+
+class TestRecordedConfig:
+    """``trace.config`` is part of the JSON export: its keys, their order
+    and the values' JSON types are pinned here for every algorithm."""
+
+    BASIC_MA = {
+        "problem": "P1",
+        "algorithm": "basic-ma",
+        "u0": [0.0, 0.0],
+        "alpha": 1.0,
+        "noise_level": 0.0,
+        "seed": 0,
+        "tolerance": 1e-06,
+        "max_iterations": 500,
+        "max_plant_evaluations": 10000,
+        "box_halfwidth": 1000000.0,
+    }
+    LOOP = {
+        "problem": "P1",
+        "algorithm": "ma-tr",
+        "u0": [0.0, 0.0],
+        "delta0": 1.0,
+        "eta1": 0.1,
+        "eta2": 0.9,
+        "gamma1": 0.5,
+        "gamma2": 0.5,
+        "expansion_factor": 2.0,
+        "shrink_factor": 0.5,
+        "radius_max": None,
+        "alpha": 1.0,
+        "shift_enabled": False,
+        "noise_level": 0.0,
+        "seed": 0,
+        "tolerance": 1e-06,
+        "max_iterations": 500,
+        "max_plant_evaluations": 10000,
+        "subproblem_budget": 200,
+    }
+    TRUST_REGION = {**LOOP, "algorithm": "trust-region", "shift_enabled": True}
+
+    @staticmethod
+    def assert_pinned(trace, expected):
+        assert json.dumps(trace.config) == json.dumps(expected)
+
+    def test_direct_driver_calls(self):
+        self.assert_pinned(run_basic_ma(get_problem("P1"), [0, 0]), self.BASIC_MA)
+        self.assert_pinned(run_trust_region(get_problem("P1"), [0, 0]), self.TRUST_REGION)
+        self.assert_pinned(run_ma_tr(get_problem("P1"), [0, 0]), self.LOOP)
+
+    def test_defaults_through_run_config(self):
+        for expected in (self.BASIC_MA, self.TRUST_REGION, self.LOOP):
+            raw = {"problem": "P1", "algorithm": expected["algorithm"], "u0": [0, 0]}
+            self.assert_pinned(run_config(config_from_dict(raw)), expected)
+
+    def test_settings_through_run_config(self):
+        common = {"problem": "P4", "u0": [0.5, -1], "noise_level": 0.01, "seed": 3,
+                  "tolerance": 0.001, "max_iterations": 5, "max_plant_evaluations": 99}
+        loop = {"delta0": 0.5, "eta1": 0.2, "eta2": 0.8, "gamma1": 0.25, "gamma2": 0.75,
+                "expansion_factor": 3.0, "shrink_factor": 0.5, "radius_max": 4.0,
+                "subproblem_budget": 50}
+        runs = [
+            ({**common, "algorithm": "basic-ma", "alpha": 0.5, "box_halfwidth": 10.0},
+             {**self.BASIC_MA, **common, "algorithm": "basic-ma", "alpha": 0.5,
+              "box_halfwidth": 10.0}),
+            ({**common, **loop, "algorithm": "trust-region"},
+             {**self.TRUST_REGION, **common, **loop}),
+            ({**common, **loop, "algorithm": "ma-tr", "alpha": 0.5, "shift_enabled": True},
+             {**self.LOOP, **common, **loop, "alpha": 0.5, "shift_enabled": True}),
+        ]
+        for raw, expected in runs:
+            expected["u0"] = [0.5, -1.0]
+            self.assert_pinned(run_config(config_from_dict(raw)), expected)

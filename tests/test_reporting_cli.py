@@ -256,6 +256,24 @@ class TestCli:
         assert main(["run", str(path), "--seed", "-1"]) == 1
         assert "'seed'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["run", "--tol", "inf"], "tolerance"),
+            (["run", "--tol", "nan"], "tolerance"),
+            (["run", "--max-iter", "0"], "max_iterations"),
+            (["compare", "--tol", "inf"], "tolerance"),
+        ],
+        ids=["run-tol-inf", "run-tol-nan", "run-max-iter-0", "compare-tol-inf"],
+    )
+    def test_out_of_range_override_exits_1(self, tmp_path, capsys, argv, name):
+        # overrides go through the rules a config file's fields go through
+        path = write_config(tmp_path, {"problem": "P1", "algorithm": "ma-tr", "u0": [0, 0]})
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert f"'{name}'" in captured.err
+        assert captured.out == ""
+
     def test_stalled_run_exits_0(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
