@@ -65,7 +65,6 @@ class ModifierFilter:
     def __init__(self, alpha: float, dimension: int):
         check_alpha(alpha)
         self.alpha = float(alpha)
-        self.dimension = int(dimension)
         self.previous = np.zeros(dimension)
 
     def update(self, plant_grad, model_grad) -> np.ndarray:
@@ -117,6 +116,12 @@ class CorrectedModel:
     @property
     def dimension(self) -> int:
         return self.base_model.dimension
+
+    @property
+    def hessian(self) -> np.ndarray | None:
+        """The base model's constant Hessian, if it declares one: the linear
+        correction leaves the Hessian unchanged."""
+        return self.base_model.hessian
 
     # u goes to the base oracle unconverted: its input check is the only
     # validation, and it raises before any arithmetic below.

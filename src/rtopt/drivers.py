@@ -252,8 +252,7 @@ class RunTrace:
 def check_convergence(trace: RunTrace, tolerance: float) -> bool:
     """Whether the trace's final reference is first-order critical to the
     given tolerance (measured plant gradient norm)."""
-    if tolerance <= 0:
-        raise ValueError("tolerance must be > 0")
+    StoppingCriteria(tolerance=tolerance)  # the one tolerance rule
     if not np.isfinite(trace.final_gradient_norm):
         raise ValueError("trace has no finite final gradient norm")
     return trace.final_gradient_norm <= tolerance

@@ -49,6 +49,24 @@ def as_input_vector(u, dimension: int | None = None) -> np.ndarray:
     return arr
 
 
+def _as_hessian(hessian, dimension: int) -> np.ndarray:
+    """Validate and copy a constant Hessian; the copy is read-only."""
+    try:
+        h = np.array(hessian, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"hessian must be a numeric matrix: {exc}") from None
+    if h.shape != (dimension, dimension):
+        raise ValueError(
+            f"hessian must have shape ({dimension}, {dimension}), got {h.shape}"
+        )
+    if not all(map(math.isfinite, h.ravel().tolist())):
+        raise ValueError("hessian contains non-finite entries")
+    if not np.array_equal(h, h.T):
+        raise ValueError("hessian must be symmetric")
+    h.setflags(write=False)
+    return h
+
+
 class ScalarOracle:
     """A scalar function with its gradient, instrumented with call counters.
 
@@ -60,19 +78,39 @@ class ScalarOracle:
         Maps a length-``dimension`` vector to a length-``dimension`` array.
     dimension : int
         Expected input length.
+    hessian : array, optional
+        The function's constant Hessian, for a quadratic.  It must be a
+        finite symmetric ``dimension`` x ``dimension`` matrix; the
+        ball-constrained subproblem is then solved exactly.
 
     Every ``value``/``gradient`` call increments the corresponding counter
     by exactly one.  Non-finite results raise :class:`OracleError`.
     """
 
-    def __init__(self, value_fn: Callable, grad_fn: Callable, dimension: int):
+    def __init__(
+        self, value_fn: Callable, grad_fn: Callable, dimension: int, hessian=None
+    ):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._value_fn = value_fn
         self._grad_fn = grad_fn
         self.dimension = int(dimension)
+        self._hessian = None if hessian is None else _as_hessian(hessian, self.dimension)
+        self._eigh = None
         self.value_calls = 0
         self.gradient_calls = 0
+
+    @property
+    def hessian(self) -> np.ndarray | None:
+        """The constant Hessian (read-only), or None if none was declared."""
+        return self._hessian
+
+    def hessian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues and orthonormal eigenvectors (columns) of
+        the declared Hessian, computed on the first call and kept."""
+        if self._eigh is None:
+            self._eigh = np.linalg.eigh(self._hessian)
+        return self._eigh
 
     def value(self, u) -> float:
         u = as_input_vector(u, self.dimension)
@@ -117,7 +155,6 @@ class ProblemPair:
         known_optimum=None,
         noise_level: float = 0.0,
         seed: int = 0,
-        label: str = "",
     ):
         if plant.dimension != model.dimension:
             raise ValueError("plant and model dimensions differ")
@@ -128,7 +165,6 @@ class ProblemPair:
         )
         require(seed >= 0, "seed", f"must be >= 0, got {seed}")
         self.identifier = identifier
-        self.label = label
         self.dimension = plant.dimension
         self.plant = plant
         self.model = model
@@ -137,7 +173,8 @@ class ProblemPair:
         )
         self.noise_level = float(noise_level)
         self.seed = int(seed)
-        self._rng = np.random.default_rng(self.seed)
+        # a noise-free pair never draws, so it builds no generator
+        self._rng = np.random.default_rng(self.seed) if self.noise_level > 0.0 else None
 
     def evaluate_plant(self, u) -> float:
         val = self.plant.value(u)
@@ -340,13 +377,16 @@ def _himmelblau_grad(u):
     return np.array([4.0 * u[0] * a + 2.0 * b, 2.0 * a + 4.0 * u[1] * b])
 
 
+_SPHERE_HESSIAN = ((2.0, 0.0), (0.0, 2.0))
+
 _CATALOG = {
-    # identifier: (label, dim, plant fns, model fns, known optimum)
+    # identifier: (label, dim, plant fns, model fns, model Hessian, known optimum)
     "P1": (
         "biased-quadratic",
         2,
         (_p1_plant, _p1_plant_grad),
         (_sphere, _sphere_grad),
+        _SPHERE_HESSIAN,
         (1.0, 1.0),
     ),
     "P2": (
@@ -354,6 +394,7 @@ _CATALOG = {
         1,
         (_p2_plant, _p2_plant_grad),
         (_p2_model, _p2_model_grad),
+        ((-2.0,),),
         (0.0,),
     ),
     "P3": (
@@ -361,6 +402,7 @@ _CATALOG = {
         2,
         (_rosenbrock, _rosenbrock_grad),
         (_sphere, _sphere_grad),
+        _SPHERE_HESSIAN,
         (1.0, 1.0),
     ),
     "P4": (
@@ -368,6 +410,7 @@ _CATALOG = {
         2,
         (_himmelblau, _himmelblau_grad),
         (_sphere, _sphere_grad),
+        _SPHERE_HESSIAN,
         (3.0, 2.0),
     ),
 }
@@ -392,13 +435,12 @@ def get_problem(identifier: str, noise_level: float = 0.0, seed: int = 0) -> Pro
     if key is None:
         known = ", ".join(_CATALOG)
         raise KeyError(f"unknown problem {identifier!r}; catalog has: {known}")
-    label, dim, plant_fns, model_fns, optimum = _CATALOG[key]
+    _, dim, plant_fns, model_fns, model_hessian, optimum = _CATALOG[key]
     return ProblemPair(
         identifier=key,
         plant=ScalarOracle(plant_fns[0], plant_fns[1], dim),
-        model=ScalarOracle(model_fns[0], model_fns[1], dim),
+        model=ScalarOracle(model_fns[0], model_fns[1], dim, hessian=model_hessian),
         known_optimum=optimum,
         noise_level=noise_level,
         seed=seed,
-        label=label,
     )

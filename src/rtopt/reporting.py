@@ -105,7 +105,7 @@ def export_trace(trace: RunTrace, format: str, path) -> Path:
         lines.extend(_record_csv_row(r) for r in trace.records)
         payload = "\n".join(lines) + "\n"
     else:
-        payload = json.dumps(trace_to_dict(trace), indent=2) + "\n"
+        payload = json.dumps(trace_to_dict(trace)) + "\n"
     try:
         path.write_text(payload, encoding="utf-8", newline="\n")
     except OSError as exc:

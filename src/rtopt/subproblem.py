@@ -1,11 +1,15 @@
 """Ball-constrained minimization of a corrected model.
 
-The candidate is produced in two phases: a line search along the steepest
-descent ray from the anchor (yielding the Cauchy point), then projected
-gradient descent inside the ball started from that point.  If descent ever
+Both paths start from the Cauchy point, the model's minimizer along the
+steepest-descent ray from the anchor inside the ball.  When the model
+declares a constant Hessian (every catalog model is a quadratic, and the
+linear correction leaves its Hessian unchanged) the Cauchy point has a
+closed form and the subproblem is solved exactly by the Moré-Sorensen
+method.  Otherwise the ray is searched numerically and projected gradient
+descent inside the ball continues from the Cauchy point.  If either path
 returns a candidate worse than the Cauchy point, the Cauchy point is used
 instead; the safeguard makes the decrease certifiable regardless of how
-the descent phase behaves.
+the second phase behaves.
 
 All model queries go through ``CorrectedModel.value_change`` (value
 relative to the anchor), so the computed candidate is bit-identical
@@ -75,25 +79,34 @@ def cauchy_point(
     scan_points: int = 16,
     rel_tol: float = 1e-8,
     max_evals: int = 100,
+    gradient=None,
 ) -> tuple[np.ndarray, float]:
     """Minimize the model along ``anchor - t * grad(anchor)`` within the ball.
 
-    A coarse uniform scan over the admissible step range seeds a
+    With a constant model Hessian H the minimizer is t = g.g / g.Hg,
+    clipped to the ball, and the ball's boundary when g.Hg <= 0.
+    Otherwise a coarse uniform scan over the admissible step range seeds a
     golden-section refinement, and the best point ever evaluated is
     returned, so the result never does worse than any scanned point and
     strictly improves on the anchor whenever the gradient is nonzero.
     Returns ``(point, t)`` with t the unnormalized ray parameter; a zero
-    gradient returns ``(anchor, 0.0)``.
+    gradient returns ``(anchor, 0.0)``.  ``gradient``, the model gradient
+    at the anchor, is evaluated here unless the caller already has it.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
     anchor = as_input_vector(anchor, model.dimension)
-    g = model.gradient(anchor)
+    g = model.gradient(anchor) if gradient is None else gradient
     gnorm = math.sqrt(float(g.dot(g)))
     if gnorm == 0.0:
         return anchor.copy(), 0.0
 
     t_max = radius / gnorm
+    hessian = model.hessian
+    if hessian is not None:
+        curvature = float(g @ (hessian @ g))
+        t = t_max if curvature <= 0.0 else min(float(g.dot(g)) / curvature, t_max)
+        return anchor - t * g, t
 
     def phi(t: float) -> float:
         return model.value_change(anchor - t * g)
@@ -251,6 +264,57 @@ def projected_descent(
     return best_x, best_f, evals
 
 
+# Newton on the secular equation converges quadratically, monotonically
+# from the left; this only bounds the loop.
+_MAX_NEWTON_STEPS = 100
+
+
+def _exact_step(w: np.ndarray, q: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
+    """Global minimizer s of ``g.s + s.Hs / 2`` over ``||s|| <= radius``,
+    where ``H = q diag(w) q^T`` with ``w`` ascending (Moré & Sorensen 1983;
+    Conn, Gould & Toint, *Trust-Region Methods*, 2000, ch. 7).
+
+    The minimizer is ``s = -(H + lam I)^-1 g`` for the smallest
+    ``lam >= low = max(0, -w[0])`` with ``||s|| <= radius``, on the
+    boundary unless ``lam`` is 0.  In the eigenbasis ``lam = low + mu``,
+    and ``H + low I`` has the eigenvalues ``shifted``, exactly 0 on the
+    pole, so the distance to the pole stays exact however close the root
+    lies to it.  ``mu`` solves ``1/||s|| = 1/radius`` by Newton's method:
+    the left side is increasing and concave in ``mu``, so from the left
+    the iterates rise monotonically to the root.  In the hard case ``g``
+    has no component on the pole of a negative eigenvalue and ``||s||``
+    stays inside the ball there; the step is then filled up to the
+    boundary along the bottom eigenvector.
+    """
+    gt = q.T @ g
+    shifted = w + max(0.0, -w[0])
+    pole = shifted == 0.0
+    # From the pole, 1/||s|| rises from 0 with slope 1/||gt[pole]||, so
+    # this is Newton's first step; there is none off the pole.
+    mu = math.sqrt(float(gt[pole] @ gt[pole])) / radius
+    if mu == 0.0:
+        gt[pole] = 0.0  # below the pole's resolution, if not already 0
+        shifted[pole] = 1.0  # any positive value: nothing is divided there
+        s = -gt / shifted
+        slack = radius * radius - float(s @ s)
+        if slack >= 0.0:
+            if w[0] < 0.0:  # hard case
+                s[0] = math.sqrt(slack)
+            return q @ s
+    for _ in range(_MAX_NEWTON_STEPS):
+        d = shifted + mu
+        c = gt / d
+        norm2 = float(c @ c)
+        norm = math.sqrt(norm2)
+        if norm <= radius:
+            break
+        step = norm2 * (norm - radius) / (radius * float(c @ (c / d)))
+        if mu + step == mu:
+            break
+        mu += step
+    return q @ (-gt / (shifted + mu))
+
+
 def solve_subproblem(
     model: CorrectedModel,
     anchor,
@@ -258,13 +322,17 @@ def solve_subproblem(
     budget: int = 200,
     start=None,
 ) -> SubproblemResult:
-    """Approximately minimize the corrected model over the closed ball of
-    the given radius around the anchor.
+    """Minimize the corrected model over the closed ball of the given
+    radius around the anchor.
 
-    The descent phase starts from the Cauchy point unless ``start`` is
-    given.  Whatever it produces, the returned candidate never has a
-    larger model value than the Cauchy point: a worse candidate is
-    overridden and the override recorded.
+    A model with a constant Hessian is minimized exactly.  Otherwise the
+    minimum is approximated by projected descent, which starts from the
+    Cauchy point unless ``start`` is given and spends at most ``budget``
+    model values and gradients.  The returned candidate never has a larger
+    model value than the Cauchy point: a worse candidate is overridden and
+    the override recorded.  On the exact path, when neither the exact step
+    nor the Cauchy point registers a model decrease, the candidate is the
+    anchor itself.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
@@ -273,20 +341,31 @@ def solve_subproblem(
     anchor = as_input_vector(anchor, model.dimension)
     project = _ball_projection(anchor, radius)
 
-    cp, t_cp = cauchy_point(model, anchor, radius)
+    g = model.gradient(anchor)
+    cp, t_cp = cauchy_point(model, anchor, radius, gradient=g)
     cp_change = model.value_change(cp)
 
-    x0 = cp if start is None else as_input_vector(start, model.dimension)
-    g = model.gradient(anchor)
-    gnorm = math.sqrt(float(g.dot(g)))
-    initial_step = radius / gnorm if gnorm > 0 else 1.0
-    best, best_change, evals = projected_descent(
-        model.value_change, model.gradient, x0, project, budget, initial_step
-    )
+    if model.hessian is None:
+        x0 = cp if start is None else as_input_vector(start, model.dimension)
+        gnorm = math.sqrt(float(g.dot(g)))
+        initial_step = radius / gnorm if gnorm > 0 else 1.0
+        best, best_change, evals = projected_descent(
+            model.value_change, model.gradient, x0, project, budget, initial_step
+        )
+    else:
+        w, q = model.base_model.hessian_eigh()
+        best = project(anchor + _exact_step(w, q, g, radius))
+        best_change = model.value_change(best)
+        evals = 0
 
     override = best_change > cp_change
+    candidate = project(cp if override else best)
+    if model.hessian is not None and min(best_change, cp_change) >= 0.0:
+        # No measurable decrease: the trust-region loop stops 'stalled'
+        # here instead of shrinking the radius towards 0.
+        candidate = anchor
     return SubproblemResult(
-        candidate=project(cp if override else best),
+        candidate=candidate,
         cauchy_point=cp,
         cauchy_step=t_cp,
         cauchy_override_applied=override,

@@ -44,8 +44,8 @@ def report(number: int, passed: bool, detail: str) -> bool:
     return passed
 
 
-# Budget of the uncapped P3 run: about 30% above the 15,437 iterations
-# and 30,760 plant probes default ma-tr takes to reach a 1e-6 gradient.
+# Budget of the uncapped P3 run: about 30% above the 15,433 iterations
+# and 30,752 plant probes default ma-tr takes to reach a 1e-6 gradient.
 P3_BUDGET = StoppingCriteria(max_iterations=20_000, max_plant_evaluations=40_000)
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from rtopt import (
     DEGENERATE,
+    ConfigError,
     CorrectedModel,
     ProblemPair,
     ScalarOracle,
@@ -20,6 +21,7 @@ from rtopt import (
     run_basic_ma,
     run_ma_tr,
     run_trust_region,
+    solve_subproblem,
 )
 from rtopt.config import config_from_dict, run_config
 from rtopt.drivers import TERMINATION_STATUSES
@@ -306,7 +308,8 @@ class TestMaTrDriver:
     @pytest.mark.parametrize("run", [run_ma_tr, run_trust_region])
     def test_radius_collapse_ends_stalled(self, pid, run):
         # under noise the radius shrinks until the candidate rounds back to
-        # the reference; the loop stops there instead of shrinking it to 0
+        # the reference or registers no model decrease; the loop stops
+        # there instead of shrinking the radius to 0
         trace = run(
             get_problem(pid, noise_level=0.02, seed=1),
             STARTS[pid],
@@ -318,6 +321,24 @@ class TestMaTrDriver:
         assert all(r.radius > 0.0 for r in trace.records)
         # the unmoved candidate is never applied to the plant
         assert trace.plant_value_evaluations == 1 + trace.iterations
+
+    @pytest.mark.parametrize("run", [run_ma_tr, run_trust_region])
+    def test_no_model_decrease_ends_stalled(self, run):
+        # P1 under this noise stops where the Cauchy point still moves but
+        # its model change rounds to >= 0: the subproblem returns the anchor
+        problem = get_problem("P1", noise_level=0.02, seed=1)
+        trace = run(problem, STARTS["P1"], stop=StoppingCriteria(max_iterations=5000))
+        assert trace.termination_status == "stalled"
+        assert all(r.radius > 0.0 for r in trace.records)
+        assert trace.plant_value_evaluations == 1 + trace.iterations
+        # the rejected last step leaves the correction and halves the radius
+        last = trace.records[-1]
+        assert not last.accepted
+        model = rebuild_model(problem, last)
+        result = solve_subproblem(model, trace.final_reference, 0.5 * last.radius)
+        assert not np.array_equal(result.cauchy_point, trace.final_reference)
+        assert model.value_change(result.cauchy_point) >= 0.0
+        assert np.array_equal(result.candidate, trace.final_reference)
 
     def test_stopping_criteria_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
@@ -389,6 +410,12 @@ class TestCheckConvergence:
         trace = run_ma_tr(get_problem("P1"), [0.0, 0.0])
         with pytest.raises(ValueError, match="tolerance"):
             check_convergence(trace, 0.0)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, tolerance):
+        trace = run_ma_tr(get_problem("P1"), [0.0, 0.0])
+        with pytest.raises(ConfigError, match="field 'tolerance'"):
+            check_convergence(trace, tolerance)
 
 
 class TestRecordedConfig:

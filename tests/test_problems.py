@@ -136,6 +136,42 @@ class TestScalarOracle:
         with pytest.raises(OracleError, match="gradient length"):
             oracle.gradient([0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "hessian",
+        [
+            [[2.0]],
+            [2.0, 2.0],
+            [[2.0, 0.0, 0.0], [0.0, 2.0, 0.0]],
+            [[2.0, 0.0], [0.0, float("nan")]],
+            [[float("inf"), 0.0], [0.0, 2.0]],
+            [[2.0, 1.0], [0.0, 2.0]],
+            [["a", 0.0], [0.0, 2.0]],
+            [[2.0, 0.0], [0.0]],
+        ],
+        ids=["too-small", "vector", "not-square", "nan", "inf", "asymmetric", "text", "ragged"],
+    )
+    def test_bad_hessian_rejected(self, hessian):
+        with pytest.raises(ValueError, match="hessian"):
+            ScalarOracle(lambda u: 0.0, lambda u: np.zeros(2), 2, hessian=hessian)
+
+    def test_declared_hessian_is_a_read_only_copy(self):
+        h = np.array([[2.0, 1.0], [1.0, 3.0]])
+        oracle = ScalarOracle(lambda u: 0.0, lambda u: np.zeros(2), 2, hessian=h)
+        h[0, 0] = 5.0
+        assert oracle.hessian[0, 0] == 2.0
+        with pytest.raises(ValueError):
+            oracle.hessian[0, 0] = 5.0
+
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_catalog_models_declare_their_hessian(self, pid):
+        p = get_problem(pid)
+        assert p.plant.hessian is None
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            u = rng.uniform(-3.0, 3.0, size=p.dimension)
+            fd = finite_difference_hessian(p.model, u)
+            assert p.model.hessian == pytest.approx(fd, abs=1e-5)
+
     def test_custom_problem_via_oracle_contract(self):
         plant = ScalarOracle(lambda u: float((u[0] - 2) ** 2), lambda u: 2 * (u - 2), 1)
         model = ScalarOracle(lambda u: float(u[0] ** 2), lambda u: 2 * u, 1)
@@ -167,6 +203,15 @@ class TestDeterminismAndNoise:
         grads_b = [b.plant_gradient([1.0, 2.0]) for _ in range(3)]
         for ga, gb in zip(grads_a, grads_b):
             assert np.array_equal(ga, gb)
+
+    def test_noise_draws_come_from_the_seeded_generator(self):
+        p = get_problem("P1", noise_level=0.1, seed=7)
+        clean = get_problem("P1")
+        rng = np.random.default_rng(7)
+        u = [0.5, -1.0]
+        assert p.evaluate_plant(u) == clean.evaluate_plant(u) + 0.1 * rng.standard_normal()
+        expected = clean.plant_gradient(u) + 0.1 * rng.standard_normal(2)
+        assert np.array_equal(p.plant_gradient(u), expected)
 
     def test_different_seeds_differ(self):
         a = get_problem("P1", noise_level=0.1, seed=1)

@@ -1,5 +1,6 @@
 """Tests for trace export, run summaries, and the command-line interface."""
 
+import gc
 import json
 
 import numpy as np
@@ -117,6 +118,18 @@ class TestJsonExport:
         for rec, orig in zip(loaded["records"], trace.records):
             assert rec["plant_value_at_reference"] == orig.plant_value_at_reference
             assert rec["applied_input"] == [float(x) for x in orig.applied_input]
+
+    def test_export_leaves_no_cyclic_garbage(self, tmp_path):
+        # the benchmark freezes what the collector has not yet freed, so
+        # garbage left by an export would accumulate there
+        trace = small_trace()
+        gc.collect()
+        gc.disable()
+        try:
+            export_trace(trace, "json", tmp_path / "t.json")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_record_field_names(self, tmp_path):
         trace = small_trace()

@@ -1,7 +1,11 @@
 """Tests for the ball-constrained solver, Cauchy search, and decrease checks."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtopt import (
     CorrectedModel,
@@ -13,6 +17,7 @@ from rtopt import (
     get_problem,
     solve_subproblem,
 )
+from rtopt.problems import PROBLEM_IDS
 
 
 def sphere_model(dim=2):
@@ -22,6 +27,14 @@ def sphere_model(dim=2):
 def linear_model(c):
     c = np.asarray(c, dtype=float)
     return ScalarOracle(lambda u: float(c @ u), lambda u: c.copy(), c.size)
+
+
+def quadratic_model(h):
+    """u.Hu / 2 with its Hessian declared, so the exact path runs."""
+    h = np.asarray(h, dtype=float)
+    return ScalarOracle(
+        lambda u: 0.5 * float(u @ (h @ u)), lambda u: h @ u, h.shape[0], hessian=h
+    )
 
 
 class TestCauchyPoint:
@@ -151,6 +164,128 @@ class TestSolveSubproblem:
         cm = CorrectedModel(sphere_model(), [0.0, 0.0], anchor=[0.0, 0.0])
         with pytest.raises(ValueError, match="budget"):
             solve_subproblem(cm, [0.0, 0.0], 1.0, budget=0)
+
+
+eigenvalues = st.one_of(
+    st.sampled_from([-2.0, 0.0, 1.0]),
+    st.floats(min_value=-10.0, max_value=-1e-3),
+    st.floats(min_value=1e-3, max_value=10.0),
+)
+components = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-10.0, max_value=-1e-3),
+    st.floats(min_value=1e-3, max_value=10.0),
+)
+
+
+@st.composite
+def ball_problems(draw):
+    """(H, g, radius) with H symmetric, 1-3-D: definite, indefinite,
+    singular, or a hard case (g orthogonal to the bottom eigenvector of a
+    negative eigenvalue, with the pole step inside the ball)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    w = np.array(draw(st.lists(eigenvalues, min_size=n, max_size=n)))
+    gt = np.array(draw(st.lists(components, min_size=n, max_size=n)))
+    radius = draw(st.floats(min_value=1e-3, max_value=1e3))
+    if draw(st.booleans()):  # hard case
+        bottom = int(np.argmin(w))
+        w[bottom] = -abs(w[bottom]) - 0.5
+        tied = w == w[bottom]
+        gt[tied] = 0.0
+        pole_step = gt[~tied] / (w[~tied] - w[bottom])
+        radius = math.sqrt(float(pole_step @ pole_step)) + radius
+    q = np.eye(n)
+    if draw(st.booleans()):  # rotate the eigenbasis
+        seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+        q = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+    h = q @ np.diag(w) @ q.T
+    return (h + h.T) / 2.0, q @ gt, radius
+
+
+class TestExactSubproblem:
+    @settings(max_examples=500, deadline=None)
+    @given(ball_problems())
+    def test_meets_optimality_conditions(self, problem):
+        h, g, radius = problem
+        n = g.size
+        cm = CorrectedModel(quadratic_model(h), g, anchor=np.zeros(n))
+        result = solve_subproblem(cm, np.zeros(n), radius)
+        s = result.candidate
+        assert result.descent_evaluations == 0
+        assert math.sqrt(float(s @ s)) <= radius * (1.0 + 1e-12)
+
+        # Moré-Sorensen: (H + lam I) s = -g, lam >= 0, lam (radius - |s|) = 0,
+        # H + lam I positive semidefinite; lam is recovered from s
+        w = np.linalg.eigvalsh(h)
+        h_norm = float(np.max(np.abs(w)))
+        g_norm = math.sqrt(float(g @ g))
+        lam_scale = h_norm + g_norm / radius
+        ss = float(s @ s)
+        lam = -float(s @ (g + h @ s)) / ss if ss > 0.0 else 0.0
+        residual = h @ s + lam * s + g
+        # The Cauchy point replaces the exact step when its measured model
+        # value is lower.  They tie only to rounding, and near a boundary
+        # minimizer the model is flat to second order along the sphere, so
+        # the Cauchy point then meets the conditions to about sqrt(eps).
+        rel = 1e-6 if result.cauchy_override_applied else 1e-12
+        assert math.sqrt(float(residual @ residual)) <= rel * (
+            g_norm + (h_norm + abs(lam)) * radius
+        )
+        tol = 1e-9 * lam_scale
+        assert lam >= -tol
+        assert lam * (radius - math.sqrt(ss)) <= tol * radius
+        assert lam + w[0] >= -tol
+
+        change = cm.value_change(s)
+        assert change <= cm.value_change(result.cauchy_point) + 1e-12 * lam_scale * radius**2
+        params = SufficientDecreaseParams(beta=max(h_norm, 1.5))
+        assert check_sufficient_decrease(0.0, change, g_norm, radius, params)
+
+    def test_hard_case_fills_to_the_boundary(self):
+        # g has no component on the eigenvalue -1; the pole step (0, -2/3)
+        # lies inside the ball of radius 2
+        cm = CorrectedModel(quadratic_model([[-1.0, 0.0], [0.0, 2.0]]), [0.0, 2.0],
+                            anchor=[0.0, 0.0])
+        result = solve_subproblem(cm, [0.0, 0.0], 2.0)
+        expected = [math.sqrt(4.0 - 4.0 / 9.0), -2.0 / 3.0]
+        assert result.candidate == pytest.approx(expected, abs=1e-12)
+
+    def test_closed_form_cauchy_step(self):
+        # t = g.g / g.Hg = 5 / 8 along g = (1, 2) for H = diag(4, 1)
+        cm = CorrectedModel(quadratic_model([[4.0, 0.0], [0.0, 1.0]]), [1.0, 2.0],
+                            anchor=[0.0, 0.0])
+        point, t = cauchy_point(cm, [0.0, 0.0], 10.0)
+        assert t == 0.625
+        assert point == pytest.approx([-0.625, -1.25], rel=1e-15)
+        # nonpositive curvature along g: the boundary
+        cm = CorrectedModel(quadratic_model([[-1.0, 0.0], [0.0, 0.0]]), [3.0, 4.0],
+                            anchor=[0.0, 0.0])
+        point, t = cauchy_point(cm, [0.0, 0.0], 2.0)
+        assert t == pytest.approx(0.4, rel=1e-15)
+        assert point == pytest.approx([-1.2, -1.6], rel=1e-15)
+
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_agrees_with_the_scan_path_on_the_catalog(self, pid):
+        p = get_problem(pid)
+        # the same function without a declared Hessian takes the scan path
+        scan = ScalarOracle(p.model.value, p.model.gradient, p.dimension)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            anchor = rng.uniform(-3.0, 3.0, size=p.dimension)
+            lam = p.plant_gradient(anchor) - p.model_gradient(anchor)
+            radius = rng.uniform(0.05, 4.0)
+            exact = solve_subproblem(CorrectedModel(p.model, lam, anchor=anchor), anchor, radius)
+            approx = solve_subproblem(CorrectedModel(scan, lam, anchor=anchor), anchor, radius)
+            assert approx.descent_evaluations > 0 and exact.descent_evaluations == 0
+            assert exact.cauchy_point == pytest.approx(approx.cauchy_point, abs=1e-6)
+            assert exact.candidate == pytest.approx(approx.candidate, abs=1e-6)
+
+    def test_one_model_gradient_and_two_values_per_solve(self):
+        p = get_problem("P3")
+        cm = CorrectedModel(p.model, [1.0, -3.0], anchor=[0.5, 0.5])
+        before = (p.model.value_calls, p.model.gradient_calls)
+        solve_subproblem(cm, [0.5, 0.5], 0.3)
+        assert (p.model.value_calls - before[0], p.model.gradient_calls - before[1]) == (2, 1)
 
 
 class TestSufficientDecrease:
