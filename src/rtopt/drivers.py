@@ -1,13 +1,15 @@
-"""The three iterative optimization loops, their run schema and traces.
+"""The three iterative optimization schemes, one loop, its run schema and
+traces.
 
-* ``run_basic_ma``: correct the model at the latest iterate, minimize the
-  corrected model over the whole (boxed) input space, always move there.
 * ``run_ma_tr``: reference-based loop on the gradient-matched corrected
   model; candidates come from the ball-constrained subproblem, acceptance
   and radius follow the achieved/predicted decrease ratio.
 * ``run_trust_region``: the same loop with gain 1 and the value shift
   recorded.  The loop reads only value changes and gradients, from which
   the shift cancels, so the iterates are those of ``run_ma_tr``.
+* ``run_basic_ma``: the loop's limit of an infinite radius and no
+  acceptance test: minimize the corrected model over the whole (boxed)
+  input space and always move there.
 
 Every run returns a :class:`RunTrace` holding one record per iteration,
 termination metadata, plant-probe counts and its settings in
@@ -57,6 +59,7 @@ TERMINATION_STATUSES = (
     "converged",
     "max-iterations",
     "unbounded-subproblem",
+    "outside-box",
     "oracle-failure",
     "stalled",
 )
@@ -167,8 +170,8 @@ def check_arguments(
     subproblem_budget: int = 1,
     box_halfwidth: float = 1.0,
 ) -> None:
-    """The drivers' argument rules, shared with config loading.  A driver
-    passes the arguments it takes; the defaults are valid placeholders."""
+    """The drivers' argument rules, shared with config loading.  The
+    defaults are valid placeholders for arguments a caller does not take."""
     check_alpha(alpha)
     require(0.0 < delta0 < math.inf, "delta0", f"must be finite and > 0, got {delta0}")
     require(delta0 <= radius_max, "delta0", "must not exceed radius_max")
@@ -180,22 +183,20 @@ def check_arguments(
     )
 
 
-def _record_config(algorithm, problem, u, stop, constants=None, **settings) -> dict:
+def _record_config(algorithm, problem, u, stop, constants, **settings) -> dict:
     """``trace.config``: the settings ``algorithm`` records, in RunConfig
-    field order.  ``settings`` holds the driver's other arguments."""
+    field order.  ``settings`` holds the loop's other arguments."""
     values = {
         "problem": problem.identifier,
         "algorithm": algorithm,
         "u0": [float(x) for x in u],
         "noise_level": problem.noise_level,
-        "seed": problem.seed,
         **vars(stop),
+        **vars(constants),
         **settings,
     }
-    if constants is not None:
-        values.update(vars(constants))
-        if math.isinf(constants.radius_max):
-            values["radius_max"] = None  # RunConfig's "unbounded"
+    if math.isinf(constants.radius_max):
+        values["radius_max"] = None  # RunConfig's "unbounded"
     return {name: values[name] for name in _RECORDED[algorithm]}
 
 
@@ -262,25 +263,39 @@ def _box_minimize(
     model: CorrectedModel,
     current: np.ndarray,
     halfwidth: float,
-    rng: np.random.Generator,
+    rng: np.random.Generator | None,
     n_random_starts: int = 8,
     budget_per_start: int = 2000,
     boundary_rtol: float = 1e-9,
 ):
-    """Multi-start projected descent of the corrected model over the box
-    ``[-halfwidth, halfwidth]^n``.
+    """The ``basic-ma`` step: the corrected model's minimizer over the box
+    ``[-halfwidth, halfwidth]^n``.  Returns ``(point, status)``, where
+    ``status`` is None or the status that ends the run.
 
-    Returns ``(point, unbounded)``.  ``unbounded`` is set when the best
-    point sits on the box boundary with the descent direction pointing
-    outward there, i.e. the model keeps decreasing beyond the box.
+    With a declared Hessian ``q diag(w) q^T`` (``w`` ascending) the
+    minimizer is ``current - q (q^T g / w)``.  The model is unbounded below
+    when ``w[0] < 0`` or ``g`` has a component on an exactly zero
+    eigenvalue.  Without one, projected descent runs from the origin,
+    ``current`` and ``n_random_starts`` draws of ``rng``; it sees only the
+    box, so a best point on its boundary with the descent direction
+    pointing outward is reported like a minimizer beyond the box.
     """
-    dim = model.dimension
+    if model.hessian is not None:
+        w, q = model.base_model.hessian_eigh()
+        gt = q.T @ model.gradient(current)
+        null = w == 0.0
+        if w[0] < 0.0 or gt[null].any():
+            return current, "unbounded-subproblem"
+        with np.errstate(over="ignore", invalid="ignore"):
+            point = current - q @ (gt / np.where(null, 1.0, w))
+        # an overflowed step is outside too: NaN fails the comparison
+        return point, None if np.all(np.abs(point) <= halfwidth) else "outside-box"
 
     def project(u):
         return np.clip(u, -halfwidth, halfwidth)
 
-    starts = [np.zeros(dim), current.copy()]
-    starts.extend(rng.normal(scale=10.0, size=dim) for _ in range(n_random_starts))
+    starts = [np.zeros(model.dimension), current.copy()]
+    starts.extend(rng.normal(scale=10.0, size=model.dimension) for _ in range(n_random_starts))
 
     best_x = None
     best_f = np.inf
@@ -293,125 +308,36 @@ def _box_minimize(
 
     g = model.gradient(best_x)
     margin = halfwidth * boundary_rtol
-    unbounded = False
-    for i in range(dim):
-        at_upper = best_x[i] >= halfwidth - margin
-        at_lower = best_x[i] <= -halfwidth + margin
-        if (at_upper and g[i] < 0.0) or (at_lower and g[i] > 0.0):
-            unbounded = True
-            break
-    return best_x, unbounded
+    upper, lower = best_x >= halfwidth - margin, best_x <= margin - halfwidth
+    outward = (upper & (g < 0.0)) | (lower & (g > 0.0))
+    return best_x, "outside-box" if outward.any() else None
 
 
-def run_basic_ma(
-    problem: ProblemPair,
-    u0,
-    alpha: float = 1.0,
-    stop: StoppingCriteria | None = None,
-    box_halfwidth: float = 1e6,
-    seed: int = 0,
-) -> RunTrace:
-    """Gradient-matched model correction with a whole-space model solve and
-    no acceptance test: the subproblem minimizer is always applied and
-    becomes the next correction point.
-
-    Terminates when the measured plant gradient at the current iterate is
-    within tolerance, when the corrected model is detected to be unbounded
-    below on the search box, or at the iteration/evaluation caps.
-    """
-    stop = stop or StoppingCriteria()
-    check_arguments(alpha=alpha, box_halfwidth=box_halfwidth)
-    u = as_input_vector(u0, problem.dimension)
-    rng = np.random.default_rng(seed)
-    v0, g0 = problem.plant_evaluations()
-    notes = []
-    if alpha < 1.0:
-        notes.append("no convergence guarantee")
-    config = _record_config(
-        "basic-ma", problem, u, stop, alpha=alpha, seed=seed, box_halfwidth=box_halfwidth
-    )
-
-    records: list[IterationRecord] = []
-    status = "max-iterations"
-    value = float("nan")
-    grad = np.full(problem.dimension, np.nan)
-    filt = ModifierFilter(alpha, problem.dimension)
-    try:
-        value = problem.evaluate_plant(u)
-        grad = problem.plant_gradient(u)
-        for k in range(stop.max_iterations):
-            gnorm = math.sqrt(float(grad.dot(grad)))
-            if gnorm <= stop.tolerance:
-                status = "converged"
-                break
-            used = sum(problem.plant_evaluations()) - (v0 + g0)
-            if used + 2 > stop.max_plant_evaluations:
-                status = "max-iterations"
-                break
-            lam = filt.update(grad, problem.model_gradient(u))
-            model = CorrectedModel(problem.model, lam, anchor=u)
-            candidate, unbounded = _box_minimize(model, u, box_halfwidth, rng)
-            if unbounded:
-                status = "unbounded-subproblem"
-                break
-            cand_value = problem.evaluate_plant(candidate)
-            cand_grad = problem.plant_gradient(candidate)
-            records.append(
-                IterationRecord(
-                    k=k,
-                    applied_input=candidate.copy(),
-                    reference=u.copy(),
-                    plant_value_at_reference=value,
-                    plant_gradient_norm_at_reference=gnorm,
-                    rho=None,
-                    radius=None,
-                    accepted=True,
-                    cauchy_override=False,
-                    modifiers=lam.copy(),
-                )
-            )
-            u, value, grad = candidate, cand_value, cand_grad
-        # the cap can land exactly on the converging iteration
-        if status == "max-iterations" and math.sqrt(float(grad.dot(grad))) <= stop.tolerance:
-            status = "converged"
-    except OracleError:
-        status = "oracle-failure"
-
-    v1, g1 = problem.plant_evaluations()
-    return RunTrace(
-        problem_id=problem.identifier,
-        algorithm="basic-ma",
-        config=config,
-        records=records,
-        termination_status=status,
-        plant_value_evaluations=v1 - v0,
-        plant_gradient_evaluations=g1 - g0,
-        final_reference=u.copy(),
-        final_plant_value=value,
-        final_gradient_norm=math.sqrt(float(grad.dot(grad))),
-        notes=notes,
-    )
-
-
-def _tr_loop(
+def _run(
     algorithm: str,
     problem: ProblemPair,
     u0,
-    delta0: float,
-    constants: TrustRegionConstants | None,
-    alpha: float,
-    shift_enabled: bool,
     stop: StoppingCriteria | None,
-    subproblem_budget: int,
+    alpha: float = 1.0,
+    constants: TrustRegionConstants | None = None,
+    delta0: float = 1.0,
+    shift_enabled: bool = False,
+    subproblem_budget: int = 200,
+    box_halfwidth: float = 1e6,
+    seed: int | None = None,
 ) -> RunTrace:
+    """The loop of all three drivers.  The trust-region loops step to the
+    corrected model's minimizer in the ball of the current radius, and the
+    achieved/predicted decrease ratio decides acceptance and the next
+    radius.  ``basic-ma`` is the limit of an infinite radius and no
+    acceptance test: it steps by ``_box_minimize`` and applies every
+    candidate.  Arguments the algorithm does not take keep their defaults;
+    ``seed``, the box search's, defaults to the problem's.
+    """
+    ball = algorithm != "basic-ma"
     constants = constants or TrustRegionConstants()
     stop = stop or StoppingCriteria()
-    check_arguments(
-        alpha=alpha,
-        delta0=delta0,
-        radius_max=constants.radius_max,
-        subproblem_budget=subproblem_budget,
-    )
+    check_arguments(alpha, delta0, constants.radius_max, subproblem_budget, box_halfwidth)
     u = as_input_vector(u0, problem.dimension)
     config = _record_config(
         algorithm,
@@ -422,22 +348,25 @@ def _tr_loop(
         delta0=delta0,
         alpha=alpha,
         shift_enabled=shift_enabled,
+        seed=problem.seed if seed is None else seed,
         subproblem_budget=subproblem_budget,
+        box_halfwidth=box_halfwidth,
     )
     v0, g0 = problem.plant_evaluations()
-    notes = []
-    if alpha < 1.0:
-        notes.append("no convergence guarantee")
+    notes = ["no convergence guarantee"] if alpha < 1.0 else []
+    # the box search's random starts; a declared Hessian needs none
+    rng = None if ball or problem.model.hessian is not None else np.random.default_rng(seed)
 
     records: list[IterationRecord] = []
     status = "max-iterations"
-    ref_grad = np.full(problem.dimension, np.nan)
+    ref_grad = unmeasured = np.full(problem.dimension, np.nan)
     state = None
     filt = ModifierFilter(alpha, problem.dimension)
     try:
         ref_value = problem.evaluate_plant(u)
         ref_grad = problem.plant_gradient(u)
-        state = TrustRegionState(reference=u, radius=delta0, reference_plant_value=ref_value)
+        radius0 = delta0 if ball else math.inf
+        state = TrustRegionState(reference=u, radius=radius0, reference_plant_value=ref_value)
         for k in range(stop.max_iterations):
             gnorm = math.sqrt(float(ref_grad.dot(ref_grad)))
             if gnorm <= stop.tolerance:
@@ -452,20 +381,30 @@ def _tr_loop(
             anchor = state.reference.copy()
             anchor_value = state.reference_plant_value
             radius = state.radius
-            result = solve_subproblem(model, anchor, radius, budget=subproblem_budget)
-            candidate = result.candidate
-            if np.array_equal(candidate, anchor):
+            if ball:
+                result = solve_subproblem(model, anchor, radius, budget=subproblem_budget)
+                candidate = result.candidate
                 # The radius no longer moves the candidate: the predicted
                 # change is exactly 0, so every later iteration would be
                 # degenerate and only shrink the radius towards 0.
-                status = "stalled"
+                end = "stalled" if np.array_equal(candidate, anchor) else None
+            else:
+                candidate, end = _box_minimize(model, anchor, box_halfwidth, rng)
+            if end is not None:
+                status = end
                 break
             cand_value = problem.evaluate_plant(candidate)
-            # The model enters the ratio as its change from the anchor,
-            # which is the same with or without the value shift.
-            rho = compute_rho(anchor_value, cand_value, 0.0, model.value_change(candidate))
-            accepted = accept_candidate(state, candidate, cand_value, rho, constants)
-            state.radius = update_radius(radius, rho, constants)
+            if ball:
+                # The model enters the ratio as its change from the anchor,
+                # which is the same with or without the value shift.
+                rho = compute_rho(anchor_value, cand_value, 0.0, result.predicted_change)
+                accepted = accept_candidate(state, candidate, cand_value, rho, constants)
+                state.radius = update_radius(radius, rho, constants)
+                rho = DEGENERATE if rho is None else rho
+                override = result.cauchy_override_applied
+            else:
+                rho, radius, accepted, override = None, None, True, False
+                state.reference, state.reference_plant_value = candidate, cand_value
             records.append(
                 IterationRecord(
                     k=k,
@@ -473,14 +412,15 @@ def _tr_loop(
                     reference=anchor,
                     plant_value_at_reference=anchor_value,
                     plant_gradient_norm_at_reference=gnorm,
-                    rho=DEGENERATE if rho is None else rho,
+                    rho=rho,
                     radius=radius,
                     accepted=accepted,
-                    cauchy_override=result.cauchy_override_applied,
+                    cauchy_override=override,
                     modifiers=lam.copy(),
                 )
             )
-            if accepted:
+            if accepted:  # NaN if the probe fails: the old gradient is not the new one's
+                ref_grad = unmeasured
                 ref_grad = problem.plant_gradient(state.reference)
         # the cap can land exactly on the converging iteration
         if status == "max-iterations" and math.sqrt(float(ref_grad.dot(ref_grad))) <= stop.tolerance:
@@ -508,6 +448,28 @@ def _tr_loop(
     )
 
 
+def run_basic_ma(
+    problem: ProblemPair,
+    u0,
+    alpha: float = 1.0,
+    stop: StoppingCriteria | None = None,
+    box_halfwidth: float = 1e6,
+    seed: int = 0,
+) -> RunTrace:
+    """Gradient-matched model correction with a whole-box model solve and
+    no acceptance test, the trust-region loop's limit of an infinite
+    radius: the minimizer is always applied and becomes the next
+    correction point.  ``seed`` seeds the box search, which runs only when
+    the model declares no Hessian.
+
+    Terminates when the measured plant gradient at the current iterate is
+    within tolerance, when the corrected model is unbounded below
+    (``unbounded-subproblem``) or its minimizer leaves the box
+    (``outside-box``), or at the iteration/evaluation caps.
+    """
+    return _run("basic-ma", problem, u0, stop, alpha, box_halfwidth=box_halfwidth, seed=seed)
+
+
 def run_trust_region(
     problem: ProblemPair,
     u0,
@@ -519,9 +481,7 @@ def run_trust_region(
     """Reference-based loop on the value-and-gradient matched model: the
     ``ma-tr`` loop with gain 1 and the value shift recorded.
     """
-    return _tr_loop(
-        "trust-region", problem, u0, delta0, constants, 1.0, True, stop, subproblem_budget
-    )
+    return _run("trust-region", problem, u0, stop, 1.0, constants, delta0, True, subproblem_budget)
 
 
 def run_ma_tr(
@@ -540,6 +500,6 @@ def run_ma_tr(
     annotated accordingly.  ``shift_enabled`` is recorded only: the shift
     cancels from every decrease, so the iterates are identical either way.
     """
-    return _tr_loop(
-        "ma-tr", problem, u0, delta0, constants, alpha, shift_enabled, stop, subproblem_budget
+    return _run(
+        "ma-tr", problem, u0, stop, alpha, constants, delta0, shift_enabled, subproblem_budget
     )

@@ -54,9 +54,11 @@ class SufficientDecreaseParams:
 
 @dataclass
 class SubproblemResult:
+    """``predicted_change`` is the model change from the anchor at ``candidate``."""
+
     candidate: np.ndarray
+    predicted_change: float
     cauchy_point: np.ndarray
-    cauchy_step: float
     cauchy_override_applied: bool
     descent_evaluations: int
 
@@ -342,7 +344,7 @@ def solve_subproblem(
     project = _ball_projection(anchor, radius)
 
     g = model.gradient(anchor)
-    cp, t_cp = cauchy_point(model, anchor, radius, gradient=g)
+    cp, _ = cauchy_point(model, anchor, radius, gradient=g)
     cp_change = model.value_change(cp)
 
     if model.hessian is None:
@@ -355,19 +357,24 @@ def solve_subproblem(
     else:
         w, q = model.base_model.hessian_eigh()
         best = project(anchor + _exact_step(w, q, g, radius))
-        best_change = model.value_change(best)
+        # eigenvalues tiny beside g overflow the step: the Cauchy point stands in
+        finite = all(map(math.isfinite, best.tolist()))
+        best_change = model.value_change(best) if finite else math.inf
         evals = 0
 
     override = best_change > cp_change
-    candidate = project(cp if override else best)
+    measured, change = (cp, cp_change) if override else (best, best_change)
+    candidate = project(measured)
+    if candidate.tolist() != measured.tolist():  # rounding at the boundary
+        change = model.value_change(candidate)
     if model.hessian is not None and min(best_change, cp_change) >= 0.0:
         # No measurable decrease: the trust-region loop stops 'stalled'
         # here instead of shrinking the radius towards 0.
-        candidate = anchor
+        candidate, change = anchor, 0.0
     return SubproblemResult(
         candidate=candidate,
+        predicted_change=change,
         cauchy_point=cp,
-        cauchy_step=t_cp,
         cauchy_override_applied=override,
         descent_evaluations=evals,
     )

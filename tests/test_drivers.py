@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rtopt import (
     DEGENERATE,
@@ -24,7 +26,7 @@ from rtopt import (
     solve_subproblem,
 )
 from rtopt.config import config_from_dict, run_config
-from rtopt.drivers import TERMINATION_STATUSES
+from rtopt.drivers import TERMINATION_STATUSES, _box_minimize
 
 STARTS = {"P1": [0.0, 0.0], "P2": [3.0], "P3": [-1.2, 1.0], "P4": [0.0, 0.0]}
 
@@ -67,6 +69,16 @@ class TestBasicMA:
         if trace.termination_status == "converged":
             assert trace.final_gradient_norm <= 1e-6
 
+    def test_p4_minimizers_leave_the_box(self):
+        # the corrected sphere is convex, so the subproblem is bounded, but
+        # its minimizers run (0,0) -> (7,11) -> (-800,-2700) and the next
+        # one, about 1e10 out, lies beyond the 1e6 box
+        trace = run_basic_ma(get_problem("P4"), [0.0, 0.0])
+        assert trace.termination_status == "outside-box"
+        assert trace.iterations == 2
+        assert trace.plant_evaluation_count == 6
+        assert trace.records[0].applied_input == pytest.approx([7.0, 11.0])
+
     def test_already_critical_start(self):
         trace = run_basic_ma(get_problem("P1"), [1.0, 1.0])
         assert trace.termination_status == "converged"
@@ -101,10 +113,179 @@ class TestBasicMA:
 
     def test_beyond_box_minimizer_is_flagged(self):
         # from this start the corrected-model minimizers race outward and
-        # leave the search box, which the boundary heuristic reports as an
-        # unbounded subproblem rather than silently continuing
+        # leave the search box; the run stops there rather than silently
+        # continuing
         trace = run_basic_ma(get_problem("P3"), [-1.2, 1.0])
-        assert trace.termination_status == "unbounded-subproblem"
+        assert trace.termination_status == "outside-box"
+
+
+def quadratic(h, c=None, declared=True):
+    """u.Hu / 2 + c.u, with its Hessian declared or not."""
+    h = np.asarray(h, dtype=float)
+    c = np.zeros(h.shape[0]) if c is None else np.asarray(c, dtype=float)
+    return ScalarOracle(
+        lambda u: 0.5 * float(u @ (h @ u)) + float(c @ u),
+        lambda u: h @ u + c,
+        h.shape[0],
+        hessian=h if declared else None,
+    )
+
+
+magnitudes = st.floats(min_value=0.1, max_value=10.0)
+
+
+def vectors(n, low, high):
+    return st.lists(st.floats(low, high), min_size=n, max_size=n).map(np.array)
+
+
+def random_basis(draw, n):
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))[0]
+
+
+@st.composite
+def box_steps(draw):
+    """(kind, H, g, anchor, halfwidth), 1-3-D.  H is positive definite or
+    indefinite in a random eigenbasis, or singular and positive
+    semidefinite on the axes, so that its zero eigenvalues are exact and
+    the minimizers of a bounded model lie all in the box or all outside
+    it.  g is in H's range except in the 'off-range' kind.  A minimizer
+    lies at least 10% inside the box or 10% beyond it."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    kind = draw(st.sampled_from(["definite", "indefinite", "singular", "off-range"]))
+    w = draw(vectors(n, 0.1, 10.0))
+    halfwidth = draw(st.floats(0.5, 100.0))
+    anchor = draw(vectors(n, -0.2, 0.2)) * halfwidth
+    minimizer = draw(vectors(n, -0.9, 0.9)) * halfwidth
+    q = np.eye(n)
+    null = np.zeros(n, dtype=bool)
+    if kind in ("singular", "off-range"):
+        null = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        assume(null.any())
+        w[null] = 0.0
+        minimizer[null] = anchor[null]
+    else:
+        if kind == "indefinite":
+            w[draw(st.integers(min_value=0, max_value=n - 1))] *= -1.0
+        q = random_basis(draw, n)
+    if not null.all() and draw(st.booleans()):  # beyond the box
+        i = draw(st.sampled_from(np.flatnonzero(~null).tolist()))
+        minimizer[i] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.1, 3.0)) * halfwidth
+    h = q @ np.diag(w) @ q.T
+    h = (h + h.T) / 2.0
+    g = h @ (anchor - minimizer)
+    if kind == "off-range":
+        g[null] += draw(magnitudes)
+    return kind, h, g, anchor, halfwidth
+
+
+class TestWholeBoxStep:
+    @settings(max_examples=150, deadline=None)
+    @given(box_steps())
+    def test_closed_form_agrees_with_the_box_search(self, problem):
+        kind, h, g, anchor, halfwidth = problem
+        # the corrected model's gradient at the anchor is g
+        closed = CorrectedModel(quadratic(h), g - h @ anchor, anchor=anchor)
+        search = CorrectedModel(quadratic(h, declared=False), g - h @ anchor, anchor=anchor)
+        assert closed.gradient(anchor) == pytest.approx(g, abs=1e-9)
+        point, status = _box_minimize(closed, anchor, halfwidth, rng=None)
+        found, found_status = _box_minimize(search, anchor, halfwidth, np.random.default_rng(0))
+
+        unbounded = kind in ("indefinite", "off-range")
+        assert (status == "unbounded-subproblem") == unbounded
+        # the search sees only the box: it reports a model unbounded below
+        # like a minimizer beyond it
+        outside = unbounded or np.max(np.abs(point)) > halfwidth
+        assert found_status == ("outside-box" if outside else None)
+        if unbounded:
+            return
+        assert status == found_status
+        if status is None:
+            assert np.max(np.abs(point)) <= halfwidth
+            scale = 1.0 + float(np.max(np.abs(h))) * halfwidth**2
+            assert closed.value_change(point) == pytest.approx(
+                search.value_change(found), abs=1e-9 * scale
+            )
+            if kind == "definite":
+                assert point == pytest.approx(found, abs=1e-6)
+            # the closed form is the step from the anchor in H's range
+            assert h @ (point - anchor) == pytest.approx(-g, abs=1e-9 * scale)
+
+    def test_unbounded_exactly_when_curvature_or_null_gradient(self):
+        # w0 < 0, or g on an exact zero eigenvalue; g in the range is bounded
+        cases = [
+            ([[-1.0, 0.0], [0.0, 2.0]], [0.0, 1.0], "unbounded-subproblem"),
+            ([[0.0, 0.0], [0.0, 2.0]], [1e-300, 1.0], "unbounded-subproblem"),
+            ([[0.0, 0.0], [0.0, 2.0]], [0.0, 1.0], None),
+            ([[2.0, 0.0], [0.0, 2.0]], [1.0, 1.0], None),
+        ]
+        for h, g, expected in cases:
+            model = CorrectedModel(quadratic(h), g, anchor=[0.0, 0.0])
+            assert _box_minimize(model, np.zeros(2), 10.0, rng=None)[1] == expected
+
+    def test_declared_hessian_builds_no_generator(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("a declared Hessian needs no random starts")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        trace = run_basic_ma(get_problem("P1"), [0.0, 0.0], seed=5)
+        assert trace.termination_status == "converged"
+        assert trace.config["seed"] == 5
+
+
+@st.composite
+def quadratic_pairs(draw):
+    """A ProblemPair of random 1-3-D quadratics, convex or not; the model
+    declares its Hessian or not; noise-free or noisy.  Returns
+    (build, u0, noisy), ``build`` making a fresh pair per run."""
+    n = draw(st.integers(min_value=1, max_value=3))
+
+    def symmetric():
+        w = draw(vectors(n, -2.0, 5.0))
+        q = random_basis(draw, n)
+        h = q @ np.diag(w) @ q.T
+        return (h + h.T) / 2.0
+
+    plant_h, plant_c = symmetric(), draw(vectors(n, -3.0, 3.0))
+    model_h, model_c = symmetric(), draw(vectors(n, -3.0, 3.0))
+    declared = draw(st.booleans())
+    noise = draw(st.sampled_from([0.0, 0.02]))
+    seed = draw(st.integers(min_value=0, max_value=1000))
+    u0 = draw(vectors(n, -3.0, 3.0))
+
+    def build():
+        plant = quadratic(plant_h, plant_c, declared=False)
+        model = quadratic(model_h, model_c, declared=declared)
+        return ProblemPair("random", plant, model, noise_level=noise, seed=seed)
+
+    return build, u0, noise > 0.0
+
+
+class TestRandomQuadraticPairs:
+    @settings(max_examples=50, deadline=None)
+    @given(quadratic_pairs(), st.floats(0.01, 10.0))
+    def test_every_driver_ends_in_a_documented_status(self, pair, delta0):
+        build, u0, noisy = pair
+        stop = StoppingCriteria(tolerance=1e-6, max_iterations=10)
+        traces = {
+            "basic-ma": run_basic_ma(build(), u0, stop=stop, box_halfwidth=100.0),
+            "trust-region": run_trust_region(build(), u0, delta0=delta0, stop=stop),
+            "ma-tr": run_ma_tr(build(), u0, delta0=delta0, stop=stop),
+        }
+        for name, trace in traces.items():
+            assert trace.termination_status in TERMINATION_STATUSES
+            assert all(r.radius is None or r.radius > 0.0 for r in trace.records)
+            if trace.termination_status == "converged":
+                assert trace.final_gradient_norm <= stop.tolerance
+            if name != "basic-ma" and not noisy:
+                values = [r.plant_value_at_reference for r in trace.records]
+                values.append(trace.final_plant_value)
+                assert all(b <= a for a, b in zip(values, values[1:]))
+        applied = [
+            [r.applied_input for r in traces[name].records] for name in ("trust-region", "ma-tr")
+        ]
+        assert len(applied[0]) == len(applied[1])
+        assert all(np.array_equal(a, b) for a, b in zip(*applied))
 
 
 class TestTrustRegionDriver:
@@ -303,6 +484,19 @@ class TestMaTrDriver:
         trace = run_ma_tr(pair, [0.0])
         assert trace.termination_status == "oracle-failure"
         assert trace.iterations >= 1
+
+    @pytest.mark.parametrize("run", [run_basic_ma, run_ma_tr])
+    def test_failed_gradient_probe_leaves_no_stale_norm(self, run):
+        # the plant gradient fails at the first accepted candidate, after
+        # its value was measured
+        def gradient(u):
+            return 2.0 * (u - 1.0) if u[0] < 0.5 else np.array([np.inf, 0.0])
+
+        plant = ScalarOracle(lambda u: float((u[0] - 1) ** 2 + (u[1] - 1) ** 2), gradient, 2)
+        trace = run(ProblemPair("gradient-failure", plant, get_problem("P1").model), [0.0, 0.0])
+        assert trace.termination_status == "oracle-failure"
+        assert np.array_equal(trace.final_reference, trace.records[-1].applied_input)
+        assert np.isnan(trace.final_gradient_norm)
 
     @pytest.mark.parametrize("pid", ["P1", "P4"])
     @pytest.mark.parametrize("run", [run_ma_tr, run_trust_region])

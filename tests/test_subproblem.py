@@ -237,6 +237,7 @@ class TestExactSubproblem:
         assert lam + w[0] >= -tol
 
         change = cm.value_change(s)
+        assert result.predicted_change == change
         assert change <= cm.value_change(result.cauchy_point) + 1e-12 * lam_scale * radius**2
         params = SufficientDecreaseParams(beta=max(h_norm, 1.5))
         assert check_sufficient_decrease(0.0, change, g_norm, radius, params)
@@ -249,6 +250,15 @@ class TestExactSubproblem:
         result = solve_subproblem(cm, [0.0, 0.0], 2.0)
         expected = [math.sqrt(4.0 - 4.0 / 9.0), -2.0 / 3.0]
         assert result.candidate == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_step_falls_back_to_the_cauchy_point(self):
+        # -g / w overflows the Newton iteration on a tiny eigenvalue; the
+        # minimizer is the boundary point along -g, the Cauchy point
+        cm = CorrectedModel(quadratic_model([[4e-285]]), [1.0], anchor=[0.0])
+        result = solve_subproblem(cm, [0.0], 1.0)
+        assert result.candidate == pytest.approx([-1.0], rel=1e-15)
+        assert result.cauchy_override_applied
 
     def test_closed_form_cauchy_step(self):
         # t = g.g / g.Hg = 5 / 8 along g = (1, 2) for H = diag(4, 1)
@@ -279,6 +289,9 @@ class TestExactSubproblem:
             assert approx.descent_evaluations > 0 and exact.descent_evaluations == 0
             assert exact.cauchy_point == pytest.approx(approx.cauchy_point, abs=1e-6)
             assert exact.candidate == pytest.approx(approx.candidate, abs=1e-6)
+            for result, model in ((exact, p.model), (approx, scan)):
+                cm = CorrectedModel(model, lam, anchor=anchor)
+                assert result.predicted_change == cm.value_change(result.candidate)
 
     def test_one_model_gradient_and_two_values_per_solve(self):
         p = get_problem("P3")
