@@ -4,8 +4,8 @@ A config file holds either a single object or an array of objects.  The
 schema is :class:`RunConfig`: its field types drive parsing here, its
 field metadata says which algorithms take each field, and unspecified
 fields take its defaults.  Range rules are not repeated here: a parsed
-config is checked by building what its run builds, whose constructors
-raise a :class:`ConfigError` naming the field.
+config is checked by building its problem and by ``RunConfig.check``,
+which raise a :class:`ConfigError` naming the field.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .drivers import (
     FORMATS,
     RunConfig,
     RunTrace,
-    check_arguments,
     run_basic_ma,
     run_ma_tr,
     run_trust_region,
@@ -144,9 +143,8 @@ def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
 
 
 def check_config(cfg: RunConfig) -> RunConfig:
-    """Check the ranges of a typed RunConfig by building its problem,
-    stopping criteria and trust-region constants and applying the drivers'
-    argument rules; returns ``cfg``."""
+    """Check the ranges of a typed RunConfig: its problem's rules, by
+    building the problem, and ``RunConfig.check``; returns ``cfg``."""
     try:
         problem = get_problem(cfg.problem, noise_level=cfg.noise_level, seed=cfg.seed)
     except KeyError as exc:
@@ -156,11 +154,7 @@ def check_config(cfg: RunConfig) -> RunConfig:
         "u0",
         f"length {len(cfg.u0)} does not match problem dimension {problem.dimension}",
     )
-    cfg.stopping()
-    check_arguments(
-        cfg.alpha, cfg.delta0, cfg.constants().radius_max, cfg.subproblem_budget, cfg.box_halfwidth
-    )
-    return cfg
+    return cfg.check()
 
 
 def load_config(path) -> RunConfig | list[RunConfig]:
@@ -182,9 +176,7 @@ def run_config(cfg: RunConfig) -> RunTrace:
     problem = get_problem(cfg.problem, noise_level=cfg.noise_level, seed=cfg.seed)
     stop = cfg.stopping()
     if cfg.algorithm == "basic-ma":
-        return run_basic_ma(
-            problem, cfg.u0, cfg.alpha, stop, box_halfwidth=cfg.box_halfwidth, seed=cfg.seed
-        )
+        return run_basic_ma(problem, cfg.u0, cfg.alpha, stop, cfg.box_halfwidth)
     loop = {
         "delta0": cfg.delta0,
         "constants": cfg.constants(),

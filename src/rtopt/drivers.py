@@ -40,7 +40,6 @@ __all__ = [
     "FORMATS",
     "RunConfig",
     "StoppingCriteria",
-    "check_arguments",
     "IterationRecord",
     "RunTrace",
     "run_basic_ma",
@@ -104,12 +103,13 @@ def _setting(default=MISSING, algorithms=ALGORITHMS, recorded=None, choices=None
 
 @dataclass
 class RunConfig:
-    """One run's settings: the config-file schema and, for the fields each
-    algorithm records, the key order of ``trace.config``.
+    """One run's settings: the config-file schema, the drivers' defaults
+    and, for the fields each algorithm records, the key order of
+    ``trace.config``.
 
-    Field types and metadata drive config parsing; the range rules live in
-    the objects a run builds (``TrustRegionConstants``,
-    ``StoppingCriteria``, ``ProblemPair``) and in ``check_arguments``.
+    Field types and metadata drive config parsing.  ``check`` holds the
+    range rules of the settings the run's objects do not check themselves
+    (``TrustRegionConstants``, ``StoppingCriteria``, ``ProblemPair``).
     ``trust-region`` records the gain and the shift it runs with but takes
     neither as a setting.
     """
@@ -137,23 +137,35 @@ class RunConfig:
     output: str | None = _setting(None, recorded=())
     format: str = _setting("csv", recorded=(), choices=FORMATS)
 
+    def _values_for(self, cls) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(cls)}
+
     def constants(self) -> TrustRegionConstants:
-        return TrustRegionConstants(
-            eta1=self.eta1,
-            eta2=self.eta2,
-            gamma1=self.gamma1,
-            gamma2=self.gamma2,
-            expansion_factor=self.expansion_factor,
-            shrink_factor=self.shrink_factor,
-            radius_max=math.inf if self.radius_max is None else self.radius_max,
-        )
+        values = self._values_for(TrustRegionConstants)
+        if self.radius_max is None:  # unbounded
+            values["radius_max"] = math.inf
+        return TrustRegionConstants(**values)
 
     def stopping(self) -> StoppingCriteria:
-        return StoppingCriteria(
-            tolerance=self.tolerance,
-            max_iterations=self.max_iterations,
-            max_plant_evaluations=self.max_plant_evaluations,
+        return StoppingCriteria(**self._values_for(StoppingCriteria))
+
+    def check(self) -> RunConfig:
+        """Apply the range rules of every setting but the problem's;
+        returns ``self``.  A violation raises ``ConfigError`` naming the
+        field."""
+        self.stopping()
+        radius_max = self.constants().radius_max
+        check_alpha(self.alpha)
+        delta0 = self.delta0
+        require(0.0 < delta0 < math.inf, "delta0", f"must be finite and > 0, got {delta0}")
+        require(delta0 <= radius_max, "delta0", "must not exceed radius_max")
+        require(self.subproblem_budget >= 1, "subproblem_budget", "must be >= 1")
+        require(
+            0.0 < self.box_halfwidth < math.inf,
+            "box_halfwidth",
+            f"must be finite and > 0, got {self.box_halfwidth}",
         )
+        return self
 
 
 # trace.config keys per algorithm, in RunConfig field order
@@ -161,43 +173,6 @@ _RECORDED = {
     a: tuple(f.name for f in fields(RunConfig) if a in f.metadata["recorded"])
     for a in ALGORITHMS
 }
-
-
-def check_arguments(
-    alpha: float = 1.0,
-    delta0: float = 1.0,
-    radius_max: float = math.inf,
-    subproblem_budget: int = 1,
-    box_halfwidth: float = 1.0,
-) -> None:
-    """The drivers' argument rules, shared with config loading.  The
-    defaults are valid placeholders for arguments a caller does not take."""
-    check_alpha(alpha)
-    require(0.0 < delta0 < math.inf, "delta0", f"must be finite and > 0, got {delta0}")
-    require(delta0 <= radius_max, "delta0", "must not exceed radius_max")
-    require(subproblem_budget >= 1, "subproblem_budget", "must be >= 1")
-    require(
-        0.0 < box_halfwidth < math.inf,
-        "box_halfwidth",
-        f"must be finite and > 0, got {box_halfwidth}",
-    )
-
-
-def _record_config(algorithm, problem, u, stop, constants, **settings) -> dict:
-    """``trace.config``: the settings ``algorithm`` records, in RunConfig
-    field order.  ``settings`` holds the loop's other arguments."""
-    values = {
-        "problem": problem.identifier,
-        "algorithm": algorithm,
-        "u0": [float(x) for x in u],
-        "noise_level": problem.noise_level,
-        **vars(stop),
-        **vars(constants),
-        **settings,
-    }
-    if math.isinf(constants.radius_max):
-        values["radius_max"] = None  # RunConfig's "unbounded"
-    return {name: values[name] for name in _RECORDED[algorithm]}
 
 
 @dataclass
@@ -272,22 +247,33 @@ def _box_minimize(
     ``[-halfwidth, halfwidth]^n``.  Returns ``(point, status)``, where
     ``status`` is None or the status that ends the run.
 
-    With a declared Hessian ``q diag(w) q^T`` (``w`` ascending) the
-    minimizer is ``current - q (q^T g / w)``.  The model is unbounded below
-    when ``w[0] < 0`` or ``g`` has a component on an exactly zero
-    eigenvalue.  Without one, projected descent runs from the origin,
-    ``current`` and ``n_random_starts`` draws of ``rng``; it sees only the
-    box, so a best point on its boundary with the descent direction
-    pointing outward is reported like a minimizer beyond the box.
+    With a declared Hessian ``q diag(w) q^T`` (``w`` ascending) the step
+    is ``s = q (q^T g / w)`` over the nonzero eigenvalues, and the
+    minimizer nearest ``current`` is ``current - s``.  Zero is judged to
+    rounding, with ``tol = 10 n eps``: ``|w_i| <= tol max|w|`` is zero,
+    and ``g`` lies off H's range when its part on those eigenvectors
+    exceeds ``tol (|g| + max|w| (|s| + |current|))``, the rounding scale
+    of ``g`` and of ``H s = g``.  The model is unbounded below when ``g``
+    lies off the range or ``w[0] < -tol max|w|``.
+    Without a Hessian, projected descent runs from the origin, ``current``
+    and ``n_random_starts`` draws of ``rng``; it sees only the box, so a
+    best point on its boundary with the descent direction pointing outward
+    is reported like a minimizer beyond the box.
     """
     if model.hessian is not None:
         w, q = model.base_model.hessian_eigh()
         gt = q.T @ model.gradient(current)
-        null = w == 0.0
-        if w[0] < 0.0 or gt[null].any():
-            return current, "unbounded-subproblem"
+        tol = 10 * w.size * math.ulp(1.0)  # 10 n eps
+        scale = max(-w[0], w[-1])  # max |w|
+        null = np.abs(w) <= tol * scale
         with np.errstate(over="ignore", invalid="ignore"):
-            point = current - q @ (gt / np.where(null, 1.0, w))
+            step = np.where(null, 0.0, gt) / np.where(null, 1.0, w)
+            off_range = null.any() and np.linalg.norm(gt[null]) > tol * (
+                np.linalg.norm(gt) + scale * (np.linalg.norm(step) + np.linalg.norm(current))
+            )
+            point = current - q @ step
+        if w[0] < -tol * scale or off_range:
+            return current, "unbounded-subproblem"
         # an overflowed step is outside too: NaN fails the comparison
         return point, None if np.all(np.abs(point) <= halfwidth) else "outside-box"
 
@@ -313,59 +299,33 @@ def _box_minimize(
     return best_x, "outside-box" if outward.any() else None
 
 
-def _run(
-    algorithm: str,
-    problem: ProblemPair,
-    u0,
-    stop: StoppingCriteria | None,
-    alpha: float = 1.0,
-    constants: TrustRegionConstants | None = None,
-    delta0: float = 1.0,
-    shift_enabled: bool = False,
-    subproblem_budget: int = 200,
-    box_halfwidth: float = 1e6,
-    seed: int | None = None,
-) -> RunTrace:
-    """The loop of all three drivers.  The trust-region loops step to the
-    corrected model's minimizer in the ball of the current radius, and the
-    achieved/predicted decrease ratio decides acceptance and the next
-    radius.  ``basic-ma`` is the limit of an infinite radius and no
-    acceptance test: it steps by ``_box_minimize`` and applies every
-    candidate.  Arguments the algorithm does not take keep their defaults;
-    ``seed``, the box search's, defaults to the problem's.
+def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
+    """The loop of all three drivers, running ``cfg`` on ``problem``.
+    The trust-region loops step to the corrected model's minimizer in the
+    ball of the current radius, and the achieved/predicted decrease ratio
+    decides acceptance and the next radius.  ``basic-ma`` is the limit of
+    an infinite radius and no acceptance test: it steps by
+    ``_box_minimize`` and applies every candidate.
     """
-    ball = algorithm != "basic-ma"
-    constants = constants or TrustRegionConstants()
-    stop = stop or StoppingCriteria()
-    check_arguments(alpha, delta0, constants.radius_max, subproblem_budget, box_halfwidth)
-    u = as_input_vector(u0, problem.dimension)
-    config = _record_config(
-        algorithm,
-        problem,
-        u,
-        stop,
-        constants,
-        delta0=delta0,
-        alpha=alpha,
-        shift_enabled=shift_enabled,
-        seed=problem.seed if seed is None else seed,
-        subproblem_budget=subproblem_budget,
-        box_halfwidth=box_halfwidth,
-    )
+    ball = cfg.algorithm != "basic-ma"
+    constants, stop = cfg.check().constants(), cfg.stopping()
+    u = as_input_vector(cfg.u0, problem.dimension)
+    config = {name: getattr(cfg, name) for name in _RECORDED[cfg.algorithm]}
+    config["u0"] = u.tolist()
     v0, g0 = problem.plant_evaluations()
-    notes = ["no convergence guarantee"] if alpha < 1.0 else []
+    notes = ["no convergence guarantee"] if cfg.alpha < 1.0 else []
     # the box search's random starts; a declared Hessian needs none
-    rng = None if ball or problem.model.hessian is not None else np.random.default_rng(seed)
+    rng = None if ball or problem.model.hessian is not None else np.random.default_rng(cfg.seed)
 
     records: list[IterationRecord] = []
     status = "max-iterations"
     ref_grad = unmeasured = np.full(problem.dimension, np.nan)
     state = None
-    filt = ModifierFilter(alpha, problem.dimension)
+    filt = ModifierFilter(cfg.alpha, problem.dimension)
     try:
         ref_value = problem.evaluate_plant(u)
         ref_grad = problem.plant_gradient(u)
-        radius0 = delta0 if ball else math.inf
+        radius0 = cfg.delta0 if ball else math.inf
         state = TrustRegionState(reference=u, radius=radius0, reference_plant_value=ref_value)
         for k in range(stop.max_iterations):
             gnorm = math.sqrt(float(ref_grad.dot(ref_grad)))
@@ -382,14 +342,14 @@ def _run(
             anchor_value = state.reference_plant_value
             radius = state.radius
             if ball:
-                result = solve_subproblem(model, anchor, radius, budget=subproblem_budget)
+                result = solve_subproblem(model, anchor, radius, budget=cfg.subproblem_budget)
                 candidate = result.candidate
                 # The radius no longer moves the candidate: the predicted
                 # change is exactly 0, so every later iteration would be
                 # degenerate and only shrink the radius towards 0.
                 end = "stalled" if np.array_equal(candidate, anchor) else None
             else:
-                candidate, end = _box_minimize(model, anchor, box_halfwidth, rng)
+                candidate, end = _box_minimize(model, anchor, cfg.box_halfwidth, rng)
             if end is not None:
                 status = end
                 break
@@ -435,7 +395,7 @@ def _run(
     v1, g1 = problem.plant_evaluations()
     return RunTrace(
         problem_id=problem.identifier,
-        algorithm=algorithm,
+        algorithm=cfg.algorithm,
         config=config,
         records=records,
         termination_status=status,
@@ -448,51 +408,72 @@ def _run(
     )
 
 
+def _drive(algorithm, problem, u0, stop=None, constants=None, **settings) -> RunTrace:
+    """A driver call as the RunConfig it describes, run on ``problem``.
+    A driver passes its parameters as they are: ``stop`` and
+    ``constants`` stand for their fields (None leaves RunConfig's
+    defaults), and every other setting is named as its RunConfig field."""
+    if stop is not None:
+        settings.update(vars(stop))
+    if constants is not None:
+        settings.update(vars(constants))
+        if math.isinf(constants.radius_max):
+            settings["radius_max"] = None  # RunConfig's "unbounded"
+    cfg = RunConfig(
+        problem=problem.identifier,
+        algorithm=algorithm,
+        u0=u0,
+        noise_level=problem.noise_level,
+        seed=problem.seed,
+        **settings,
+    )
+    return _run(problem, cfg)
+
+
 def run_basic_ma(
     problem: ProblemPair,
     u0,
-    alpha: float = 1.0,
+    alpha: float = RunConfig.alpha,
     stop: StoppingCriteria | None = None,
-    box_halfwidth: float = 1e6,
-    seed: int = 0,
+    box_halfwidth: float = RunConfig.box_halfwidth,
 ) -> RunTrace:
     """Gradient-matched model correction with a whole-box model solve and
     no acceptance test, the trust-region loop's limit of an infinite
     radius: the minimizer is always applied and becomes the next
-    correction point.  ``seed`` seeds the box search, which runs only when
-    the model declares no Hessian.
+    correction point.  The box search, which runs only when the model
+    declares no Hessian, is seeded by the problem's seed.
 
     Terminates when the measured plant gradient at the current iterate is
     within tolerance, when the corrected model is unbounded below
     (``unbounded-subproblem``) or its minimizer leaves the box
     (``outside-box``), or at the iteration/evaluation caps.
     """
-    return _run("basic-ma", problem, u0, stop, alpha, box_halfwidth=box_halfwidth, seed=seed)
+    return _drive("basic-ma", **locals())
 
 
 def run_trust_region(
     problem: ProblemPair,
     u0,
-    delta0: float = 1.0,
+    delta0: float = RunConfig.delta0,
     constants: TrustRegionConstants | None = None,
     stop: StoppingCriteria | None = None,
-    subproblem_budget: int = 200,
+    subproblem_budget: int = RunConfig.subproblem_budget,
 ) -> RunTrace:
     """Reference-based loop on the value-and-gradient matched model: the
     ``ma-tr`` loop with gain 1 and the value shift recorded.
     """
-    return _run("trust-region", problem, u0, stop, 1.0, constants, delta0, True, subproblem_budget)
+    return _drive("trust-region", shift_enabled=True, **locals())
 
 
 def run_ma_tr(
     problem: ProblemPair,
     u0,
-    delta0: float = 1.0,
+    delta0: float = RunConfig.delta0,
     constants: TrustRegionConstants | None = None,
-    alpha: float = 1.0,
+    alpha: float = RunConfig.alpha,
     stop: StoppingCriteria | None = None,
-    shift_enabled: bool = False,
-    subproblem_budget: int = 200,
+    shift_enabled: bool = RunConfig.shift_enabled,
+    subproblem_budget: int = RunConfig.subproblem_budget,
 ) -> RunTrace:
     """Reference-based loop on the gradient-matched corrected model.
 
@@ -500,6 +481,4 @@ def run_ma_tr(
     annotated accordingly.  ``shift_enabled`` is recorded only: the shift
     cancels from every decrease, so the iterates are identical either way.
     """
-    return _run(
-        "ma-tr", problem, u0, stop, alpha, constants, delta0, shift_enabled, subproblem_budget
-    )
+    return _drive("ma-tr", **locals())

@@ -8,6 +8,7 @@ form round-trips every numeric field exactly.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -62,19 +63,22 @@ def _record_csv_row(r: IterationRecord) -> str:
     )
 
 
+def _json_value(value, is_int: bool):
+    """A record field as JSON: arrays as float lists; ``int`` fields,
+    flags, the ``degenerate`` marker and None as they are; other numbers
+    as floats."""
+    if isinstance(value, np.ndarray):
+        return value.astype(float, copy=False).tolist()
+    if is_int or value is None or isinstance(value, (bool, str)):
+        return value
+    return float(value)
+
+
+_RECORD_FIELDS = tuple((f.name, f.type == "int") for f in fields(IterationRecord))
+
+
 def _record_to_dict(r: IterationRecord) -> dict:
-    return {
-        "k": r.k,
-        "applied_input": [float(x) for x in r.applied_input],
-        "reference": [float(x) for x in r.reference],
-        "plant_value_at_reference": float(r.plant_value_at_reference),
-        "plant_gradient_norm_at_reference": float(r.plant_gradient_norm_at_reference),
-        "rho": r.rho if (r.rho is None or r.rho == DEGENERATE) else float(r.rho),
-        "radius": None if r.radius is None else float(r.radius),
-        "accepted": r.accepted,
-        "cauchy_override": r.cauchy_override,
-        "modifiers": [float(x) for x in r.modifiers],
-    }
+    return {name: _json_value(getattr(r, name), is_int) for name, is_int in _RECORD_FIELDS}
 
 
 def trace_to_dict(trace: RunTrace) -> dict:

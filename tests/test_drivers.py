@@ -24,6 +24,7 @@ from rtopt import (
     run_ma_tr,
     run_trust_region,
     solve_subproblem,
+    trace_to_dict,
 )
 from rtopt.config import config_from_dict, run_config
 from rtopt.drivers import TERMINATION_STATUSES, _box_minimize
@@ -145,45 +146,47 @@ def random_basis(draw, n):
 
 @st.composite
 def box_steps(draw):
-    """(kind, H, g, anchor, halfwidth), 1-3-D.  H is positive definite or
-    indefinite in a random eigenbasis, or singular and positive
-    semidefinite on the axes, so that its zero eigenvalues are exact and
-    the minimizers of a bounded model lie all in the box or all outside
-    it.  g is in H's range except in the 'off-range' kind.  A minimizer
-    lies at least 10% inside the box or 10% beyond it."""
+    """(kind, H, g, anchor, halfwidth, nearest), 1-3-D, with H in a random
+    eigenbasis: positive definite, indefinite, or singular and positive
+    semidefinite.  ``nearest`` is the anchor plus a step in H's range, so
+    it is the minimizer of a bounded model nearest the anchor, and
+    g = H (anchor - nearest); the 'off-range' kind adds to g a part on H's
+    null space.  ``nearest`` lies at least 10% inside the box or 10%
+    beyond it."""
     n = draw(st.integers(min_value=1, max_value=3))
     kind = draw(st.sampled_from(["definite", "indefinite", "singular", "off-range"]))
     w = draw(vectors(n, 0.1, 10.0))
     halfwidth = draw(st.floats(0.5, 100.0))
     anchor = draw(vectors(n, -0.2, 0.2)) * halfwidth
-    minimizer = draw(vectors(n, -0.9, 0.9)) * halfwidth
-    q = np.eye(n)
+    target = draw(vectors(n, -0.9, 0.9)) * halfwidth
+    if draw(st.booleans()):  # beyond the box
+        i = draw(st.integers(min_value=0, max_value=n - 1))
+        target[i] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.1, 3.0)) * halfwidth
     null = np.zeros(n, dtype=bool)
     if kind in ("singular", "off-range"):
         null = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         assume(null.any())
         w[null] = 0.0
-        minimizer[null] = anchor[null]
-    else:
-        if kind == "indefinite":
-            w[draw(st.integers(min_value=0, max_value=n - 1))] *= -1.0
-        q = random_basis(draw, n)
-    if not null.all() and draw(st.booleans()):  # beyond the box
-        i = draw(st.sampled_from(np.flatnonzero(~null).tolist()))
-        minimizer[i] = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.1, 3.0)) * halfwidth
+    elif kind == "indefinite":
+        w[draw(st.integers(min_value=0, max_value=n - 1))] *= -1.0
+    q = random_basis(draw, n)
+    span = q[:, ~null]
+    nearest = anchor + span @ (span.T @ (target - anchor))
+    extent = np.max(np.abs(nearest)) / halfwidth
+    assume(extent <= 0.9 or extent >= 1.1)
     h = q @ np.diag(w) @ q.T
     h = (h + h.T) / 2.0
-    g = h @ (anchor - minimizer)
+    g = h @ (anchor - nearest)
     if kind == "off-range":
-        g[null] += draw(magnitudes)
-    return kind, h, g, anchor, halfwidth
+        g += q[:, null] @ np.array([draw(magnitudes) for _ in range(null.sum())])
+    return kind, h, g, anchor, halfwidth, nearest
 
 
 class TestWholeBoxStep:
     @settings(max_examples=150, deadline=None)
     @given(box_steps())
     def test_closed_form_agrees_with_the_box_search(self, problem):
-        kind, h, g, anchor, halfwidth = problem
+        kind, h, g, anchor, halfwidth, nearest = problem
         # the corrected model's gradient at the anchor is g
         closed = CorrectedModel(quadratic(h), g - h @ anchor, anchor=anchor)
         search = CorrectedModel(quadratic(h, declared=False), g - h @ anchor, anchor=anchor)
@@ -193,29 +196,39 @@ class TestWholeBoxStep:
 
         unbounded = kind in ("indefinite", "off-range")
         assert (status == "unbounded-subproblem") == unbounded
-        # the search sees only the box: it reports a model unbounded below
-        # like a minimizer beyond it
-        outside = unbounded or np.max(np.abs(point)) > halfwidth
-        assert found_status == ("outside-box" if outside else None)
         if unbounded:
+            # the search sees only the box: it reports a model unbounded
+            # below like a minimizer beyond it
+            assert found_status == "outside-box"
             return
-        assert status == found_status
-        if status is None:
-            assert np.max(np.abs(point)) <= halfwidth
-            scale = 1.0 + float(np.max(np.abs(h))) * halfwidth**2
+        outside = np.max(np.abs(nearest)) > halfwidth
+        assert status == ("outside-box" if outside else None)
+        # the closed form is the step from the anchor in H's range
+        assert point == pytest.approx(nearest, abs=1e-9 * halfwidth)
+        scale = 1.0 + float(np.max(np.abs(h))) * halfwidth**2
+        assert h @ (point - anchor) == pytest.approx(-g, abs=1e-9 * scale)
+        if kind == "definite":
+            assert found_status == status
+        # A singular model's other minimizers may lie in the box when the
+        # nearest does not, and rounding leaves its zero curvature a few
+        # eps off zero, so the search's status is not the closed form's.
+        # Where either point is in the box, both reach the minimum value.
+        if status is None or found_status is None:
             assert closed.value_change(point) == pytest.approx(
                 search.value_change(found), abs=1e-9 * scale
             )
-            if kind == "definite":
-                assert point == pytest.approx(found, abs=1e-6)
-            # the closed form is the step from the anchor in H's range
-            assert h @ (point - anchor) == pytest.approx(-g, abs=1e-9 * scale)
+        if kind == "definite" and status is None:
+            assert point == pytest.approx(found, abs=1e-6)
 
     def test_unbounded_exactly_when_curvature_or_null_gradient(self):
-        # w0 < 0, or g on an exact zero eigenvalue; g in the range is bounded
+        # w0 < 0, or g on a zero eigenvalue, beyond rounding: parts below
+        # 10 n eps of the scale count as zero; g in the range is bounded
         cases = [
             ([[-1.0, 0.0], [0.0, 2.0]], [0.0, 1.0], "unbounded-subproblem"),
-            ([[0.0, 0.0], [0.0, 2.0]], [1e-300, 1.0], "unbounded-subproblem"),
+            ([[-1e-12, 0.0], [0.0, 2.0]], [0.0, 1.0], "unbounded-subproblem"),
+            ([[-1e-17, 0.0], [0.0, 2.0]], [0.0, 1.0], None),
+            ([[0.0, 0.0], [0.0, 2.0]], [1e-12, 1.0], "unbounded-subproblem"),
+            ([[0.0, 0.0], [0.0, 2.0]], [1e-300, 1.0], None),
             ([[0.0, 0.0], [0.0, 2.0]], [0.0, 1.0], None),
             ([[2.0, 0.0], [0.0, 2.0]], [1.0, 1.0], None),
         ]
@@ -223,12 +236,38 @@ class TestWholeBoxStep:
             model = CorrectedModel(quadratic(h), g, anchor=[0.0, 0.0])
             assert _box_minimize(model, np.zeros(2), 10.0, rng=None)[1] == expected
 
+    def test_singular_hessians_are_bounded_to_rounding(self):
+        # eigh leaves a rounding residue of about 1e-16 of g on the zero
+        # eigenvector of this H, which is not diagonal
+        h = np.array([[1.0, 2.0], [2.0, 4.0]])
+        model = CorrectedModel(quadratic(h), h @ np.ones(2), anchor=[0.0, 0.0])
+        point, status = _box_minimize(model, np.zeros(2), 10.0, rng=None)
+        assert status is None
+        assert point == pytest.approx([-0.6, -1.2], abs=1e-12)
+        # g = Hu + b rounds at the scale of |H| |u|, here far above |g|
+        c, s = np.cos(0.5), np.sin(0.5)
+        q = np.array([[c, -s], [s, c]])
+        h = q @ np.diag([0.0, 3.0]) @ q.T
+        h = (h + h.T) / 2.0
+        anchor, step = np.array([0.5, 0.7]), 1e-9 * q[:, 1]
+        model = CorrectedModel(quadratic(h), -h @ step - h @ anchor, anchor=anchor)
+        point, status = _box_minimize(model, anchor, 10.0, rng=None)
+        assert status is None
+        assert point == pytest.approx(anchor + step, abs=1e-12)
+        # the zero eigenvector rounds at the scale of |H| |s|, here far
+        # above |g|: g lies along an eigenvalue 1e6 times below |H|
+        q = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))[0]
+        h = q @ np.diag([0.0, 1e-3, 1e3]) @ q.T
+        h = (h + h.T) / 2.0
+        model = CorrectedModel(quadratic(h), h @ q[:, 1], anchor=np.zeros(3))
+        assert _box_minimize(model, np.zeros(3), 10.0, rng=None)[1] is None
+
     def test_declared_hessian_builds_no_generator(self, monkeypatch):
         def no_generator(*args, **kwargs):
             raise AssertionError("a declared Hessian needs no random starts")
 
         monkeypatch.setattr(np.random, "default_rng", no_generator)
-        trace = run_basic_ma(get_problem("P1"), [0.0, 0.0], seed=5)
+        trace = run_basic_ma(get_problem("P1", seed=5), [0.0, 0.0])
         assert trace.termination_status == "converged"
         assert trace.config["seed"] == 5
 
@@ -683,3 +722,25 @@ class TestRecordedConfig:
         for raw, expected in runs:
             expected["u0"] = [0.5, -1.0]
             self.assert_pinned(run_config(config_from_dict(raw)), expected)
+
+
+class TestReplay:
+    """``trace.config`` replays its run: through ``run_config`` it gives
+    the same JSON trace, whether the run came from a library driver or
+    from a config."""
+
+    DRIVERS = {"basic-ma": run_basic_ma, "ma-tr": run_ma_tr}
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["noise-free", "noisy"])
+    @pytest.mark.parametrize("pid", sorted(STARTS))
+    @pytest.mark.parametrize("algorithm", sorted(DRIVERS))
+    def test_config_replays_the_run(self, algorithm, pid, noise):
+        noisy = {"noise_level": noise, "seed": 9} if noise else {}
+        library = self.DRIVERS[algorithm](get_problem(pid, **noisy), STARTS[pid])
+        raw = {"problem": pid, "algorithm": algorithm, "u0": STARTS[pid], **noisy}
+        configured = run_config(config_from_dict(raw))
+        for trace in (library, configured):
+            replayed = run_config(config_from_dict(trace.config))
+            # a bool, so that a failure does not diff two long JSON lines
+            same = json.dumps(trace_to_dict(replayed)) == json.dumps(trace_to_dict(trace))
+            assert same, f"replaying {trace.config} gives another trace"

@@ -2,6 +2,7 @@
 
 import gc
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rtopt import (
     StoppingCriteria,
     export_trace,
     get_problem,
+    load_config,
     run_basic_ma,
     run_ma_tr,
     summarize,
@@ -192,6 +194,9 @@ class TestSummarize:
         shifted = run_ma_tr(get_problem("P1"), [0.0, 0.0], shift_enabled=True)
         rows = summarize([plain, shifted]).splitlines()[2:]
         assert rows[0] == rows[1]
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -392,3 +397,18 @@ class TestCli:
         assert main(["run", str(path), "--output", str(out_a)]) == 0
         assert main(["run", str(path), "--output", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
+
+
+class TestCommittedConfigs:
+    @pytest.mark.parametrize(
+        "path", sorted((ROOT / "configs").glob("*.json")), ids=lambda path: path.name
+    )
+    def test_committed_config_loads(self, path):
+        load_config(path)
+
+    def test_compare_prints_the_readme_block(self, capsys):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        intro = "`rtopt compare configs/p2_compare.json` prints the motivating contrast:"
+        block = readme.split(intro, 1)[1].split("```")[1]
+        assert main(["compare", str(ROOT / "configs" / "p2_compare.json")]) == 0
+        assert capsys.readouterr().out == block.lstrip("\n")
