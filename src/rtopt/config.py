@@ -61,11 +61,6 @@ def _as_int(name, v):
     return v
 
 
-def _as_bool(name, v):
-    require(isinstance(v, bool), name, "expected a boolean")
-    return v
-
-
 def _as_str(name, v):
     require(isinstance(v, str), name, f"expected a string, got {v!r}")
     return v
@@ -92,7 +87,6 @@ _PARSERS = {
     "list": _as_vector,
     "float": _as_float,
     "int": _as_int,
-    "bool": _as_bool,
     "float | None": _or_none(_as_float),
     "str | None": _or_none(_as_str),
 }
@@ -167,6 +161,8 @@ def load_config(path) -> RunConfig | list[RunConfig]:
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     if isinstance(raw, list):
+        if not raw:
+            raise ConfigError(f"{path}: expected at least one config, got an empty array")
         return [config_from_dict(entry, where=f"{path}[{i}]") for i, entry in enumerate(raw)]
     return config_from_dict(raw, where=str(path))
 
@@ -177,12 +173,6 @@ def run_config(cfg: RunConfig) -> RunTrace:
     stop = cfg.stopping()
     if cfg.algorithm == "basic-ma":
         return run_basic_ma(problem, cfg.u0, cfg.alpha, stop, cfg.box_halfwidth)
-    loop = {
-        "delta0": cfg.delta0,
-        "constants": cfg.constants(),
-        "stop": stop,
-        "subproblem_budget": cfg.subproblem_budget,
-    }
     if cfg.algorithm == "trust-region":
-        return run_trust_region(problem, cfg.u0, **loop)
-    return run_ma_tr(problem, cfg.u0, alpha=cfg.alpha, shift_enabled=cfg.shift_enabled, **loop)
+        return run_trust_region(problem, cfg.u0, cfg.delta0, cfg.constants(), stop)
+    return run_ma_tr(problem, cfg.u0, cfg.delta0, cfg.constants(), cfg.alpha, stop)

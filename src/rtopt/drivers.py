@@ -4,9 +4,10 @@ traces.
 * ``run_ma_tr``: reference-based loop on the gradient-matched corrected
   model; candidates come from the ball-constrained subproblem, acceptance
   and radius follow the achieved/predicted decrease ratio.
-* ``run_trust_region``: the same loop with gain 1 and the value shift
-  recorded.  The loop reads only value changes and gradients, from which
-  the shift cancels, so the iterates are those of ``run_ma_tr``.
+* ``run_trust_region``: the same loop with gain 1.  The trust-region
+  framework's model also matches the plant value, but that shift cancels
+  from the value changes and gradients the loop reads, so it is no
+  setting and the iterates are those of ``run_ma_tr``.
 * ``run_basic_ma``: the loop's limit of an infinite radius and no
   acceptance test: minimize the corrected model over the whole (boxed)
   input space and always move there.
@@ -87,17 +88,13 @@ class StoppingCriteria:
         require(self.max_plant_evaluations >= 1, "max_plant_evaluations", "must be >= 1")
 
 
-def _setting(default=MISSING, algorithms=ALGORITHMS, recorded=None, choices=None):
-    """A RunConfig field: ``algorithms`` may set it in a config, ``recorded``
-    (by default the same) record it in ``trace.config``, and ``choices``
-    lists its allowed values when it is a name."""
+def _setting(default=MISSING, algorithms=ALGORITHMS, recorded=True, choices=None):
+    """A RunConfig field: ``algorithms`` may set it in a config and, if
+    ``recorded``, record it in ``trace.config``; ``choices`` lists its
+    allowed values when it is a name."""
     return field(
         default=default,
-        metadata={
-            "algorithms": algorithms,
-            "recorded": algorithms if recorded is None else recorded,
-            "choices": choices,
-        },
+        metadata={"algorithms": algorithms, "recorded": recorded, "choices": choices},
     )
 
 
@@ -110,8 +107,6 @@ class RunConfig:
     Field types and metadata drive config parsing.  ``check`` holds the
     range rules of the settings the run's objects do not check themselves
     (``TrustRegionConstants``, ``StoppingCriteria``, ``ProblemPair``).
-    ``trust-region`` records the gain and the shift it runs with but takes
-    neither as a setting.
     """
 
     problem: str = _setting()
@@ -125,17 +120,15 @@ class RunConfig:
     expansion_factor: float = _setting(TrustRegionConstants.expansion_factor, _LOOPS)
     shrink_factor: float = _setting(TrustRegionConstants.shrink_factor, _LOOPS)
     radius_max: float | None = _setting(None, _LOOPS)
-    alpha: float = _setting(1.0, ("basic-ma", "ma-tr"), recorded=ALGORITHMS)
-    shift_enabled: bool = _setting(False, ("ma-tr",), recorded=_LOOPS)
+    alpha: float = _setting(1.0, ("basic-ma", "ma-tr"))
     noise_level: float = _setting(0.0)
     seed: int = _setting(0)
     tolerance: float = _setting(StoppingCriteria.tolerance)
     max_iterations: int = _setting(StoppingCriteria.max_iterations)
     max_plant_evaluations: int = _setting(StoppingCriteria.max_plant_evaluations)
-    subproblem_budget: int = _setting(200, _LOOPS)
     box_halfwidth: float = _setting(1e6, ("basic-ma",))
-    output: str | None = _setting(None, recorded=())
-    format: str = _setting("csv", recorded=(), choices=FORMATS)
+    output: str | None = _setting(None, recorded=False)
+    format: str = _setting("csv", recorded=False, choices=FORMATS)
 
     def _values_for(self, cls) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(cls)}
@@ -159,7 +152,6 @@ class RunConfig:
         delta0 = self.delta0
         require(0.0 < delta0 < math.inf, "delta0", f"must be finite and > 0, got {delta0}")
         require(delta0 <= radius_max, "delta0", "must not exceed radius_max")
-        require(self.subproblem_budget >= 1, "subproblem_budget", "must be >= 1")
         require(
             0.0 < self.box_halfwidth < math.inf,
             "box_halfwidth",
@@ -170,7 +162,11 @@ class RunConfig:
 
 # trace.config keys per algorithm, in RunConfig field order
 _RECORDED = {
-    a: tuple(f.name for f in fields(RunConfig) if a in f.metadata["recorded"])
+    a: tuple(
+        f.name
+        for f in fields(RunConfig)
+        if f.metadata["recorded"] and a in f.metadata["algorithms"]
+    )
     for a in ALGORITHMS
 }
 
@@ -234,14 +230,18 @@ def check_convergence(trace: RunTrace, tolerance: float) -> bool:
     return trace.final_gradient_norm <= tolerance
 
 
+# the box search without a declared Hessian: random starts, the descent
+# budget of each start, and the margin within which a point is on the box
+_BOX_RANDOM_STARTS = 8
+_BOX_BUDGET_PER_START = 2000
+_BOX_BOUNDARY_RTOL = 1e-9
+
+
 def _box_minimize(
     model: CorrectedModel,
     current: np.ndarray,
     halfwidth: float,
     rng: np.random.Generator | None,
-    n_random_starts: int = 8,
-    budget_per_start: int = 2000,
-    boundary_rtol: float = 1e-9,
 ):
     """The ``basic-ma`` step: the corrected model's minimizer over the box
     ``[-halfwidth, halfwidth]^n``.  Returns ``(point, status)``, where
@@ -256,7 +256,7 @@ def _box_minimize(
     of ``g`` and of ``H s = g``.  The model is unbounded below when ``g``
     lies off the range or ``w[0] < -tol max|w|``.
     Without a Hessian, projected descent runs from the origin, ``current``
-    and ``n_random_starts`` draws of ``rng``; it sees only the box, so a
+    and ``_BOX_RANDOM_STARTS`` draws of ``rng``; it sees only the box, so a
     best point on its boundary with the descent direction pointing outward
     is reported like a minimizer beyond the box.
     """
@@ -281,19 +281,19 @@ def _box_minimize(
         return np.clip(u, -halfwidth, halfwidth)
 
     starts = [np.zeros(model.dimension), current.copy()]
-    starts.extend(rng.normal(scale=10.0, size=model.dimension) for _ in range(n_random_starts))
+    starts.extend(rng.normal(scale=10.0, size=model.dimension) for _ in range(_BOX_RANDOM_STARTS))
 
     best_x = None
     best_f = np.inf
     for s in starts:
         x, fx, _ = projected_descent(
-            model.value_change, model.gradient, project(s), project, budget_per_start
+            model.value_change, model.gradient, project(s), project, _BOX_BUDGET_PER_START
         )
         if fx < best_f:
             best_x, best_f = x, fx
 
     g = model.gradient(best_x)
-    margin = halfwidth * boundary_rtol
+    margin = halfwidth * _BOX_BOUNDARY_RTOL
     upper, lower = best_x >= halfwidth - margin, best_x <= margin - halfwidth
     outward = (upper & (g < 0.0)) | (lower & (g > 0.0))
     return best_x, "outside-box" if outward.any() else None
@@ -342,7 +342,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             anchor_value = state.reference_plant_value
             radius = state.radius
             if ball:
-                result = solve_subproblem(model, anchor, radius, budget=cfg.subproblem_budget)
+                result = solve_subproblem(model, anchor, radius)
                 candidate = result.candidate
                 # The radius no longer moves the candidate: the predicted
                 # change is exactly 0, so every later iteration would be
@@ -457,12 +457,11 @@ def run_trust_region(
     delta0: float = RunConfig.delta0,
     constants: TrustRegionConstants | None = None,
     stop: StoppingCriteria | None = None,
-    subproblem_budget: int = RunConfig.subproblem_budget,
 ) -> RunTrace:
     """Reference-based loop on the value-and-gradient matched model: the
-    ``ma-tr`` loop with gain 1 and the value shift recorded.
+    ``ma-tr`` loop with gain 1, since the value shift changes no iterate.
     """
-    return _drive("trust-region", shift_enabled=True, **locals())
+    return _drive("trust-region", **locals())
 
 
 def run_ma_tr(
@@ -472,13 +471,10 @@ def run_ma_tr(
     constants: TrustRegionConstants | None = None,
     alpha: float = RunConfig.alpha,
     stop: StoppingCriteria | None = None,
-    shift_enabled: bool = RunConfig.shift_enabled,
-    subproblem_budget: int = RunConfig.subproblem_budget,
 ) -> RunTrace:
     """Reference-based loop on the gradient-matched corrected model.
 
     With ``alpha`` below 1 the correction is filtered and the run is
-    annotated accordingly.  ``shift_enabled`` is recorded only: the shift
-    cancels from every decrease, so the iterates are identical either way.
+    annotated accordingly.
     """
     return _drive("ma-tr", **locals())

@@ -74,13 +74,17 @@ def _ball_projection(anchor: np.ndarray, radius: float):
     return project
 
 
+# The ray search without a declared Hessian: scan points, the golden-section
+# bracket width relative to the step range, and the cap on model values.
+_SCAN_POINTS = 16
+_SCAN_REL_TOL = 1e-8
+_SCAN_MAX_EVALS = 100
+
+
 def cauchy_point(
     model: CorrectedModel,
     anchor,
     radius: float,
-    scan_points: int = 16,
-    rel_tol: float = 1e-8,
-    max_evals: int = 100,
     gradient=None,
 ) -> tuple[np.ndarray, float]:
     """Minimize the model along ``anchor - t * grad(anchor)`` within the ball.
@@ -116,9 +120,9 @@ def cauchy_point(
     evals = 0
     # t = 0 is the anchor: change is 0 by definition, no evaluation needed.
     best_t, best_val = 0.0, 0.0
-    dt = t_max / scan_points
+    dt = t_max / _SCAN_POINTS
     scan_vals = [0.0]
-    for j in range(1, scan_points + 1):
+    for j in range(1, _SCAN_POINTS + 1):
         t = j * dt
         v = phi(t)
         evals += 1
@@ -127,7 +131,7 @@ def cauchy_point(
             best_t, best_val = t, v
     j_star = int(np.argmin(scan_vals))
     lo = max(j_star - 1, 0) * dt
-    hi = min(j_star + 1, scan_points) * dt
+    hi = min(j_star + 1, _SCAN_POINTS) * dt
 
     # Golden-section refinement inside the bracket.
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -139,7 +143,7 @@ def cauchy_point(
     for t, v in ((x1, f1), (x2, f2)):
         if v < best_val:
             best_t, best_val = t, v
-    while (b - a) > rel_tol * t_max and evals < max_evals:
+    while (b - a) > _SCAN_REL_TOL * t_max and evals < _SCAN_MAX_EVALS:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -161,7 +165,7 @@ def cauchy_point(
     # machine precision (exactly, for quadratic rays).  Kept only if it
     # does not do worse.
     h = max(b - a, 1e-12 * t_max)
-    if evals + 4 <= max_evals and best_t - h >= 0.0 and best_t + h <= t_max:
+    if evals + 4 <= _SCAN_MAX_EVALS and best_t - h >= 0.0 and best_t + h <= t_max:
         f_lo, f_mid, f_hi = phi(best_t - h), phi(best_t), phi(best_t + h)
         evals += 3
         denom = f_hi - 2.0 * f_mid + f_lo
@@ -189,6 +193,18 @@ def cauchy_point(
     return point, best_t
 
 
+# projected descent stops when the projected gradient step is below this,
+# relative to max(1, |x|), or after this many halvings of one step
+_DESCENT_TOL = 1e-12
+_MAX_BACKTRACKS = 60
+# values within this of each other, relative to |f|, are equal to rounding:
+# there the sufficient-decrease test is read off the gradients (Hager &
+# Zhang, SIAM J. Optim. 16(1), 2005, whose default this is); a step must
+# make this share of the decrease its slope predicts
+_VALUE_RTOL = 1e-6
+_ARMIJO = 1e-4
+
+
 def projected_descent(
     change_fn,
     grad_fn,
@@ -196,8 +212,6 @@ def projected_descent(
     project,
     budget: int,
     initial_step: float = 1.0,
-    tol: float = 1e-12,
-    max_backtracks: int = 60,
 ) -> tuple[np.ndarray, float, int]:
     """Projected gradient descent with spectral (Barzilai-Borwein) steps
     and Armijo backtracking.
@@ -206,6 +220,14 @@ def projected_descent(
     base; only differences matter.  ``budget`` caps the combined number of
     value and gradient evaluations.  Returns ``(best_point, best_change,
     evaluations_used)`` where best is over every point evaluated.
+
+    Near a minimizer the decrease a step makes sinks below the rounding of
+    the values, which would stop the descent short of it by about
+    ``sqrt(eps |f| / curvature)``.  A step whose value is within
+    ``_VALUE_RTOL |f|`` of the current one therefore passes the Armijo
+    test when the gradients at both ends pass it by the trapezoid rule,
+    exact for quadratics, and it becomes the best point if its value ties
+    with the best to the same margin.
     """
     x = project(np.asarray(start, dtype=float))
     fx = change_fn(x)
@@ -218,10 +240,11 @@ def projected_descent(
     step = float(initial_step)
     x_prev = None
     g_prev = None
+    g_next = None  # the gradient at an accepted step, when the test took it
 
     while evals < budget:
         r = project(x - g) - x
-        if math.sqrt(float(r.dot(r))) <= tol * max(1.0, math.sqrt(float(x.dot(x)))):
+        if math.sqrt(float(r.dot(r))) <= _DESCENT_TOL * max(1.0, math.sqrt(float(x.dot(x)))):
             break
         if x_prev is not None:
             s = x - x_prev
@@ -237,7 +260,7 @@ def projected_descent(
         t = step
         cand = x
         fc = fx
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             if evals >= budget:
                 break
             cand = project(x - t * g)
@@ -249,15 +272,28 @@ def projected_descent(
             # ties go to the later point: it is the more refined iterate
             if fc <= best_f:
                 best_x, best_f = cand.copy(), fc
-            if fc <= fx + 1e-4 * float(g @ d):
+            slope = float(g @ d)
+            if fc <= fx + _ARMIJO * slope:
                 moved = True
                 break
+            if fc <= fx + _VALUE_RTOL * abs(fx) and evals < budget:
+                g_next = grad_fn(cand)
+                evals += 1
+                if float(g_next @ d) <= (2.0 * _ARMIJO - 1.0) * slope:
+                    if fc <= best_f + _VALUE_RTOL * abs(best_f):
+                        best_x, best_f = cand.copy(), fc
+                    moved = True
+                    break
+                g_next = None
             t *= 0.5
         if not moved:
             break
         x_prev, g_prev = x, g
         x, fx = cand, fc
         step = t
+        if g_next is not None:
+            g, g_next = g_next, None
+            continue
         if evals >= budget:
             break
         g = grad_fn(x)
@@ -322,19 +358,17 @@ def solve_subproblem(
     anchor,
     radius: float,
     budget: int = 200,
-    start=None,
 ) -> SubproblemResult:
     """Minimize the corrected model over the closed ball of the given
     radius around the anchor.
 
     A model with a constant Hessian is minimized exactly.  Otherwise the
     minimum is approximated by projected descent, which starts from the
-    Cauchy point unless ``start`` is given and spends at most ``budget``
-    model values and gradients.  The returned candidate never has a larger
-    model value than the Cauchy point: a worse candidate is overridden and
-    the override recorded.  On the exact path, when neither the exact step
-    nor the Cauchy point registers a model decrease, the candidate is the
-    anchor itself.
+    Cauchy point and spends at most ``budget`` model values and gradients.
+    The returned candidate never has a larger model value than the Cauchy
+    point: a worse candidate is overridden and the override recorded.  On
+    the exact path, when neither the exact step nor the Cauchy point
+    registers a model decrease, the candidate is the anchor itself.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
@@ -348,11 +382,10 @@ def solve_subproblem(
     cp_change = model.value_change(cp)
 
     if model.hessian is None:
-        x0 = cp if start is None else as_input_vector(start, model.dimension)
         gnorm = math.sqrt(float(g.dot(g)))
         initial_step = radius / gnorm if gnorm > 0 else 1.0
         best, best_change, evals = projected_descent(
-            model.value_change, model.gradient, x0, project, budget, initial_step
+            model.value_change, model.gradient, cp, project, budget, initial_step
         )
     else:
         w, q = model.base_model.hessian_eigh()

@@ -127,15 +127,17 @@ class TestValidation:
             config_from_dict(self.base(gamma1=0.3, gamma2=0.4, shrink_factor=0.6))
 
     def test_shift_only_for_ma_tr(self):
-        with pytest.raises(ConfigError, match="'shift_enabled'"):
-            config_from_dict(
-                {
-                    "problem": "P1",
-                    "algorithm": "trust-region",
-                    "u0": [0, 0],
-                    "shift_enabled": True,
-                }
-            )
+        # the shift is the model's, not a setting: no algorithm takes it
+        for algorithm in ("trust-region", "ma-tr"):
+            with pytest.raises(ConfigError, match="'shift_enabled': unknown configuration key"):
+                config_from_dict(
+                    {
+                        "problem": "P1",
+                        "algorithm": algorithm,
+                        "u0": [0, 0],
+                        "shift_enabled": True,
+                    }
+                )
 
     def test_inapplicable_fields_rejected(self):
         with pytest.raises(ConfigError, match="'alpha'"):

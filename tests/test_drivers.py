@@ -392,8 +392,8 @@ class TestMaTrDriver:
     def test_shift_equivalence_on_catalog(self):
         for pid, u0 in STARTS.items():
             stop = StoppingCriteria(max_iterations=120)
-            plain = run_ma_tr(get_problem(pid), u0, stop=stop, shift_enabled=False)
-            shifted = run_ma_tr(get_problem(pid), u0, stop=stop, shift_enabled=True)
+            plain = run_ma_tr(get_problem(pid), u0, stop=stop)
+            shifted = run_trust_region(get_problem(pid), u0, stop=stop)
             assert plain.iterations == shifted.iterations
             for ra, rb in zip(plain.records, shifted.records):
                 assert np.max(np.abs(ra.applied_input - rb.applied_input)) <= 1e-10
@@ -413,7 +413,7 @@ class TestMaTrDriver:
 
     def test_value_matching_when_shifted(self):
         problem = get_problem("P4")
-        trace = run_ma_tr(problem, [0.0, 0.0], shift_enabled=True)
+        trace = run_trust_region(problem, [0.0, 0.0])
         check = get_problem("P4")
         for r in trace.records:
             model = rebuild_model(check, r, shifted=True)
@@ -591,8 +591,6 @@ class TestArgumentRules:
             (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=float("nan")), "delta0"),
             (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=float("inf")), "delta0"),
             (lambda: run_trust_region(get_problem("P1"), [0.0, 0.0], delta0=0.0), "delta0"),
-            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], subproblem_budget=0),
-             "subproblem_budget"),
             (lambda: run_basic_ma(get_problem("P1"), [0.0, 0.0], box_halfwidth=-1),
              "box_halfwidth"),
             (lambda: run_basic_ma(get_problem("P1"), [0.0, 0.0], alpha=1.5), "alpha"),
@@ -605,7 +603,6 @@ class TestArgumentRules:
             "delta0-nan",
             "delta0-inf",
             "trust-region-delta0-0",
-            "subproblem-budget-0",
             "box-halfwidth-negative",
             "basic-ma-alpha",
             "noise-level-nan",
@@ -680,15 +677,14 @@ class TestRecordedConfig:
         "shrink_factor": 0.5,
         "radius_max": None,
         "alpha": 1.0,
-        "shift_enabled": False,
         "noise_level": 0.0,
         "seed": 0,
         "tolerance": 1e-06,
         "max_iterations": 500,
         "max_plant_evaluations": 10000,
-        "subproblem_budget": 200,
     }
-    TRUST_REGION = {**LOOP, "algorithm": "trust-region", "shift_enabled": True}
+    TRUST_REGION = {k: v for k, v in LOOP.items() if k != "alpha"}
+    TRUST_REGION["algorithm"] = "trust-region"
 
     @staticmethod
     def assert_pinned(trace, expected):
@@ -708,16 +704,15 @@ class TestRecordedConfig:
         common = {"problem": "P4", "u0": [0.5, -1], "noise_level": 0.01, "seed": 3,
                   "tolerance": 0.001, "max_iterations": 5, "max_plant_evaluations": 99}
         loop = {"delta0": 0.5, "eta1": 0.2, "eta2": 0.8, "gamma1": 0.25, "gamma2": 0.75,
-                "expansion_factor": 3.0, "shrink_factor": 0.5, "radius_max": 4.0,
-                "subproblem_budget": 50}
+                "expansion_factor": 3.0, "shrink_factor": 0.5, "radius_max": 4.0}
         runs = [
             ({**common, "algorithm": "basic-ma", "alpha": 0.5, "box_halfwidth": 10.0},
              {**self.BASIC_MA, **common, "algorithm": "basic-ma", "alpha": 0.5,
               "box_halfwidth": 10.0}),
             ({**common, **loop, "algorithm": "trust-region"},
              {**self.TRUST_REGION, **common, **loop}),
-            ({**common, **loop, "algorithm": "ma-tr", "alpha": 0.5, "shift_enabled": True},
-             {**self.LOOP, **common, **loop, "alpha": 0.5, "shift_enabled": True}),
+            ({**common, **loop, "algorithm": "ma-tr", "alpha": 0.5},
+             {**self.LOOP, **common, **loop, "alpha": 0.5}),
         ]
         for raw, expected in runs:
             expected["u0"] = [0.5, -1.0]
@@ -729,7 +724,7 @@ class TestReplay:
     the same JSON trace, whether the run came from a library driver or
     from a config."""
 
-    DRIVERS = {"basic-ma": run_basic_ma, "ma-tr": run_ma_tr}
+    DRIVERS = {"basic-ma": run_basic_ma, "trust-region": run_trust_region, "ma-tr": run_ma_tr}
 
     @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["noise-free", "noisy"])
     @pytest.mark.parametrize("pid", sorted(STARTS))

@@ -189,12 +189,6 @@ class TestSummarize:
         with pytest.raises(ValueError, match="at least one"):
             summarize([])
 
-    def test_paired_shift_runs_have_identical_rows(self):
-        plain = run_ma_tr(get_problem("P1"), [0.0, 0.0], shift_enabled=False)
-        shifted = run_ma_tr(get_problem("P1"), [0.0, 0.0], shift_enabled=True)
-        rows = summarize([plain, shifted]).splitlines()[2:]
-        assert rows[0] == rows[1]
-
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -261,6 +255,14 @@ class TestCli:
         )
         assert main(["run", str(path)]) == 1
         assert "compare" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "compare", "check"])
+    def test_empty_config_array_exits_1(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, [])
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"{path}: expected at least one config" in captured.err
+        assert captured.out == ""
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         path = write_config(

@@ -18,6 +18,7 @@ from rtopt import (
     solve_subproblem,
 )
 from rtopt.problems import PROBLEM_IDS
+from rtopt.subproblem import projected_descent
 
 
 def sphere_model(dim=2):
@@ -128,13 +129,6 @@ class TestSolveSubproblem:
         result = solve_subproblem(cm, [0.0, 0.0], 5.0)
         assert result.candidate == pytest.approx([0.5, 0.25], abs=1e-6)
 
-    def test_override_fires_on_stuck_descent(self):
-        # descent pinned to the anchor cannot beat the cauchy point
-        cm = CorrectedModel(sphere_model(), [-2.0, -2.0], anchor=[0.0, 0.0])
-        result = solve_subproblem(cm, [0.0, 0.0], 1.0, budget=1, start=[0.0, 0.0])
-        assert result.cauchy_override_applied
-        assert np.array_equal(result.candidate, result.cauchy_point)
-
     def test_candidate_never_worse_than_cauchy_point(self):
         rng = np.random.default_rng(23)
         for pid in ("P1", "P2", "P3", "P4"):
@@ -164,6 +158,28 @@ class TestSolveSubproblem:
         cm = CorrectedModel(sphere_model(), [0.0, 0.0], anchor=[0.0, 0.0])
         with pytest.raises(ValueError, match="budget"):
             solve_subproblem(cm, [0.0, 0.0], 1.0, budget=0)
+
+
+class TestProjectedDescent:
+    def test_reaches_the_minimizer_below_value_rounding(self):
+        # with curvature 0.1 and |f| ~ 1e3 at the minimizer, a step of
+        # 1e-6 changes the value by 5e-14, below its rounding; the
+        # gradients still tell the descent where to go
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+            h = q @ np.diag([0.1, 5.0, 8.0]) @ q.T
+            h = (h + h.T) / 2.0
+            target = rng.uniform(-20.0, 20.0, size=3)
+            b = -h @ target
+            x, _, _ = projected_descent(
+                lambda u: 0.5 * float(u @ (h @ u)) + float(b @ u),
+                lambda u: h @ u + b,
+                np.zeros(3),
+                lambda u: np.clip(u, -1e3, 1e3),
+                2000,
+            )
+            assert x == pytest.approx(target, abs=1e-8)
 
 
 eigenvalues = st.one_of(
