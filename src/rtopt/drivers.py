@@ -344,10 +344,9 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             if ball:
                 result = solve_subproblem(model, anchor, radius)
                 candidate = result.candidate
-                # The radius no longer moves the candidate: the predicted
-                # change is exactly 0, so every later iteration would be
-                # degenerate and only shrink the radius towards 0.
-                end = "stalled" if np.array_equal(candidate, anchor) else None
+                # No predicted model decrease: every later iteration would
+                # be degenerate and only shrink the radius towards 0.
+                end = "stalled" if result.predicted_change >= 0.0 else None
             else:
                 candidate, end = _box_minimize(model, anchor, cfg.box_halfwidth, rng)
             if end is not None:

@@ -5,11 +5,14 @@ steepest-descent ray from the anchor inside the ball.  When the model
 declares a constant Hessian (every catalog model is a quadratic, and the
 linear correction leaves its Hessian unchanged) the Cauchy point has a
 closed form and the subproblem is solved exactly by the Moré-Sorensen
-method.  Otherwise the ray is searched numerically and projected gradient
-descent inside the ball continues from the Cauchy point.  If either path
-returns a candidate worse than the Cauchy point, the Cauchy point is used
-instead; the safeguard makes the decrease certifiable regardless of how
-the second phase behaves.
+method.  Otherwise the ray is scanned, projected gradient descent on the
+ray refines the scan's best point, and the same descent inside the ball
+continues from the Cauchy point.  If either path returns a candidate
+worse than the Cauchy point, the Cauchy point is used instead; the
+safeguard makes the decrease certifiable regardless of how the second
+phase behaves.  Either path reports the model change at its candidate;
+a change >= 0 predicts no decrease, and the trust-region loop then stops
+``stalled``.
 
 All model queries go through ``CorrectedModel.value_change`` (value
 relative to the anchor), so the computed candidate is bit-identical
@@ -54,7 +57,8 @@ class SufficientDecreaseParams:
 
 @dataclass
 class SubproblemResult:
-    """``predicted_change`` is the model change from the anchor at ``candidate``."""
+    """``predicted_change`` is the model change from the anchor at
+    ``candidate``; a value >= 0 predicts no model decrease, on either path."""
 
     candidate: np.ndarray
     predicted_change: float
@@ -74,10 +78,9 @@ def _ball_projection(anchor: np.ndarray, radius: float):
     return project
 
 
-# The ray search without a declared Hessian: scan points, the golden-section
-# bracket width relative to the step range, and the cap on model values.
+# The ray search without a declared Hessian: scan points, and the cap on
+# the model values and gradients of the scan and the descent together.
 _SCAN_POINTS = 16
-_SCAN_REL_TOL = 1e-8
 _SCAN_MAX_EVALS = 100
 
 
@@ -91,10 +94,13 @@ def cauchy_point(
 
     With a constant model Hessian H the minimizer is t = g.g / g.Hg,
     clipped to the ball, and the ball's boundary when g.Hg <= 0.
-    Otherwise a coarse uniform scan over the admissible step range seeds a
-    golden-section refinement, and the best point ever evaluated is
-    returned, so the result never does worse than any scanned point and
-    strictly improves on the anchor whenever the gradient is nonzero.
+    Otherwise a uniform scan of the ray, which finds far dips, brackets
+    its best point, and ``projected_descent`` on the distance along the
+    ray refines it inside the bracket with the rest of the evaluations.
+    The descent keeps the best point it evaluates, starting with the
+    scan's, so the result never does worse than any scanned point, and
+    it improves on the anchor unless the model is flat along the ray to
+    rounding.
     Returns ``(point, t)`` with t the unnormalized ray parameter; a zero
     gradient returns ``(anchor, 0.0)``.  ``gradient``, the model gradient
     at the anchor, is evaluated here unless the caller already has it.
@@ -114,89 +120,33 @@ def cauchy_point(
         t = t_max if curvature <= 0.0 else min(float(g.dot(g)) / curvature, t_max)
         return anchor - t * g, t
 
-    def phi(t: float) -> float:
-        return model.value_change(anchor - t * g)
+    # The search runs on the distance s = t |g| along the ray, in the
+    # ball's units, so its stopping rule does not depend on |g|.
+    def ray(s: float) -> np.ndarray:
+        return anchor - (s / gnorm) * g
 
-    evals = 0
-    # t = 0 is the anchor: change is 0 by definition, no evaluation needed.
-    best_t, best_val = 0.0, 0.0
-    dt = t_max / _SCAN_POINTS
-    scan_vals = [0.0]
-    for j in range(1, _SCAN_POINTS + 1):
-        t = j * dt
-        v = phi(t)
-        evals += 1
-        scan_vals.append(v)
-        if v < best_val:
-            best_t, best_val = t, v
-    j_star = int(np.argmin(scan_vals))
-    lo = max(j_star - 1, 0) * dt
-    hi = min(j_star + 1, _SCAN_POINTS) * dt
-
-    # Golden-section refinement inside the bracket.
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = phi(x1), phi(x2)
-    evals += 2
-    for t, v in ((x1, f1), (x2, f2)):
-        if v < best_val:
-            best_t, best_val = t, v
-    while (b - a) > _SCAN_REL_TOL * t_max and evals < _SCAN_MAX_EVALS:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = phi(x1)
-            evals += 1
-            if f1 < best_val:
-                best_t, best_val = x1, f1
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = phi(x2)
-            evals += 1
-            if f2 < best_val:
-                best_t, best_val = x2, f2
-
-    # Parabolic polish: golden section stops at a bracket width relative to
-    # the full step range, which is coarse when the radius is wide; one
-    # three-point parabola fit recovers interior smooth minima to near
-    # machine precision (exactly, for quadratic rays).  Kept only if it
-    # does not do worse.
-    h = max(b - a, 1e-12 * t_max)
-    if evals + 4 <= _SCAN_MAX_EVALS and best_t - h >= 0.0 and best_t + h <= t_max:
-        f_lo, f_mid, f_hi = phi(best_t - h), phi(best_t), phi(best_t + h)
-        evals += 3
-        denom = f_hi - 2.0 * f_mid + f_lo
-        if denom > 0.0:
-            t_p = best_t - h * (f_hi - f_lo) / (2.0 * denom)
-            if 0.0 <= t_p <= t_max:
-                v = phi(t_p)
-                evals += 1
-                if v <= best_val:
-                    best_t, best_val = t_p, v
-
-    if best_t == 0.0:
-        # Nonzero gradient guarantees a nearby improving step; the coarse
-        # scan can miss it when the dip is inside the first segment.
-        t = dt
-        for _ in range(60):
-            t *= 0.5
-            v = phi(t)
-            evals += 1
-            if v < 0.0:
-                best_t, best_val = t, v
-                break
-
-    point = anchor - best_t * g
-    return point, best_t
+    ds = radius / _SCAN_POINTS
+    # s = 0 is the anchor: change is 0 by definition, no evaluation needed.
+    scan = [0.0] + [model.value_change(ray(j * ds)) for j in range(1, _SCAN_POINTS + 1)]
+    j = int(np.argmin(scan))
+    lo, hi = max(j - 1, 0) * ds, min(j + 1, _SCAN_POINTS) * ds
+    best, _, _ = projected_descent(
+        lambda s: model.value_change(ray(s[0])),
+        lambda s: np.array([-float(g @ model.gradient(ray(s[0]))) / gnorm]),
+        np.array([j * ds]),
+        lambda s: np.clip(s, lo, hi),
+        _SCAN_MAX_EVALS - _SCAN_POINTS,
+        (hi - lo) / gnorm,
+    )
+    return ray(best[0]), float(best[0]) / gnorm
 
 
 # projected descent stops when the projected gradient step is below this,
 # relative to max(1, |x|), or after this many halvings of one step
 _DESCENT_TOL = 1e-12
 _MAX_BACKTRACKS = 60
+# the subproblem's descent spends at most this many model values and gradients
+_DESCENT_BUDGET = 200
 # values within this of each other, relative to |f|, are equal to rounding:
 # there the sufficient-decrease test is read off the gradients (Hager &
 # Zhang, SIAM J. Optim. 16(1), 2005, whose default this is); a step must
@@ -357,23 +307,20 @@ def solve_subproblem(
     model: CorrectedModel,
     anchor,
     radius: float,
-    budget: int = 200,
 ) -> SubproblemResult:
     """Minimize the corrected model over the closed ball of the given
     radius around the anchor.
 
     A model with a constant Hessian is minimized exactly.  Otherwise the
     minimum is approximated by projected descent, which starts from the
-    Cauchy point and spends at most ``budget`` model values and gradients.
-    The returned candidate never has a larger model value than the Cauchy
-    point: a worse candidate is overridden and the override recorded.  On
-    the exact path, when neither the exact step nor the Cauchy point
-    registers a model decrease, the candidate is the anchor itself.
+    Cauchy point and spends at most ``_DESCENT_BUDGET`` model values and
+    gradients.  The returned candidate never has a larger model value than
+    the Cauchy point: a worse candidate is overridden and the override
+    recorded.  The candidate is returned whether or not it decreases the
+    model; its ``predicted_change`` says which.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     anchor = as_input_vector(anchor, model.dimension)
     project = _ball_projection(anchor, radius)
 
@@ -385,7 +332,7 @@ def solve_subproblem(
         gnorm = math.sqrt(float(g.dot(g)))
         initial_step = radius / gnorm if gnorm > 0 else 1.0
         best, best_change, evals = projected_descent(
-            model.value_change, model.gradient, cp, project, budget, initial_step
+            model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step
         )
     else:
         w, q = model.base_model.hessian_eigh()
@@ -400,10 +347,6 @@ def solve_subproblem(
     candidate = project(measured)
     if candidate.tolist() != measured.tolist():  # rounding at the boundary
         change = model.value_change(candidate)
-    if model.hessian is not None and min(best_change, cp_change) >= 0.0:
-        # No measurable decrease: the trust-region loop stops 'stalled'
-        # here instead of shrinking the radius towards 0.
-        candidate, change = anchor, 0.0
     return SubproblemResult(
         candidate=candidate,
         predicted_change=change,

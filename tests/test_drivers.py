@@ -1,6 +1,7 @@
 """Tests for the three run drivers, trace structure, and loop invariants."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -274,10 +275,10 @@ class TestWholeBoxStep:
 
 @st.composite
 def quadratic_pairs(draw):
-    """A ProblemPair of random 1-3-D quadratics, convex or not; the model
+    """A ProblemPair of random 1-4-D quadratics, convex or not; the model
     declares its Hessian or not; noise-free or noisy.  Returns
     (build, u0, noisy), ``build`` making a fresh pair per run."""
-    n = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
 
     def symmetric():
         w = draw(vectors(n, -2.0, 5.0))
@@ -300,16 +301,39 @@ def quadratic_pairs(draw):
     return build, u0, noise > 0.0
 
 
+@st.composite
+def loop_settings(draw):
+    """(delta0, constants): an initial radius and valid trust-region
+    constants, the radius cap unbounded or at least ``delta0``."""
+    delta0 = draw(st.floats(0.01, 10.0))
+    eta1 = draw(st.floats(0.01, 0.9))
+    gamma1 = draw(st.floats(0.05, 0.9))
+    gamma2 = draw(st.floats(gamma1, 0.95))
+    constants = TrustRegionConstants(
+        eta1=eta1,
+        eta2=draw(st.floats(eta1, 0.99)),
+        gamma1=gamma1,
+        gamma2=gamma2,
+        expansion_factor=draw(st.floats(1.1, 4.0)),
+        shrink_factor=draw(st.floats(gamma1, gamma2)),
+        radius_max=draw(st.one_of(st.just(math.inf), st.floats(1.0, 100.0).map(delta0.__mul__))),
+    )
+    return delta0, constants
+
+
 class TestRandomQuadraticPairs:
     @settings(max_examples=50, deadline=None)
-    @given(quadratic_pairs(), st.floats(0.01, 10.0))
-    def test_every_driver_ends_in_a_documented_status(self, pair, delta0):
+    @given(quadratic_pairs(), loop_settings(), st.floats(0.0, 1.0, exclude_min=True))
+    def test_every_driver_ends_in_a_documented_status(self, pair, loop, alpha):
         build, u0, noisy = pair
+        delta0, constants = loop
         stop = StoppingCriteria(tolerance=1e-6, max_iterations=10)
+        ball = dict(delta0=delta0, constants=constants, stop=stop)
         traces = {
             "basic-ma": run_basic_ma(build(), u0, stop=stop, box_halfwidth=100.0),
-            "trust-region": run_trust_region(build(), u0, delta0=delta0, stop=stop),
-            "ma-tr": run_ma_tr(build(), u0, delta0=delta0, stop=stop),
+            "trust-region": run_trust_region(build(), u0, **ball),
+            "ma-tr": run_ma_tr(build(), u0, **ball),
+            "filtered ma-tr": run_ma_tr(build(), u0, alpha=alpha, **ball),
         }
         for name, trace in traces.items():
             assert trace.termination_status in TERMINATION_STATUSES
@@ -558,7 +582,7 @@ class TestMaTrDriver:
     @pytest.mark.parametrize("run", [run_ma_tr, run_trust_region])
     def test_no_model_decrease_ends_stalled(self, run):
         # P1 under this noise stops where the Cauchy point still moves but
-        # its model change rounds to >= 0: the subproblem returns the anchor
+        # its model change rounds to >= 0: the subproblem predicts no decrease
         problem = get_problem("P1", noise_level=0.02, seed=1)
         trace = run(problem, STARTS["P1"], stop=StoppingCriteria(max_iterations=5000))
         assert trace.termination_status == "stalled"
@@ -571,7 +595,22 @@ class TestMaTrDriver:
         result = solve_subproblem(model, trace.final_reference, 0.5 * last.radius)
         assert not np.array_equal(result.cauchy_point, trace.final_reference)
         assert model.value_change(result.cauchy_point) >= 0.0
-        assert np.array_equal(result.candidate, trace.final_reference)
+        assert result.predicted_change >= 0.0
+
+    @pytest.mark.parametrize("hessian", [None, [[2.0]]])
+    @pytest.mark.parametrize("run", [run_ma_tr, run_trust_region])
+    def test_model_flat_to_rounding_stalls_at_once(self, run, hessian):
+        # 1e20 swallows every model change, so no step predicts a decrease
+        # on either model path; the plant gradient is not small
+        plant = ScalarOracle(lambda u: float((u[0] - 1.0) ** 2), lambda u: 2.0 * (u - 1.0), 1)
+        model = ScalarOracle(
+            lambda u: 1e20 + float((u[0] - 1.0) ** 2), lambda u: 2.0 * (u - 1.0), 1,
+            hessian=hessian,
+        )
+        trace = run(ProblemPair("flat", plant, model), [0.0])
+        assert trace.termination_status == "stalled"
+        assert trace.iterations == 0
+        assert trace.plant_evaluation_count == 2
 
     def test_stopping_criteria_validation(self):
         with pytest.raises(ValueError, match="tolerance"):

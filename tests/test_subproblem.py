@@ -68,14 +68,27 @@ class TestCauchyPoint:
         rng = np.random.default_rng(11)
         for pid in ("P1", "P2", "P3", "P4"):
             p = get_problem(pid)
+            # the same function without a declared Hessian searches the ray
+            twin = ScalarOracle(p.model.value, p.model.gradient, p.dimension)
             for _ in range(10):
                 anchor = rng.uniform(-3, 3, size=p.dimension)
                 lam = p.plant_gradient(anchor) - p.model_gradient(anchor)
-                cm = CorrectedModel(p.model, lam, anchor=anchor)
-                if np.linalg.norm(cm.gradient(anchor)) == 0.0:
-                    continue
-                point, t = cauchy_point(cm, anchor, rng.uniform(0.1, 3.0))
-                assert cm.value_change(point) < 0.0
+                radius = rng.uniform(0.1, 3.0)
+                for model in (p.model, twin):
+                    cm = CorrectedModel(model, lam, anchor=anchor)
+                    if np.linalg.norm(cm.gradient(anchor)) == 0.0:
+                        continue
+                    point, t = cauchy_point(cm, anchor, radius)
+                    assert cm.value_change(point) < 0.0
+
+    def test_finds_a_dip_inside_the_first_scan_segment(self):
+        # 1000 u^2 - u along u = t: every scanned value, from t = 1/16 on,
+        # is positive, and the minimizer is t = 5e-4
+        base = ScalarOracle(lambda u: 1000.0 * float(u @ u), lambda u: 2000.0 * u, 1)
+        cm = CorrectedModel(base, [-1.0], anchor=[0.0])
+        point, t = cauchy_point(cm, [0.0], 1.0)
+        assert point == pytest.approx([5e-4], abs=1e-12)
+        assert t == pytest.approx(5e-4, abs=1e-12)
 
     def test_scan_catches_far_dip_on_nonconvex_ray(self):
         # two dips along the descent ray; the nearer one is shallower
@@ -153,11 +166,6 @@ class TestSolveSubproblem:
         cm = CorrectedModel(p.model, lam, anchor=anchor)
         result = solve_subproblem(cm, anchor, 1.0)
         assert result.candidate == pytest.approx([0.0], abs=1e-9)
-
-    def test_invalid_budget_rejected(self):
-        cm = CorrectedModel(sphere_model(), [0.0, 0.0], anchor=[0.0, 0.0])
-        with pytest.raises(ValueError, match="budget"):
-            solve_subproblem(cm, [0.0, 0.0], 1.0, budget=0)
 
 
 class TestProjectedDescent:
@@ -293,7 +301,7 @@ class TestExactSubproblem:
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_agrees_with_the_scan_path_on_the_catalog(self, pid):
         p = get_problem(pid)
-        # the same function without a declared Hessian takes the scan path
+        # the same function without a declared Hessian searches the ray
         scan = ScalarOracle(p.model.value, p.model.gradient, p.dimension)
         rng = np.random.default_rng(31)
         for _ in range(20):
@@ -303,7 +311,7 @@ class TestExactSubproblem:
             exact = solve_subproblem(CorrectedModel(p.model, lam, anchor=anchor), anchor, radius)
             approx = solve_subproblem(CorrectedModel(scan, lam, anchor=anchor), anchor, radius)
             assert approx.descent_evaluations > 0 and exact.descent_evaluations == 0
-            assert exact.cauchy_point == pytest.approx(approx.cauchy_point, abs=1e-6)
+            assert exact.cauchy_point == pytest.approx(approx.cauchy_point, abs=1e-12)
             assert exact.candidate == pytest.approx(approx.candidate, abs=1e-6)
             for result, model in ((exact, p.model), (approx, scan)):
                 cm = CorrectedModel(model, lam, anchor=anchor)
