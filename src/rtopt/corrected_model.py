@@ -11,6 +11,8 @@ unaffected by it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import require
@@ -35,10 +37,8 @@ def compute_modifiers(plant_grad, model_grad) -> np.ndarray:
     pg = np.asarray(plant_grad, dtype=float).reshape(-1)
     mg = np.asarray(model_grad, dtype=float).reshape(-1)
     if pg.size != mg.size:
-        raise ValueError(
-            f"gradient length mismatch: plant {pg.size} vs model {mg.size}"
-        )
-    if not (np.all(np.isfinite(pg)) and np.all(np.isfinite(mg))):
+        raise ValueError(f"gradient length mismatch: plant {pg.size} vs model {mg.size}")
+    if not all(map(math.isfinite, pg.tolist() + mg.tolist())):
         raise ValueError("gradients must be finite")
     return pg - mg
 
@@ -89,6 +89,8 @@ class CorrectedModel:
         ``plant_value_at_anchor`` exactly; requires that value.
     plant_value_at_anchor : float, optional
         Measured plant value at the anchor.
+    base_gradient : array, optional
+        The base model's gradient at the anchor, if the caller has it.
     """
 
     def __init__(
@@ -98,6 +100,7 @@ class CorrectedModel:
         anchor,
         shift_enabled: bool = False,
         plant_value_at_anchor: float | None = None,
+        base_gradient=None,
     ):
         if shift_enabled and plant_value_at_anchor is None:
             raise ValueError("shift_enabled requires plant_value_at_anchor to be provided")
@@ -105,6 +108,9 @@ class CorrectedModel:
         self.anchor = as_input_vector(anchor, base_model.dimension)
         self.modifiers = as_input_vector(modifiers, base_model.dimension)
         self._model_at_anchor = base_model.value(self.anchor)
+        if base_gradient is not None:
+            base_gradient = as_input_vector(base_gradient, self.dimension)
+        self._base_gradient, self._anchor_terms = base_gradient, None
         # The shift lives in this one constant: every value is the value at
         # the anchor plus the shift-free change from it.
         self._value_at_anchor = (
@@ -135,14 +141,28 @@ class CorrectedModel:
         """Corrected gradient at u; identical under both shift modes."""
         return self.base_model.gradient(u) + self.modifiers
 
+    def anchor_terms(self, u: np.ndarray) -> tuple:
+        """``(g, g.g, g.Hg, q^T g)`` for the corrected gradient g at the
+        point ``u`` and the declared Hessian ``H = q diag(w) q^T``
+        (None, None without one): the subproblem's terms that no radius
+        changes, computed once for the model's own anchor."""
+        own = np.asarray(u).tobytes() == self.anchor.tobytes()
+        if own and self._anchor_terms is not None:
+            return self._anchor_terms
+        base = self._base_gradient if own else None
+        g = (self.base_model.gradient(u) if base is None else base) + self.modifiers
+        terms = (g, float(g.dot(g)), None, None)
+        if self.hessian is not None:
+            q = self.base_model.hessian_eigh()[1]
+            terms = (g, terms[1], float(g @ (self.hessian @ g)), q.T @ g)
+        if own:
+            self._anchor_terms = terms
+        return terms
+
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference
         form so both shift modes produce bit-identical results.
         """
         base = self.base_model.value(u)
         u = np.asarray(u, dtype=float).reshape(-1)
-        return (
-            base
-            - self._model_at_anchor
-            + float(self.modifiers @ (u - self.anchor))
-        )
+        return base - self._model_at_anchor + float(self.modifiers @ (u - self.anchor))

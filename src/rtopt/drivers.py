@@ -261,8 +261,8 @@ def _box_minimize(
     is reported like a minimizer beyond the box.
     """
     if model.hessian is not None:
-        w, q = model.base_model.hessian_eigh()
-        gt = q.T @ model.gradient(current)
+        w, q, _ = model.base_model.hessian_eigh()
+        gt = model.anchor_terms(current)[3]
         tol = 10 * w.size * math.ulp(1.0)  # 10 n eps
         scale = max(-w[0], w[-1])  # max |w|
         null = np.abs(w) <= tol * scale
@@ -320,7 +320,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     records: list[IterationRecord] = []
     status = "max-iterations"
     ref_grad = unmeasured = np.full(problem.dimension, np.nan)
-    state = None
+    state = model = model_grad = None
     filt = ModifierFilter(cfg.alpha, problem.dimension)
     try:
         ref_value = problem.evaluate_plant(u)
@@ -336,8 +336,13 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             if used + 2 > stop.max_plant_evaluations:
                 status = "max-iterations"
                 break
-            lam = filt.update(ref_grad, problem.model_gradient(state.reference))
-            model = CorrectedModel(problem.model, lam, anchor=state.reference)
+            # A rejected step keeps the reference and its gradients (models are never
+            # noisy), so the model too, with its anchor terms, unless the filter moves it.
+            if model_grad is None:
+                model_grad = problem.model_gradient(state.reference)
+            lam = filt.update(ref_grad, model_grad)
+            if model is None or lam.tobytes() != model.modifiers.tobytes():
+                model = CorrectedModel(problem.model, lam, state.reference, base_gradient=model_grad)
             anchor = state.reference.copy()
             anchor_value = state.reference_plant_value
             radius = state.radius
@@ -379,7 +384,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 )
             )
             if accepted:  # NaN if the probe fails: the old gradient is not the new one's
-                ref_grad = unmeasured
+                ref_grad, model, model_grad = unmeasured, None, None
                 ref_grad = problem.plant_gradient(state.reference)
         # the cap can land exactly on the converging iteration
         if status == "max-iterations" and math.sqrt(float(ref_grad.dot(ref_grad))) <= stop.tolerance:

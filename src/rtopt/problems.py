@@ -105,11 +105,15 @@ class ScalarOracle:
         """The constant Hessian (read-only), or None if none was declared."""
         return self._hessian
 
-    def hessian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and orthonormal eigenvectors (columns) of
-        the declared Hessian, computed on the first call and kept."""
+    def hessian_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ascending eigenvalues ``w``, orthonormal eigenvectors (columns)
+        and ``w + max(0, -w[0])`` (no eigenvalue below 0) of the declared
+        Hessian, computed on the first call and kept read-only."""
         if self._eigh is None:
-            self._eigh = np.linalg.eigh(self._hessian)
+            w, q = np.linalg.eigh(self._hessian)
+            self._eigh = (w, q, w + max(0.0, -w[0]))
+            for a in self._eigh:
+                a.setflags(write=False)
         return self._eigh
 
     def value(self, u) -> float:

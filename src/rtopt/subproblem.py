@@ -88,7 +88,7 @@ def cauchy_point(
     model: CorrectedModel,
     anchor,
     radius: float,
-    gradient=None,
+    terms=None,
 ) -> tuple[np.ndarray, float]:
     """Minimize the model along ``anchor - t * grad(anchor)`` within the ball.
 
@@ -102,22 +102,20 @@ def cauchy_point(
     it improves on the anchor unless the model is flat along the ray to
     rounding.
     Returns ``(point, t)`` with t the unnormalized ray parameter; a zero
-    gradient returns ``(anchor, 0.0)``.  ``gradient``, the model gradient
-    at the anchor, is evaluated here unless the caller already has it.
+    gradient returns ``(anchor, 0.0)``.  ``terms`` are the model's
+    ``anchor_terms(anchor)``, if the caller already has them.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
     anchor = as_input_vector(anchor, model.dimension)
-    g = model.gradient(anchor) if gradient is None else gradient
-    gnorm = math.sqrt(float(g.dot(g)))
+    g, gg, curvature, _ = model.anchor_terms(anchor) if terms is None else terms
+    gnorm = math.sqrt(gg)
     if gnorm == 0.0:
         return anchor.copy(), 0.0
 
     t_max = radius / gnorm
-    hessian = model.hessian
-    if hessian is not None:
-        curvature = float(g @ (hessian @ g))
-        t = t_max if curvature <= 0.0 else min(float(g.dot(g)) / curvature, t_max)
+    if curvature is not None:
+        t = t_max if curvature <= 0.0 else min(gg / curvature, t_max)
         return anchor - t * g, t
 
     # The search runs on the distance s = t |g| along the ray, in the
@@ -137,6 +135,7 @@ def cauchy_point(
         lambda s: np.clip(s, lo, hi),
         _SCAN_MAX_EVALS - _SCAN_POINTS,
         (hi - lo) / gnorm,
+        start_value=scan[j],
     )
     return ray(best[0]), float(best[0]) / gnorm
 
@@ -162,6 +161,8 @@ def projected_descent(
     project,
     budget: int,
     initial_step: float = 1.0,
+    *,
+    start_value: float | None = None,
 ) -> tuple[np.ndarray, float, int]:
     """Projected gradient descent with spectral (Barzilai-Borwein) steps
     and Armijo backtracking.
@@ -170,6 +171,7 @@ def projected_descent(
     base; only differences matter.  ``budget`` caps the combined number of
     value and gradient evaluations.  Returns ``(best_point, best_change,
     evaluations_used)`` where best is over every point evaluated.
+    A known ``start_value`` is not measured again but counts as an evaluation.
 
     Near a minimizer the decrease a step makes sinks below the rounding of
     the values, which would stop the descent short of it by about
@@ -180,7 +182,7 @@ def projected_descent(
     with the best to the same margin.
     """
     x = project(np.asarray(start, dtype=float))
-    fx = change_fn(x)
+    fx = change_fn(x) if start_value is None else start_value
     evals = 1
     best_x, best_f = x.copy(), fx
     if evals >= budget:
@@ -257,10 +259,11 @@ def projected_descent(
 _MAX_NEWTON_STEPS = 100
 
 
-def _exact_step(w: np.ndarray, q: np.ndarray, g: np.ndarray, radius: float) -> np.ndarray:
+def _exact_step(w, shifted, q, gt, radius: float) -> np.ndarray:
     """Global minimizer s of ``g.s + s.Hs / 2`` over ``||s|| <= radius``,
     where ``H = q diag(w) q^T`` with ``w`` ascending (Moré & Sorensen 1983;
-    Conn, Gould & Toint, *Trust-Region Methods*, 2000, ch. 7).
+    Conn, Gould & Toint, *Trust-Region Methods*, 2000, ch. 7), given
+    ``gt = q^T g`` and ``shifted`` from ``ScalarOracle.hessian_eigh``.
 
     The minimizer is ``s = -(H + lam I)^-1 g`` for the smallest
     ``lam >= low = max(0, -w[0])`` with ``||s|| <= radius``, on the
@@ -274,15 +277,13 @@ def _exact_step(w: np.ndarray, q: np.ndarray, g: np.ndarray, radius: float) -> n
     stays inside the ball there; the step is then filled up to the
     boundary along the bottom eigenvector.
     """
-    gt = q.T @ g
-    shifted = w + max(0.0, -w[0])
     pole = shifted == 0.0
     # From the pole, 1/||s|| rises from 0 with slope 1/||gt[pole]||, so
     # this is Newton's first step; there is none off the pole.
     mu = math.sqrt(float(gt[pole] @ gt[pole])) / radius
     if mu == 0.0:
-        gt[pole] = 0.0  # below the pole's resolution, if not already 0
-        shifted[pole] = 1.0  # any positive value: nothing is divided there
+        gt = np.where(pole, 0.0, gt)  # below the pole's resolution, if not already 0
+        shifted = np.where(pole, 1.0, shifted)  # any positive value: nothing is divided there
         s = -gt / shifted
         slack = radius * radius - float(s @ s)
         if slack >= 0.0:
@@ -324,20 +325,20 @@ def solve_subproblem(
     anchor = as_input_vector(anchor, model.dimension)
     project = _ball_projection(anchor, radius)
 
-    g = model.gradient(anchor)
-    cp, _ = cauchy_point(model, anchor, radius, gradient=g)
+    terms = _, gg, _, gt = model.anchor_terms(anchor)
+    cp, _ = cauchy_point(model, anchor, radius, terms)
     cp_change = model.value_change(cp)
 
-    if model.hessian is None:
-        gnorm = math.sqrt(float(g.dot(g)))
-        initial_step = radius / gnorm if gnorm > 0 else 1.0
+    if gt is None:
+        initial_step = radius / math.sqrt(gg) if gg > 0 else 1.0
         best, best_change, evals = projected_descent(
             model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step
         )
     else:
-        w, q = model.base_model.hessian_eigh()
-        best = project(anchor + _exact_step(w, q, g, radius))
+        w, q, shifted = model.base_model.hessian_eigh()
         # eigenvalues tiny beside g overflow the step: the Cauchy point stands in
+        with np.errstate(over="ignore", invalid="ignore"):
+            best = project(anchor + _exact_step(w, shifted, q, gt, radius))
         finite = all(map(math.isfinite, best.tolist()))
         best_change = model.value_change(best) if finite else math.inf
         evals = 0

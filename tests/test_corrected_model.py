@@ -202,3 +202,56 @@ class TestCorrectedGradient:
             cm = CorrectedModel(p.model, lam, anchor=anchor)
             gap = np.linalg.norm(cm.gradient(anchor) - p.plant_gradient(anchor))
             assert gap <= 1e-12
+
+
+class TestAnchorTerms:
+    """The subproblem's radius-free terms at an anchor: kept for the
+    model's own anchor, computed anew for any other point."""
+
+    def test_known_base_gradient_gives_the_same_terms_without_a_call(self):
+        p = get_problem("P4")
+        anchor, lam = np.array([0.5, -1.25]), [3.0, -0.5]
+        measured = CorrectedModel(p.model, lam, anchor=anchor).anchor_terms(anchor)
+        calls = p.model.gradient_calls
+        given_model = CorrectedModel(
+            p.model, lam, anchor=anchor, base_gradient=p.model.gradient(anchor)
+        )
+        assert p.model.gradient_calls == calls + 1
+        given_terms = given_model.anchor_terms(anchor)
+        assert p.model.gradient_calls == calls + 1
+        assert measured[1:3] == given_terms[1:3]
+        for a, b in ((measured[0], given_terms[0]), (measured[3], given_terms[3])):
+            assert a.tobytes() == b.tobytes()
+
+    def test_own_anchor_terms_are_computed_once(self):
+        p = get_problem("P2")
+        cm = CorrectedModel(p.model, [4.0], anchor=[1.5])
+        first = cm.anchor_terms(np.array([1.5]))
+        calls = p.model.gradient_calls
+        assert cm.anchor_terms(np.array([1.5])) is first
+        assert p.model.gradient_calls == calls
+
+    def test_other_points_compute_their_own_terms(self):
+        p = get_problem("P4")
+        lam = np.array([1.0, 2.0])
+        cm = CorrectedModel(p.model, lam, anchor=[0.0, 0.0])
+        own = cm.anchor_terms(np.array([0.0, 0.0]))
+        u = np.array([1.0, -2.0])
+        g, gg, curvature, gt = cm.anchor_terms(u)
+        assert g.tolist() == (p.model.gradient(u) + lam).tolist() != own[0].tolist()
+        assert gg == float(g @ g) and curvature == float(g @ (p.model.hessian @ g))
+        assert gt.tolist() == (p.model.hessian_eigh()[1].T @ g).tolist()
+        # a point equal to the anchor but for the sign of a zero is another point
+        assert cm.anchor_terms(np.array([-0.0, 0.0])) is not own
+        assert cm.anchor_terms(np.array([0.0, 0.0])) is own
+
+    def test_model_without_hessian_has_no_curvature_terms(self):
+        cm = CorrectedModel(sphere_oracle(), [1.0, 0.0], anchor=[1.0, 1.0])
+        g, gg, curvature, gt = cm.anchor_terms(np.array([1.0, 1.0]))
+        assert g.tolist() == [3.0, 2.0] and gg == 13.0
+        assert curvature is None and gt is None
+
+    @pytest.mark.parametrize("bad", [[1.0], [1.0, np.nan], [[1.0, 2.0]]])
+    def test_base_gradient_is_validated(self, bad):
+        with pytest.raises(ValueError):
+            CorrectedModel(sphere_oracle(), [0.0, 0.0], anchor=[0.0, 0.0], base_gradient=bad)

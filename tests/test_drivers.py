@@ -27,6 +27,7 @@ from rtopt import (
     solve_subproblem,
     trace_to_dict,
 )
+from rtopt import drivers
 from rtopt.config import config_from_dict, run_config
 from rtopt.drivers import TERMINATION_STATUSES, _box_minimize
 
@@ -619,6 +620,74 @@ class TestMaTrDriver:
             StoppingCriteria(max_iterations=0)
         with pytest.raises(ValueError, match="max_plant_evaluations"):
             StoppingCriteria(max_plant_evaluations=0)
+
+
+class TestModelReuse:
+    """A rejected step keeps the reference, its measured gradients and the
+    corrected model; only the modifier filter may move the model."""
+
+    def test_one_model_gradient_per_reference(self):
+        problem = get_problem("P3")
+        trace = run_ma_tr(problem, STARTS["P3"])
+        records = trace.records
+        references = 1 + sum(r.accepted for r in records[:-1])
+        assert 0 < trace.accepted_count < trace.iterations
+        assert problem.model.gradient_calls == references
+
+    def test_iteration_after_a_rejection_builds_nothing(self, monkeypatch):
+        problem = get_problem("P4", noise_level=0.02, seed=1)
+        built = []
+
+        class CountedModel(CorrectedModel):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        at_solve = []
+
+        def counted_solve(model, anchor, radius):
+            at_solve.append((problem.model.gradient_calls, len(built)))
+            return solve_subproblem(model, anchor, radius)
+
+        monkeypatch.setattr(drivers, "CorrectedModel", CountedModel)
+        monkeypatch.setattr(drivers, "solve_subproblem", counted_solve)
+        trace = run_ma_tr(problem, [0.0, 0.0], stop=StoppingCriteria(max_iterations=100))
+        records = trace.records
+        rejected = [k for k in range(1, len(records)) if not records[k - 1].accepted]
+        assert len(rejected) > len(records) // 2
+        for k in range(1, len(records)):
+            step = 0 if k in rejected else 1
+            assert at_solve[k] == (at_solve[k - 1][0] + step, at_solve[k - 1][1] + step)
+
+    @pytest.mark.parametrize("alpha", [0.3, 1.0])
+    def test_filter_follows_its_recursion_on_every_iteration(self, alpha):
+        u0, seed = [0.0, 0.0], 4
+        stop = StoppingCriteria(max_iterations=100)
+        problem = get_problem("P4", noise_level=0.02, seed=seed)
+        trace = run_ma_tr(problem, u0, alpha=alpha, stop=stop)
+        # a fresh pair replays the run's noise draws in the run's order
+        fresh = get_problem("P4", noise_level=0.02, seed=seed)
+        fresh.evaluate_plant(u0)
+        plant_grad = fresh.plant_gradient(u0)
+        lam = np.zeros(2)
+        for r in trace.records:
+            raw = plant_grad - fresh.model_gradient(r.reference)
+            lam = alpha * raw + (1.0 - alpha) * lam
+            assert r.modifiers.tobytes() == lam.tobytes()
+            # the loop solved on a model with exactly these modifiers
+            result = solve_subproblem(rebuild_model(fresh, r), r.reference, r.radius)
+            assert result.candidate.tobytes() == r.applied_input.tobytes()
+            fresh.evaluate_plant(r.applied_input)
+            if r.accepted:
+                plant_grad = fresh.plant_gradient(r.applied_input)
+        records = trace.records
+        after_rejection = [k for k in range(1, len(records)) if not records[k - 1].accepted]
+        assert after_rejection
+        moved = [
+            records[k].modifiers.tobytes() != records[k - 1].modifiers.tobytes()
+            for k in after_rejection
+        ]
+        assert all(moved) if alpha < 1.0 else not any(moved)
 
 
 class TestArgumentRules:

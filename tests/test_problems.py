@@ -162,6 +162,19 @@ class TestScalarOracle:
         with pytest.raises(ValueError):
             oracle.hessian[0, 0] = 5.0
 
+    def test_hessian_eigh_is_cached_with_its_pole_free_shift(self):
+        oracle = ScalarOracle(lambda u: 0.0, lambda u: np.zeros(2), 2,
+                              hessian=[[-1.0, 0.0], [0.0, 2.0]])
+        w, q, shifted = oracle.hessian_eigh()
+        assert w.tolist() == [-1.0, 2.0] and shifted.tolist() == [0.0, 3.0]
+        assert oracle.hessian_eigh() is oracle.hessian_eigh()
+        for kept in (w, q, shifted):
+            with pytest.raises(ValueError):
+                kept[0] = 5.0
+        convex = ScalarOracle(lambda u: 0.0, lambda u: np.zeros(2), 2,
+                              hessian=[[1.0, 0.0], [0.0, 2.0]])
+        assert convex.hessian_eigh()[2].tolist() == [1.0, 2.0]
+
     @pytest.mark.parametrize("pid", PROBLEM_IDS)
     def test_catalog_models_declare_their_hessian(self, pid):
         p = get_problem(pid)

@@ -1,6 +1,7 @@
 """Tests for the ball-constrained solver, Cauchy search, and decrease checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rtopt import (
     get_problem,
     solve_subproblem,
 )
+from rtopt import subproblem
 from rtopt.problems import PROBLEM_IDS
 from rtopt.subproblem import projected_descent
 
@@ -116,6 +118,40 @@ class TestCauchyPoint:
         cm = CorrectedModel(sphere_model(), [0.0, 0.0], anchor=[0.0, 0.0])
         with pytest.raises(ValueError, match="radius"):
             cauchy_point(cm, [0.0, 0.0], 0.0)
+
+    def test_descent_reuses_the_scans_best_value(self, monkeypatch):
+        # A wavy model without a declared Hessian: the ray is scanned, and
+        # the descent starts from the scan's best point with its value.
+        oracle = ScalarOracle(
+            lambda u: float(u @ u) + math.sin(3.0 * u[0]),
+            lambda u: 2.0 * u + np.array([3.0 * math.cos(3.0 * u[0]), 0.0]),
+            2,
+        )
+        rng = np.random.default_rng(5)
+        cases = []
+        for _ in range(20):
+            anchor = rng.uniform(-2.0, 2.0, size=2)
+            cases.append((anchor, rng.normal(size=2), rng.uniform(0.1, 3.0)))
+
+        def run():
+            out = []
+            for anchor, lam, radius in cases:
+                cm = CorrectedModel(oracle, lam, anchor=anchor)
+                before = oracle.value_calls
+                point, t = cauchy_point(cm, anchor, radius)
+                out.append((oracle.value_calls - before, point.tolist(), t))
+            return out
+
+        reused = run()
+
+        def measured_again(*args, start_value, **kwargs):
+            return projected_descent(*args, **kwargs)
+
+        monkeypatch.setattr(subproblem, "projected_descent", measured_again)
+        again = run()
+        for (calls, point, t), (calls_again, point_again, t_again) in zip(reused, again):
+            assert calls == calls_again - 1
+            assert (point, t) == (point_again, t_again)
 
 
 class TestSolveSubproblem:
@@ -275,12 +311,14 @@ class TestExactSubproblem:
         expected = [math.sqrt(4.0 - 4.0 / 9.0), -2.0 / 3.0]
         assert result.candidate == pytest.approx(expected, abs=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_step_falls_back_to_the_cauchy_point(self):
         # -g / w overflows the Newton iteration on a tiny eigenvalue; the
-        # minimizer is the boundary point along -g, the Cauchy point
+        # minimizer is the boundary point along -g, the Cauchy point.  The
+        # overflow stays inside the solver: no warning reaches the caller.
         cm = CorrectedModel(quadratic_model([[4e-285]]), [1.0], anchor=[0.0])
-        result = solve_subproblem(cm, [0.0], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = solve_subproblem(cm, [0.0], 1.0)
         assert result.candidate == pytest.approx([-1.0], rel=1e-15)
         assert result.cauchy_override_applied
 
@@ -323,6 +361,38 @@ class TestExactSubproblem:
         before = (p.model.value_calls, p.model.gradient_calls)
         solve_subproblem(cm, [0.5, 0.5], 0.3)
         assert (p.model.value_calls - before[0], p.model.gradient_calls - before[1]) == (2, 1)
+
+    def test_a_new_radius_reuses_the_anchor_terms(self):
+        p = get_problem("P4")
+        cm = CorrectedModel(p.model, [1.0, -3.0], anchor=[0.5, 0.5])
+        solve_subproblem(cm, [0.5, 0.5], 2.0)
+        for radius in (1.0, 0.5, 0.25):
+            before = p.model.gradient_calls
+            result = solve_subproblem(cm, [0.5, 0.5], radius)
+            assert p.model.gradient_calls == before
+            fresh = CorrectedModel(p.model, [1.0, -3.0], anchor=[0.5, 0.5])
+            expected = solve_subproblem(fresh, [0.5, 0.5], radius)
+            assert result.candidate.tolist() == expected.candidate.tolist()
+            assert result.predicted_change == expected.predicted_change
+
+    @pytest.mark.parametrize("declared", [True, False])
+    def test_another_anchor_computes_its_own_terms(self, declared):
+        p = get_problem("P4")
+        model = p.model if declared else ScalarOracle(p.model.value, p.model.gradient, 2)
+        lam = [1.0, -3.0]
+        cm = CorrectedModel(model, lam, anchor=[0.5, 0.5])
+        solve_subproblem(cm, [0.5, 0.5], 1.0)  # the anchor's terms are kept
+        other = [-1.0, 1.0]
+        result = solve_subproblem(cm, other, 1.0)
+        # the same model, its terms not yet computed: nothing cached differs
+        fresh = solve_subproblem(CorrectedModel(model, lam, anchor=[0.5, 0.5]), other, 1.0)
+        assert result.candidate.tolist() == fresh.candidate.tolist()
+        assert result.cauchy_point.tolist() == fresh.cauchy_point.tolist()
+        # the Cauchy point lies on the steepest-descent ray from ``other``
+        g = model.gradient(other) + np.array(lam)
+        d = np.array(other) - result.cauchy_point
+        assert abs(d[0] * g[1] - d[1] * g[0]) <= 1e-12 * np.linalg.norm(d) * np.linalg.norm(g)
+        assert d @ g > 0.0
 
 
 class TestSufficientDecrease:
