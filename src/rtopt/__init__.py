@@ -8,12 +8,7 @@ convergence traces.
 """
 
 from .config import RunConfig, load_config, run_config
-from .corrected_model import (
-    CorrectedModel,
-    ModifierFilter,
-    compute_modifiers,
-    filter_modifiers,
-)
+from .corrected_model import CorrectedModel, ModifierFilter
 from .drivers import (
     DEGENERATE,
     IterationRecord,
@@ -75,11 +70,9 @@ __all__ = [
     "cauchy_point",
     "check_convergence",
     "check_sufficient_decrease",
-    "compute_modifiers",
     "compute_rho",
     "estimate_beta",
     "export_trace",
-    "filter_modifiers",
     "finite_difference_gradient",
     "finite_difference_hessian",
     "get_problem",

@@ -3,9 +3,9 @@
 The correction adds a linear term whose coefficients are the gap between
 the measured plant gradient and the model gradient at a reference point,
 so the corrected surrogate reproduces the plant's first derivatives there.
-An optional constant shift additionally pins the surrogate's *value* at
-the reference to the measured plant value; the shift cancels from every
-value difference, so candidate selection and acceptance ratios are
+Given the measured plant value at the reference, a constant shift
+additionally pins the surrogate's *value* there; the shift cancels from
+every value difference, so candidate selection and acceptance ratios are
 unaffected by it.
 """
 
@@ -20,8 +20,6 @@ from .problems import ScalarOracle, as_input_vector
 
 __all__ = [
     "check_alpha",
-    "compute_modifiers",
-    "filter_modifiers",
     "ModifierFilter",
     "CorrectedModel",
 ]
@@ -30,27 +28,6 @@ __all__ = [
 def check_alpha(alpha: float) -> None:
     """The correction filter gain must lie in (0, 1]."""
     require(0.0 < alpha <= 1.0, "alpha", f"must be in (0, 1], got {alpha}")
-
-
-def compute_modifiers(plant_grad, model_grad) -> np.ndarray:
-    """Gradient-gap correction coefficients: plant_grad - model_grad."""
-    pg = np.asarray(plant_grad, dtype=float).reshape(-1)
-    mg = np.asarray(model_grad, dtype=float).reshape(-1)
-    if pg.size != mg.size:
-        raise ValueError(f"gradient length mismatch: plant {pg.size} vs model {mg.size}")
-    if not all(map(math.isfinite, pg.tolist() + mg.tolist())):
-        raise ValueError("gradients must be finite")
-    return pg - mg
-
-
-def filter_modifiers(raw_difference, previous, alpha: float) -> np.ndarray:
-    """Exponentially smoothed correction: alpha*raw + (1-alpha)*previous."""
-    check_alpha(alpha)
-    raw = np.asarray(raw_difference, dtype=float).reshape(-1)
-    prev = np.asarray(previous, dtype=float).reshape(-1)
-    if raw.size != prev.size:
-        raise ValueError("raw_difference and previous must have equal length")
-    return alpha * raw + (1.0 - alpha) * prev
 
 
 class ModifierFilter:
@@ -68,8 +45,19 @@ class ModifierFilter:
         self.previous = np.zeros(dimension)
 
     def update(self, plant_grad, model_grad) -> np.ndarray:
-        raw = compute_modifiers(plant_grad, model_grad)
-        self.previous = filter_modifiers(raw, self.previous, self.alpha)
+        """The next coefficients, ``alpha * (plant_grad - model_grad) +
+        (1 - alpha) * previous``, at gain 1 too: a shortcut to the raw gap
+        there could flip the sign of a zero."""
+        pg = np.asarray(plant_grad, dtype=float).reshape(-1)
+        mg = np.asarray(model_grad, dtype=float).reshape(-1)
+        if pg.size != mg.size:
+            raise ValueError(f"gradient length mismatch: plant {pg.size} vs model {mg.size}")
+        if not all(map(math.isfinite, pg.tolist() + mg.tolist())):
+            raise ValueError("gradients must be finite")
+        raw = pg - mg
+        if raw.size != self.previous.size:
+            raise ValueError("raw_difference and previous must have equal length")
+        self.previous = self.alpha * raw + (1.0 - self.alpha) * self.previous
         return self.previous.copy()
 
 
@@ -84,11 +72,9 @@ class CorrectedModel:
         Linear correction coefficients.
     anchor : array
         Reference point the correction was computed at.
-    shift_enabled : bool
-        When true, a constant is added so that ``value(anchor)`` equals
-        ``plant_value_at_anchor`` exactly; requires that value.
     plant_value_at_anchor : float, optional
-        Measured plant value at the anchor.
+        Measured plant value at the anchor.  When given, a constant is
+        added so that ``value(anchor)`` equals it exactly.
     base_gradient : array, optional
         The base model's gradient at the anchor, if the caller has it.
     """
@@ -98,12 +84,9 @@ class CorrectedModel:
         base_model: ScalarOracle,
         modifiers,
         anchor,
-        shift_enabled: bool = False,
         plant_value_at_anchor: float | None = None,
         base_gradient=None,
     ):
-        if shift_enabled and plant_value_at_anchor is None:
-            raise ValueError("shift_enabled requires plant_value_at_anchor to be provided")
         self.base_model = base_model
         self.anchor = as_input_vector(anchor, base_model.dimension)
         self.modifiers = as_input_vector(modifiers, base_model.dimension)
@@ -114,9 +97,9 @@ class CorrectedModel:
         # The shift lives in this one constant: every value is the value at
         # the anchor plus the shift-free change from it.
         self._value_at_anchor = (
-            float(plant_value_at_anchor)
-            if shift_enabled
-            else self._model_at_anchor + float(self.modifiers @ self.anchor)
+            self._model_at_anchor + float(self.modifiers @ self.anchor)
+            if plant_value_at_anchor is None
+            else float(plant_value_at_anchor)
         )
 
     @property
@@ -138,7 +121,7 @@ class CorrectedModel:
         return self._value_at_anchor + self.value_change(u)
 
     def gradient(self, u) -> np.ndarray:
-        """Corrected gradient at u; identical under both shift modes."""
+        """Corrected gradient at u; identical with or without the shift."""
         return self.base_model.gradient(u) + self.modifiers
 
     def anchor_terms(self, u: np.ndarray) -> tuple:
@@ -161,7 +144,7 @@ class CorrectedModel:
 
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference
-        form so both shift modes produce bit-identical results.
+        form so it is bit-identical with or without the shift.
         """
         base = self.base_model.value(u)
         u = np.asarray(u, dtype=float).reshape(-1)

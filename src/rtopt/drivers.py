@@ -115,8 +115,6 @@ class RunConfig:
     delta0: float = _setting(1.0, _LOOPS)
     eta1: float = _setting(TrustRegionConstants.eta1, _LOOPS)
     eta2: float = _setting(TrustRegionConstants.eta2, _LOOPS)
-    gamma1: float = _setting(TrustRegionConstants.gamma1, _LOOPS)
-    gamma2: float = _setting(TrustRegionConstants.gamma2, _LOOPS)
     expansion_factor: float = _setting(TrustRegionConstants.expansion_factor, _LOOPS)
     shrink_factor: float = _setting(TrustRegionConstants.shrink_factor, _LOOPS)
     radius_max: float | None = _setting(None, _LOOPS)

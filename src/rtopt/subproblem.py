@@ -331,8 +331,11 @@ def solve_subproblem(
 
     if gt is None:
         initial_step = radius / math.sqrt(gg) if gg > 0 else 1.0
+        # the descent projects its start: cp_change holds if that leaves cp in place
+        known = cp_change if project(cp).tobytes() == cp.tobytes() else None
         best, best_change, evals = projected_descent(
-            model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step
+            model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step,
+            start_value=known,
         )
     else:
         w, q, shifted = model.base_model.hessian_eigh()

@@ -32,14 +32,14 @@ DEGENERACY_EPS_FACTOR = 4.0
 class TrustRegionConstants:
     """Acceptance thresholds and radius-update factors.
 
-    Requires 0 < eta1 <= eta2 < 1 and 0 < gamma1 <= gamma2 < 1, with the
-    shrink factor inside [gamma1, gamma2] and the expansion factor above 1.
+    Requires 0 < eta1 <= eta2 < 1, 0 < shrink_factor < 1 and
+    expansion_factor > 1.  An unsuccessful step may take any radius in
+    [gamma1, gamma2] times the old one (Conn, Gould & Toint, Alg. 6.1.1);
+    this loop always takes the one factor ``shrink_factor``.
     """
 
     eta1: float = 0.1
     eta2: float = 0.9
-    gamma1: float = 0.5
-    gamma2: float = 0.5
     expansion_factor: float = 2.0
     shrink_factor: float = 0.5
     radius_max: float = math.inf
@@ -51,14 +51,9 @@ class TrustRegionConstants:
             f"require 0 < eta1 <= eta2 < 1, got eta1={self.eta1}, eta2={self.eta2}",
         )
         require(
-            0.0 < self.gamma1 <= self.gamma2 < 1.0,
-            "gamma1",
-            f"require 0 < gamma1 <= gamma2 < 1, got gamma1={self.gamma1}, gamma2={self.gamma2}",
-        )
-        require(
-            self.gamma1 <= self.shrink_factor <= self.gamma2,
+            0.0 < self.shrink_factor < 1.0,
             "shrink_factor",
-            f"must lie in [gamma1, gamma2], got {self.shrink_factor}",
+            f"must lie in (0, 1), got {self.shrink_factor}",
         )
         require(
             1.0 < self.expansion_factor < math.inf,

@@ -122,22 +122,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="'delta0'"):
             config_from_dict(self.base(delta0=0))
 
-    def test_shrink_outside_gammas_rejected(self):
-        with pytest.raises(ConfigError, match="'shrink_factor'"):
-            config_from_dict(self.base(gamma1=0.3, gamma2=0.4, shrink_factor=0.6))
+    def test_shrink_factor_outside_open_unit_interval_rejected(self):
+        for shrink in (0, 1):
+            with pytest.raises(ConfigError, match="'shrink_factor'"):
+                config_from_dict(self.base(shrink_factor=shrink))
+        assert config_from_dict(self.base(shrink_factor=0.9)).shrink_factor == 0.9
 
     def test_shift_only_for_ma_tr(self):
-        # the shift is the model's, not a setting: no algorithm takes it
-        for algorithm in ("trust-region", "ma-tr"):
-            with pytest.raises(ConfigError, match="'shift_enabled': unknown configuration key"):
-                config_from_dict(
-                    {
-                        "problem": "P1",
-                        "algorithm": algorithm,
-                        "u0": [0, 0],
-                        "shift_enabled": True,
-                    }
-                )
+        # the shift is the model's, not a setting: no algorithm takes it;
+        # the loop always shrinks by shrink_factor, so no interval either
+        for key, value in (("shift_enabled", True), ("gamma1", 0.5), ("gamma2", 0.5)):
+            for algorithm in ("trust-region", "ma-tr"):
+                with pytest.raises(ConfigError, match=f"'{key}': unknown configuration key"):
+                    config_from_dict(
+                        {"problem": "P1", "algorithm": algorithm, "u0": [0, 0], key: value}
+                    )
 
     def test_inapplicable_fields_rejected(self):
         with pytest.raises(ConfigError, match="'alpha'"):

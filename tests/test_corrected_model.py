@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtopt import (
-    CorrectedModel,
-    ModifierFilter,
-    ScalarOracle,
-    compute_modifiers,
-    filter_modifiers,
-    get_problem,
-)
+from rtopt import CorrectedModel, ModifierFilter, ScalarOracle, get_problem
 
 # desk-scale values: at +-1e6 the quadratic reaches 1e12, where rounding of
 # two near-equal values can exceed any difference-relative tolerance
@@ -23,50 +16,69 @@ def sphere_oracle(dim=2):
     return ScalarOracle(lambda u: float(np.dot(u, u)), lambda u: 2.0 * u, dim)
 
 
+def gradient_gap(plant_grad, model_grad):
+    """The correction coefficients of a first update at gain 1."""
+    return ModifierFilter(1.0, len(plant_grad)).update(plant_grad, model_grad)
+
+
 class TestComputeModifiers:
+    """At gain 1 the filter's update is the gradient gap."""
+
     def test_perfect_model_needs_no_correction(self):
-        lam = compute_modifiers([5.0, -3.0], [5.0, -3.0])
+        lam = gradient_gap([5.0, -3.0], [5.0, -3.0])
         assert np.array_equal(lam, [0.0, 0.0])
 
     def test_p1_at_origin(self):
         p = get_problem("P1")
-        lam = compute_modifiers(p.plant_gradient([0.0, 0.0]), p.model_gradient([0.0, 0.0]))
+        lam = gradient_gap(p.plant_gradient([0.0, 0.0]), p.model_gradient([0.0, 0.0]))
         assert lam == pytest.approx([-2.0, -2.0])
 
     def test_one_dimensional_mismatch(self):
         # plant u^2 vs model (u - 1)^2 at u = 0: gradients 0 and -2
-        assert compute_modifiers([0.0], [-2.0]) == pytest.approx([2.0])
+        assert gradient_gap([0.0], [-2.0]) == pytest.approx([2.0])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
-            compute_modifiers([1.0, 2.0], [1.0])
+            gradient_gap([1.0, 2.0], [1.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            compute_modifiers([np.inf], [0.0])
+            gradient_gap([np.inf], [0.0])
+
+    def test_dimension_mismatch_with_the_filter_rejected(self):
+        with pytest.raises(ValueError, match="previous must have equal length"):
+            ModifierFilter(1.0, 2).update([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
 
 
 class TestFilterModifiers:
+    """The update alpha * gap + (1 - alpha) * previous."""
+
     def test_unit_gain_passes_raw_through(self):
-        raw = np.array([3.0, -1.0])
-        assert np.array_equal(filter_modifiers(raw, [9.0, 9.0], 1.0), raw)
+        filt = ModifierFilter(1.0, 2)
+        filt.update([9.0, 9.0], [0.0, 0.0])
+        assert np.array_equal(filt.update([3.0, -1.0], [0.0, 0.0]), [3.0, -1.0])
+
+    def test_unit_gain_keeps_the_filter_arithmetic(self):
+        # -0.0 * 1 + 0.0 * 0 is +0.0: the gap alone would keep the sign
+        lam = ModifierFilter(1.0, 1).update([-0.0], [0.0])
+        assert lam.tobytes() == np.array([0.0]).tobytes()
 
     def test_midpoint(self):
-        assert filter_modifiers([2.0], [0.0], 0.5) == pytest.approx([1.0])
+        assert ModifierFilter(0.5, 1).update([2.0], [0.0]) == pytest.approx([1.0])
 
     def test_geometric_series_closed_form(self):
         # iterate the recursion directly as the oracle for the closed form
         alpha, c = 0.5, 2.0
-        lam = np.array([0.0])
+        filt = ModifierFilter(alpha, 1)
         for _ in range(4):  # k = 0..3
-            lam = filter_modifiers([c], lam, alpha)
+            lam = filt.update([c], [0.0])
         assert lam == pytest.approx([1.875])
         assert lam == pytest.approx([c * (1.0 - (1.0 - alpha) ** 4)])
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
     def test_gain_outside_range_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
-            filter_modifiers([1.0], [0.0], alpha)
+            ModifierFilter(alpha, 1)
 
     @given(
         alpha=st.floats(min_value=0.01, max_value=0.99),
@@ -93,13 +105,7 @@ class TestCorrectedValue:
 
     def test_shifted_value_matches_plant_at_anchor(self):
         p = get_problem("P1")
-        cm = CorrectedModel(
-            p.model,
-            [-2.0, -2.0],
-            anchor=[0.0, 0.0],
-            shift_enabled=True,
-            plant_value_at_anchor=2.0,
-        )
+        cm = CorrectedModel(p.model, [-2.0, -2.0], anchor=[0.0, 0.0], plant_value_at_anchor=2.0)
         assert cm.value([0.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
 
     def test_value_differences_agree_across_forms(self):
@@ -107,19 +113,17 @@ class TestCorrectedValue:
         p = get_problem("P1")
         lam = [-2.0, -2.0]
         plain = CorrectedModel(p.model, lam, anchor=[0.0, 0.0])
-        shifted = CorrectedModel(
-            p.model, lam, anchor=[0.0, 0.0], shift_enabled=True, plant_value_at_anchor=2.0
-        )
+        shifted = CorrectedModel(p.model, lam, anchor=[0.0, 0.0], plant_value_at_anchor=2.0)
         a, b = [1.0, 1.0], [0.0, 0.0]
         diff_plain = plain.value(a) - plain.value(b)
         diff_shifted = shifted.value(a) - shifted.value(b)
         assert diff_plain == pytest.approx(-2.0)
         assert abs(diff_plain - diff_shifted) <= 1e-12
 
-    def test_shift_without_plant_value_is_configuration_error(self):
+    def test_plant_value_alone_applies_the_shift(self):
         p = get_problem("P1")
-        with pytest.raises(ValueError, match="plant_value_at_anchor"):
-            CorrectedModel(p.model, [0.0, 0.0], anchor=[0.0, 0.0], shift_enabled=True)
+        cm = CorrectedModel(p.model, [-2, -2], anchor=[0, 0], plant_value_at_anchor=2.0)
+        assert cm.value([0, 0]) == 2.0
 
     @settings(max_examples=50)
     @given(
@@ -132,9 +136,7 @@ class TestCorrectedValue:
     def test_shift_invariance_of_differences(self, lam, anchor, point_a, point_b, plant_value):
         model = sphere_oracle()
         plain = CorrectedModel(model, lam, anchor=anchor)
-        shifted = CorrectedModel(
-            model, lam, anchor=anchor, shift_enabled=True, plant_value_at_anchor=plant_value
-        )
+        shifted = CorrectedModel(model, lam, anchor=anchor, plant_value_at_anchor=plant_value)
         a, b = np.array(point_a), np.array(point_b)
         diff_plain = plain.value(a) - plain.value(b)
         diff_shifted = shifted.value(a) - shifted.value(b)
@@ -145,9 +147,7 @@ class TestCorrectedValue:
         p = get_problem("P3")
         lam = [3.7, -0.2]
         plain = CorrectedModel(p.model, lam, anchor=[-1.2, 1.0])
-        shifted = CorrectedModel(
-            p.model, lam, anchor=[-1.2, 1.0], shift_enabled=True, plant_value_at_anchor=24.2
-        )
+        shifted = CorrectedModel(p.model, lam, anchor=[-1.2, 1.0], plant_value_at_anchor=24.2)
         rng = np.random.default_rng(0)
         for _ in range(20):
             u = rng.uniform(-3, 3, size=2)
@@ -164,7 +164,7 @@ class TestCorrectedGradient:
     def test_matches_plant_gradient_at_anchor(self):
         p = get_problem("P1")
         anchor = [0.0, 0.0]
-        lam = compute_modifiers(p.plant_gradient(anchor), p.model_gradient(anchor))
+        lam = gradient_gap(p.plant_gradient(anchor), p.model_gradient(anchor))
         cm = CorrectedModel(p.model, lam, anchor=anchor)
         assert np.linalg.norm(cm.gradient(anchor) - p.plant_gradient(anchor)) <= 1e-12
 
@@ -177,7 +177,7 @@ class TestCorrectedGradient:
     def test_p2_anchor_match(self):
         p = get_problem("P2")
         anchor = [1.0]
-        lam = compute_modifiers(p.plant_gradient(anchor), p.model_gradient(anchor))
+        lam = gradient_gap(p.plant_gradient(anchor), p.model_gradient(anchor))
         assert lam == pytest.approx([4.0])
         cm = CorrectedModel(p.model, lam, anchor=anchor)
         assert cm.gradient(anchor) == pytest.approx([2.0])
@@ -186,9 +186,7 @@ class TestCorrectedGradient:
         p = get_problem("P4")
         lam = [1.0, -2.0]
         plain = CorrectedModel(p.model, lam, anchor=[0.0, 0.0])
-        shifted = CorrectedModel(
-            p.model, lam, anchor=[0.0, 0.0], shift_enabled=True, plant_value_at_anchor=170.0
-        )
+        shifted = CorrectedModel(p.model, lam, anchor=[0.0, 0.0], plant_value_at_anchor=170.0)
         u = [0.4, -1.1]
         assert np.array_equal(plain.gradient(u), shifted.gradient(u))
 
@@ -198,7 +196,7 @@ class TestCorrectedGradient:
         rng = np.random.default_rng(3)
         for _ in range(25):
             anchor = rng.uniform(-4, 4, size=p.dimension)
-            lam = compute_modifiers(p.plant_gradient(anchor), p.model_gradient(anchor))
+            lam = gradient_gap(p.plant_gradient(anchor), p.model_gradient(anchor))
             cm = CorrectedModel(p.model, lam, anchor=anchor)
             gap = np.linalg.norm(cm.gradient(anchor) - p.plant_gradient(anchor))
             assert gap <= 1e-12

@@ -48,9 +48,18 @@ def rebuild_model(problem, record, shifted=False):
         problem.model,
         record.modifiers,
         anchor=record.reference,
-        shift_enabled=shifted,
         plant_value_at_anchor=record.plant_value_at_reference if shifted else None,
     )
+
+
+def next_radius(record, constants):
+    """The radius after ``record``: expanded (up to the cap), kept, or
+    shrunk by ``shrink_factor``, by the branch its rho falls in."""
+    if record.rho == DEGENERATE or record.rho < constants.eta1:
+        return constants.shrink_factor * record.radius
+    if record.rho >= constants.eta2:
+        return min(constants.expansion_factor * record.radius, constants.radius_max)
+    return record.radius
 
 
 class TestBasicMA:
@@ -308,15 +317,11 @@ def loop_settings(draw):
     constants, the radius cap unbounded or at least ``delta0``."""
     delta0 = draw(st.floats(0.01, 10.0))
     eta1 = draw(st.floats(0.01, 0.9))
-    gamma1 = draw(st.floats(0.05, 0.9))
-    gamma2 = draw(st.floats(gamma1, 0.95))
     constants = TrustRegionConstants(
         eta1=eta1,
         eta2=draw(st.floats(eta1, 0.99)),
-        gamma1=gamma1,
-        gamma2=gamma2,
         expansion_factor=draw(st.floats(1.1, 4.0)),
-        shrink_factor=draw(st.floats(gamma1, gamma2)),
+        shrink_factor=draw(st.floats(0.05, 0.95)),
         radius_max=draw(st.one_of(st.just(math.inf), st.floats(1.0, 100.0).map(delta0.__mul__))),
     )
     return delta0, constants
@@ -341,6 +346,9 @@ class TestRandomQuadraticPairs:
             assert all(r.radius is None or r.radius > 0.0 for r in trace.records)
             if trace.termination_status == "converged":
                 assert trace.final_gradient_norm <= stop.tolerance
+            if name != "basic-ma":
+                for prev, nxt in zip(trace.records, trace.records[1:]):
+                    assert nxt.radius == next_radius(prev, constants)
             if name != "basic-ma" and not noisy:
                 values = [r.plant_value_at_reference for r in trace.records]
                 values.append(trace.final_plant_value)
@@ -463,14 +471,7 @@ class TestMaTrDriver:
         for pid, u0 in STARTS.items():
             trace = run_ma_tr(get_problem(pid), u0, stop=StoppingCriteria(max_iterations=150))
             for prev, nxt in zip(trace.records, trace.records[1:]):
-                if prev.rho == DEGENERATE or prev.rho < constants.eta1:
-                    lo = constants.gamma1 * prev.radius
-                    hi = constants.gamma2 * prev.radius
-                    assert lo * (1 - 1e-12) <= nxt.radius <= hi * (1 + 1e-12)
-                elif prev.rho >= constants.eta2:
-                    assert nxt.radius >= prev.radius
-                else:
-                    assert constants.gamma2 * prev.radius <= nxt.radius <= prev.radius
+                assert nxt.radius == next_radius(prev, constants)
 
     def test_radius_stays_positive_and_capped(self):
         constants = TrustRegionConstants(radius_max=4.0)
@@ -779,8 +780,6 @@ class TestRecordedConfig:
         "delta0": 1.0,
         "eta1": 0.1,
         "eta2": 0.9,
-        "gamma1": 0.5,
-        "gamma2": 0.5,
         "expansion_factor": 2.0,
         "shrink_factor": 0.5,
         "radius_max": None,
@@ -811,8 +810,8 @@ class TestRecordedConfig:
     def test_settings_through_run_config(self):
         common = {"problem": "P4", "u0": [0.5, -1], "noise_level": 0.01, "seed": 3,
                   "tolerance": 0.001, "max_iterations": 5, "max_plant_evaluations": 99}
-        loop = {"delta0": 0.5, "eta1": 0.2, "eta2": 0.8, "gamma1": 0.25, "gamma2": 0.75,
-                "expansion_factor": 3.0, "shrink_factor": 0.5, "radius_max": 4.0}
+        loop = {"delta0": 0.5, "eta1": 0.2, "eta2": 0.8, "expansion_factor": 3.0,
+                "shrink_factor": 0.25, "radius_max": 4.0}
         runs = [
             ({**common, "algorithm": "basic-ma", "alpha": 0.5, "box_halfwidth": 10.0},
              {**self.BASIC_MA, **common, "algorithm": "basic-ma", "alpha": 0.5,

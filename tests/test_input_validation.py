@@ -79,21 +79,20 @@ def test_non_finite_gradient_signals_oracle_failure(bad):
         oracle.gradient([0.0, 0.0])
 
 
-def corrected(shift_enabled, dim=2):
+def corrected(shifted, dim=2):
     base = ScalarOracle(lambda u: float(np.dot(u, u)), lambda u: 2.0 * u, dim)
     return CorrectedModel(
         base,
         [1.5, -0.25][:dim],
         anchor=[0.5, -2.0][:dim],
-        shift_enabled=shift_enabled,
-        plant_value_at_anchor=3.0 if shift_enabled else None,
+        plant_value_at_anchor=3.0 if shifted else None,
     )
 
 
 METHODS = ("value", "value_change", "gradient")
 
 
-@pytest.mark.parametrize("shift_enabled", [False, True])
+@pytest.mark.parametrize("shifted", [False, True])
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize(
     "u, message",
@@ -105,8 +104,8 @@ METHODS = ("value", "value_change", "gradient")
         ([[0.0, 1.0]], "1-D"),
     ],
 )
-def test_corrected_model_rejects_bad_input(shift_enabled, method, u, message):
-    cm = corrected(shift_enabled)
+def test_corrected_model_rejects_bad_input(shifted, method, u, message):
+    cm = corrected(shifted)
     counts = (cm.base_model.value_calls, cm.base_model.gradient_calls)
     with pytest.raises(ValueError, match=message):
         getattr(cm, method)(u)
@@ -125,10 +124,10 @@ pairs = st.tuples(finite, finite)
         pairs.map(lambda p: np.array(p, dtype=np.float32)),
         st.tuples(st.integers(-100, 100), st.integers(-100, 100)).map(np.array),
     ),
-    shift_enabled=st.booleans(),
+    shifted=st.booleans(),
 )
-def test_corrected_model_equals_prevalidated_input(u, shift_enabled):
-    cm = corrected(shift_enabled)
+def test_corrected_model_equals_prevalidated_input(u, shifted):
+    cm = corrected(shifted)
     v = reference_as_input_vector(u, 2)
     assert cm.value(u) == cm.value(v)
     assert cm.value_change(u) == cm.value_change(v)
@@ -137,7 +136,7 @@ def test_corrected_model_equals_prevalidated_input(u, shift_enabled):
 
 @pytest.mark.parametrize("u", [0.75, np.float64(0.75), np.array(0.75), [0.75]])
 def test_corrected_model_promotes_scalar_input_in_one_dimension(u):
-    cm = corrected(shift_enabled=False, dim=1)
+    cm = corrected(shifted=False, dim=1)
     v = np.array([0.75])
     assert cm.value(u) == cm.value(v)
     assert cm.value_change(u) == cm.value_change(v)

@@ -203,6 +203,48 @@ class TestSolveSubproblem:
         result = solve_subproblem(cm, anchor, 1.0)
         assert result.candidate == pytest.approx([0.0], abs=1e-9)
 
+    def test_cauchy_value_measured_twice_without_a_hessian(self, monkeypatch):
+        # The ray search measures the Cauchy point once and the solver its
+        # change once; where the ball projection leaves the point in place,
+        # the descent starting there takes that change instead of a third.
+        points = []
+
+        def value(u):
+            points.append(u.tobytes())
+            return float(u @ u) + math.sin(3.0 * u[0])
+
+        oracle = ScalarOracle(
+            value, lambda u: 2.0 * u + np.array([3.0 * math.cos(3.0 * u[0]), 0.0]), 2
+        )
+        rng = np.random.default_rng(11)
+        cases = [
+            (rng.uniform(-2.0, 2.0, size=2), rng.normal(size=2), rng.uniform(0.1, 3.0))
+            for _ in range(50)
+        ]
+
+        def run():
+            out = []
+            for anchor, lam, radius in cases:
+                cm = CorrectedModel(oracle, lam, anchor=anchor)
+                points.clear()
+                r = solve_subproblem(cm, anchor, radius)
+                cp = r.cauchy_point
+                kept = subproblem._ball_projection(anchor, radius)(cp).tobytes() == cp.tobytes()
+                result = (r.candidate.tobytes(), r.predicted_change, r.descent_evaluations)
+                out.append((kept, points.count(cp.tobytes()), result))
+            return out
+
+        reused = run()
+        inside = [calls for kept, calls, _ in reused if kept]
+        assert len(inside) >= 25
+        assert inside == [2] * len(inside)
+
+        def measured_again(*args, start_value=None, **kwargs):
+            return projected_descent(*args, **kwargs)
+
+        monkeypatch.setattr(subproblem, "projected_descent", measured_again)
+        assert [result for *_, result in run()] == [result for *_, result in reused]
+
 
 class TestProjectedDescent:
     def test_reaches_the_minimizer_below_value_rounding(self):

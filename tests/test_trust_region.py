@@ -20,7 +20,7 @@ class TestConstants:
     def test_defaults_are_valid(self):
         c = TrustRegionConstants()
         assert c.eta1 == 0.1 and c.eta2 == 0.9
-        assert c.gamma1 == c.gamma2 == c.shrink_factor == 0.5
+        assert c.shrink_factor == 0.5
         assert c.expansion_factor == 2.0
         assert math.isinf(c.radius_max)
 
@@ -30,10 +30,10 @@ class TestConstants:
             {"eta1": 0.0},
             {"eta1": 0.95, "eta2": 0.9},
             {"eta2": 1.0},
-            {"gamma1": 0.0, "shrink_factor": 0.0},
-            {"gamma1": 0.7, "gamma2": 0.6},
-            {"gamma2": 1.0, "shrink_factor": 1.0},
-            {"shrink_factor": 0.9},
+            {"shrink_factor": 0.0},
+            {"shrink_factor": -0.5},
+            {"shrink_factor": 1.0},
+            {"shrink_factor": math.nan},
             {"expansion_factor": 1.0},
             {"radius_max": 0.0},
         ],
@@ -153,31 +153,23 @@ class TestUpdateRadius:
         rho=st.one_of(st.none(), st.floats(min_value=-5.0, max_value=3.0)),
         eta1=st.floats(min_value=0.01, max_value=0.5),
         eta_gap=st.floats(min_value=0.0, max_value=0.45),
-        gamma1=st.floats(min_value=0.05, max_value=0.5),
-        gamma_gap=st.floats(min_value=0.0, max_value=0.45),
-        shrink_frac=st.floats(min_value=0.0, max_value=1.0),
+        shrink=st.floats(min_value=0.01, max_value=0.99),
         expansion=st.floats(min_value=1.01, max_value=10.0),
     )
-    def test_output_lies_in_branch_interval(
-        self, radius, rho, eta1, eta_gap, gamma1, gamma_gap, shrink_frac, expansion
-    ):
-        gamma2 = min(gamma1 + gamma_gap, 0.99)
+    def test_output_lies_in_branch_interval(self, radius, rho, eta1, eta_gap, shrink, expansion):
         constants = TrustRegionConstants(
             eta1=eta1,
             eta2=min(eta1 + eta_gap, 0.99),
-            gamma1=gamma1,
-            gamma2=gamma2,
-            shrink_factor=gamma1 + shrink_frac * (gamma2 - gamma1),
+            shrink_factor=shrink,
             expansion_factor=expansion,
         )
         out = update_radius(radius, rho, constants)
         if rho is not None and rho >= constants.eta2:
-            assert out >= radius
+            assert out == expansion * radius
         elif rho is not None and rho >= constants.eta1:
-            assert constants.gamma2 * radius <= out <= radius
+            assert out == radius
         else:
-            tol = 1e-12 * radius
-            assert constants.gamma1 * radius - tol <= out <= constants.gamma2 * radius + tol
+            assert out == shrink * radius
         assert out > 0.0
 
 
