@@ -95,12 +95,14 @@ class CorrectedModel:
             base_gradient = as_input_vector(base_gradient, self.dimension)
         self._base_gradient, self._anchor_terms = base_gradient, None
         # The shift lives in this one constant: every value is the value at
-        # the anchor plus the shift-free change from it.
-        self._value_at_anchor = (
-            self._model_at_anchor + float(self.modifiers @ self.anchor)
-            if plant_value_at_anchor is None
-            else float(plant_value_at_anchor)
-        )
+        # the anchor plus the shift-free change from it.  Far from the
+        # origin modifiers . anchor may overflow; no value change reads it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._value_at_anchor = (
+                self._model_at_anchor + float(self.modifiers @ self.anchor)
+                if plant_value_at_anchor is None
+                else float(plant_value_at_anchor)
+            )
 
     @property
     def dimension(self) -> int:
@@ -124,23 +126,21 @@ class CorrectedModel:
         """Corrected gradient at u; identical with or without the shift."""
         return self.base_model.gradient(u) + self.modifiers
 
-    def anchor_terms(self, u: np.ndarray) -> tuple:
+    def anchor_terms(self) -> tuple:
         """``(g, g.g, g.Hg, q^T g)`` for the corrected gradient g at the
-        point ``u`` and the declared Hessian ``H = q diag(w) q^T``
-        (None, None without one): the subproblem's terms that no radius
-        changes, computed once for the model's own anchor."""
-        own = np.asarray(u).tobytes() == self.anchor.tobytes()
-        if own and self._anchor_terms is not None:
-            return self._anchor_terms
-        base = self._base_gradient if own else None
-        g = (self.base_model.gradient(u) if base is None else base) + self.modifiers
-        terms = (g, float(g.dot(g)), None, None)
-        if self.hessian is not None:
-            q = self.base_model.hessian_eigh()[1]
-            terms = (g, terms[1], float(g @ (self.hessian @ g)), q.T @ g)
-        if own:
+        anchor and the declared Hessian ``H = q diag(w) q^T`` (None, None
+        without one): the subproblem's terms that no radius changes,
+        computed on the first call.  A g.g that overflows is inf."""
+        if self._anchor_terms is None:
+            base = self._base_gradient
+            g = (self.base_model.gradient(self.anchor) if base is None else base) + self.modifiers
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = (g, float(g.dot(g)), None, None)
+                if self.hessian is not None:
+                    q = self.base_model.hessian_eigh()[1]
+                    terms = (g, terms[1], float(g @ (self.hessian @ g)), q.T @ g)
             self._anchor_terms = terms
-        return terms
+        return self._anchor_terms
 
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference

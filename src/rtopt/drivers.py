@@ -235,15 +235,11 @@ _BOX_BUDGET_PER_START = 2000
 _BOX_BOUNDARY_RTOL = 1e-9
 
 
-def _box_minimize(
-    model: CorrectedModel,
-    current: np.ndarray,
-    halfwidth: float,
-    rng: np.random.Generator | None,
-):
+def _box_minimize(model: CorrectedModel, halfwidth: float, rng: np.random.Generator | None):
     """The ``basic-ma`` step: the corrected model's minimizer over the box
     ``[-halfwidth, halfwidth]^n``.  Returns ``(point, status)``, where
-    ``status`` is None or the status that ends the run.
+    ``status`` is None or the status that ends the run.  ``current`` is
+    the model's anchor.
 
     With a declared Hessian ``q diag(w) q^T`` (``w`` ascending) the step
     is ``s = q (q^T g / w)`` over the nonzero eigenvalues, and the
@@ -258,9 +254,10 @@ def _box_minimize(
     best point on its boundary with the descent direction pointing outward
     is reported like a minimizer beyond the box.
     """
+    current = model.anchor
     if model.hessian is not None:
         w, q, _ = model.base_model.hessian_eigh()
-        gt = model.anchor_terms(current)[3]
+        gt = model.anchor_terms()[3]
         tol = 10 * w.size * math.ulp(1.0)  # 10 n eps
         scale = max(-w[0], w[-1])  # max |w|
         null = np.abs(w) <= tol * scale
@@ -297,6 +294,12 @@ def _box_minimize(
     return best_x, "outside-box" if outward.any() else None
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a measured gradient; inf where its square overflows."""
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(v.dot(v)))
+
+
 def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     """The loop of all three drivers, running ``cfg`` on ``problem``.
     The trust-region loops step to the corrected model's minimizer in the
@@ -326,7 +329,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
         radius0 = cfg.delta0 if ball else math.inf
         state = TrustRegionState(reference=u, radius=radius0, reference_plant_value=ref_value)
         for k in range(stop.max_iterations):
-            gnorm = math.sqrt(float(ref_grad.dot(ref_grad)))
+            gnorm = _norm(ref_grad)
             if gnorm <= stop.tolerance:
                 status = "converged"
                 break
@@ -344,14 +347,16 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             anchor = state.reference.copy()
             anchor_value = state.reference_plant_value
             radius = state.radius
-            if ball:
-                result = solve_subproblem(model, anchor, radius)
+            # No predicted model decrease, as in a ball shrunk to 0.0: every
+            # later iteration would be degenerate and only shrink the radius.
+            if ball and radius == 0.0:
+                end = "stalled"
+            elif ball:
+                result = solve_subproblem(model, radius)
                 candidate = result.candidate
-                # No predicted model decrease: every later iteration would
-                # be degenerate and only shrink the radius towards 0.
                 end = "stalled" if result.predicted_change >= 0.0 else None
             else:
-                candidate, end = _box_minimize(model, anchor, cfg.box_halfwidth, rng)
+                candidate, end = _box_minimize(model, cfg.box_halfwidth, rng)
             if end is not None:
                 status = end
                 break
@@ -359,7 +364,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             if ball:
                 # The model enters the ratio as its change from the anchor,
                 # which is the same with or without the value shift.
-                rho = compute_rho(anchor_value, cand_value, 0.0, result.predicted_change)
+                rho = compute_rho(anchor_value, cand_value, result.predicted_change)
                 accepted = accept_candidate(state, candidate, cand_value, rho, constants)
                 state.radius = update_radius(radius, rho, constants)
                 rho = DEGENERATE if rho is None else rho
@@ -385,7 +390,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 ref_grad, model, model_grad = unmeasured, None, None
                 ref_grad = problem.plant_gradient(state.reference)
         # the cap can land exactly on the converging iteration
-        if status == "max-iterations" and math.sqrt(float(ref_grad.dot(ref_grad))) <= stop.tolerance:
+        if status == "max-iterations" and _norm(ref_grad) <= stop.tolerance:
             status = "converged"
     except OracleError:
         status = "oracle-failure"
@@ -405,7 +410,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
         plant_gradient_evaluations=g1 - g0,
         final_reference=final_ref,
         final_plant_value=final_val,
-        final_gradient_norm=math.sqrt(float(ref_grad.dot(ref_grad))),
+        final_gradient_norm=_norm(ref_grad),
         notes=notes,
     )
 

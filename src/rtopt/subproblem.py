@@ -84,12 +84,7 @@ _SCAN_POINTS = 16
 _SCAN_MAX_EVALS = 100
 
 
-def cauchy_point(
-    model: CorrectedModel,
-    anchor,
-    radius: float,
-    terms=None,
-) -> tuple[np.ndarray, float]:
+def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, float]:
     """Minimize the model along ``anchor - t * grad(anchor)`` within the ball.
 
     With a constant model Hessian H the minimizer is t = g.g / g.Hg,
@@ -101,22 +96,23 @@ def cauchy_point(
     scan's, so the result never does worse than any scanned point, and
     it improves on the anchor unless the model is flat along the ray to
     rounding.
-    Returns ``(point, t)`` with t the unnormalized ray parameter; a zero
-    gradient returns ``(anchor, 0.0)``.  ``terms`` are the model's
-    ``anchor_terms(anchor)``, if the caller already has them.
+    Returns ``(point, change)``, ``change`` the model change from the
+    anchor at ``point``.  A zero gradient, or one whose g.g overflows so
+    that every step along the ray rounds to 0, returns ``(anchor, 0.0)``.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    anchor = as_input_vector(anchor, model.dimension)
-    g, gg, curvature, _ = model.anchor_terms(anchor) if terms is None else terms
-    gnorm = math.sqrt(gg)
-    if gnorm == 0.0:
+    anchor = model.anchor
+    g, gg, curvature, _ = model.anchor_terms()
+    if not 0.0 < gg < math.inf:
         return anchor.copy(), 0.0
+    gnorm = math.sqrt(gg)
 
     t_max = radius / gnorm
     if curvature is not None:
         t = t_max if curvature <= 0.0 else min(gg / curvature, t_max)
-        return anchor - t * g, t
+        point = anchor - t * g
+        return point, model.value_change(point)
 
     # The search runs on the distance s = t |g| along the ray, in the
     # ball's units, so its stopping rule does not depend on |g|.
@@ -128,7 +124,7 @@ def cauchy_point(
     scan = [0.0] + [model.value_change(ray(j * ds)) for j in range(1, _SCAN_POINTS + 1)]
     j = int(np.argmin(scan))
     lo, hi = max(j - 1, 0) * ds, min(j + 1, _SCAN_POINTS) * ds
-    best, _, _ = projected_descent(
+    best, change, _ = projected_descent(
         lambda s: model.value_change(ray(s[0])),
         lambda s: np.array([-float(g @ model.gradient(ray(s[0]))) / gnorm]),
         np.array([j * ds]),
@@ -137,7 +133,7 @@ def cauchy_point(
         (hi - lo) / gnorm,
         start_value=scan[j],
     )
-    return ray(best[0]), float(best[0]) / gnorm
+    return ray(best[0]), change
 
 
 # projected descent stops when the projected gradient step is below this,
@@ -297,20 +293,19 @@ def _exact_step(w, shifted, q, gt, radius: float) -> np.ndarray:
         norm = math.sqrt(norm2)
         if norm <= radius:
             break
-        step = norm2 * (norm - radius) / (radius * float(c @ (c / d)))
+        slope = radius * float(c @ (c / d))
+        if slope == 0.0:  # a subnormal radius: the step is below resolution
+            break
+        step = norm2 * (norm - radius) / slope
         if mu + step == mu:
             break
         mu += step
     return q @ (-gt / (shifted + mu))
 
 
-def solve_subproblem(
-    model: CorrectedModel,
-    anchor,
-    radius: float,
-) -> SubproblemResult:
+def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     """Minimize the corrected model over the closed ball of the given
-    radius around the anchor.
+    radius around its anchor.
 
     A model with a constant Hessian is minimized exactly.  Otherwise the
     minimum is approximated by projected descent, which starts from the
@@ -322,21 +317,22 @@ def solve_subproblem(
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    anchor = as_input_vector(anchor, model.dimension)
+    anchor = model.anchor
     project = _ball_projection(anchor, radius)
 
-    terms = _, gg, _, gt = model.anchor_terms(anchor)
-    cp, _ = cauchy_point(model, anchor, radius, terms)
-    cp_change = model.value_change(cp)
+    _, gg, _, gt = model.anchor_terms()
+    cp, cp_change = cauchy_point(model, radius)
 
     if gt is None:
         initial_step = radius / math.sqrt(gg) if gg > 0 else 1.0
         # the descent projects its start: cp_change holds if that leaves cp in place
         known = cp_change if project(cp).tobytes() == cp.tobytes() else None
-        best, best_change, evals = projected_descent(
-            model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step,
-            start_value=known,
-        )
+        # a g.g that overflows overflows the ball's norms too; they then scale steps to 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            best, best_change, evals = projected_descent(
+                model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step,
+                start_value=known,
+            )
     else:
         w, q, shifted = model.base_model.hessian_eigh()
         # eigenvalues tiny beside g overflow the step: the Cauchy point stands in
@@ -361,30 +357,23 @@ def solve_subproblem(
 
 
 def check_sufficient_decrease(
-    model_ref: float,
-    model_cand: float,
+    change: float,
     grad_norm: float,
     radius: float,
     params: SufficientDecreaseParams,
 ) -> bool:
-    """True iff the model decrease reaches the certified fraction of
-    ``grad_norm * min(grad_norm / beta, radius)``.
+    """True iff the model decrease ``-change`` reaches the certified
+    fraction of ``grad_norm * min(grad_norm / beta, radius)``.
     """
-    for name, v in (
-        ("model_ref", model_ref),
-        ("model_cand", model_cand),
-        ("grad_norm", grad_norm),
-        ("radius", radius),
-    ):
+    for name, v in (("change", change), ("grad_norm", grad_norm), ("radius", radius)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
     if grad_norm < 0:
         raise ValueError("grad_norm must be >= 0")
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    decrease = model_ref - model_cand
     threshold = params.kappa * grad_norm * min(grad_norm / params.beta, radius)
-    return decrease >= threshold
+    return -change >= threshold
 
 
 def estimate_beta(

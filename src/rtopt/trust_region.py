@@ -77,32 +77,24 @@ class TrustRegionState:
             raise ValueError("radius must be > 0")
 
 
-def compute_rho(
-    plant_ref: float,
-    plant_cand: float,
-    model_ref: float,
-    model_cand: float,
-    degeneracy_threshold: float | None = None,
-) -> float | None:
-    """Achieved plant decrease over predicted model decrease.
+def compute_rho(plant_ref: float, plant_cand: float, predicted_change: float) -> float | None:
+    """Achieved plant decrease over the predicted model decrease
+    ``-predicted_change``, the model's change from the reference at the
+    candidate.
 
     Returns None (degenerate) when the predicted decrease does not exceed
-    ``degeneracy_threshold``, by default ``DEGENERACY_EPS_FACTOR`` machine
-    epsilons times ``|plant_ref|``; callers treat that as a failed
-    iteration.
+    ``DEGENERACY_EPS_FACTOR`` machine epsilons times ``|plant_ref|``;
+    callers treat that as a failed iteration.
     """
     for name, v in (
         ("plant_ref", plant_ref),
         ("plant_cand", plant_cand),
-        ("model_ref", model_ref),
-        ("model_cand", model_cand),
+        ("predicted_change", predicted_change),
     ):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
-    if degeneracy_threshold is None:
-        degeneracy_threshold = DEGENERACY_EPS_FACTOR * sys.float_info.epsilon * abs(plant_ref)
-    predicted = model_ref - model_cand
-    if predicted <= degeneracy_threshold:
+    predicted = -predicted_change
+    if predicted <= DEGENERACY_EPS_FACTOR * sys.float_info.epsilon * abs(plant_ref):
         return None
     return (plant_ref - plant_cand) / predicted
 

@@ -160,7 +160,7 @@ def test_criterion_05_sufficient_decrease_certificate(ma_tr_suite, tr_suite):
                     kappa=0.1, beta=estimate_beta(model, r.reference, r.radius)
                 )
                 checked += 1
-                if not check_sufficient_decrease(0.0, change, gnorm, r.radius, params):
+                if not check_sufficient_decrease(change, gnorm, r.radius, params):
                     failures += 1
     ok = failures == 0 and checked > 0
     detail = f"decrease certificate held at {checked - failures}/{checked} iterations"
@@ -214,8 +214,8 @@ def test_criterion_07_shift_equivalence(ma_tr_suite):
         problem = get_problem(pid)
         for r in trace.records:
             plain, shifted = (_rebuild(problem, r, s) for s in (False, True))
-            a = solve_subproblem(plain, r.reference, r.radius)
-            b = solve_subproblem(shifted, r.reference, r.radius)
+            a = solve_subproblem(plain, r.radius)
+            b = solve_subproblem(shifted, r.radius)
             checked += 1
             same += (
                 a.candidate.tobytes() == b.candidate.tobytes() == r.applied_input.tobytes()
@@ -289,7 +289,7 @@ def test_criterion_10_subproblem_oracle_equivalence():
         grid_best = np.array([gx.flat[flat], gy.flat[flat]])
         spacing = xs[1] - xs[0]
         worst_grid = max(worst_grid, float(np.linalg.norm(grid_best - analytic)))
-        result = solve_subproblem(model, anchor, radius)
+        result = solve_subproblem(model, radius)
         worst_solver = max(worst_solver, float(np.linalg.norm(result.candidate - analytic)))
         assert np.linalg.norm(grid_best - analytic) <= 2.0 * spacing
     ok = worst_solver <= 1e-6

@@ -202,8 +202,8 @@ class TestWholeBoxStep:
         closed = CorrectedModel(quadratic(h), g - h @ anchor, anchor=anchor)
         search = CorrectedModel(quadratic(h, declared=False), g - h @ anchor, anchor=anchor)
         assert closed.gradient(anchor) == pytest.approx(g, abs=1e-9)
-        point, status = _box_minimize(closed, anchor, halfwidth, rng=None)
-        found, found_status = _box_minimize(search, anchor, halfwidth, np.random.default_rng(0))
+        point, status = _box_minimize(closed, halfwidth, rng=None)
+        found, found_status = _box_minimize(search, halfwidth, np.random.default_rng(0))
 
         unbounded = kind in ("indefinite", "off-range")
         assert (status == "unbounded-subproblem") == unbounded
@@ -245,14 +245,14 @@ class TestWholeBoxStep:
         ]
         for h, g, expected in cases:
             model = CorrectedModel(quadratic(h), g, anchor=[0.0, 0.0])
-            assert _box_minimize(model, np.zeros(2), 10.0, rng=None)[1] == expected
+            assert _box_minimize(model, 10.0, rng=None)[1] == expected
 
     def test_singular_hessians_are_bounded_to_rounding(self):
         # eigh leaves a rounding residue of about 1e-16 of g on the zero
         # eigenvector of this H, which is not diagonal
         h = np.array([[1.0, 2.0], [2.0, 4.0]])
         model = CorrectedModel(quadratic(h), h @ np.ones(2), anchor=[0.0, 0.0])
-        point, status = _box_minimize(model, np.zeros(2), 10.0, rng=None)
+        point, status = _box_minimize(model, 10.0, rng=None)
         assert status is None
         assert point == pytest.approx([-0.6, -1.2], abs=1e-12)
         # g = Hu + b rounds at the scale of |H| |u|, here far above |g|
@@ -262,7 +262,7 @@ class TestWholeBoxStep:
         h = (h + h.T) / 2.0
         anchor, step = np.array([0.5, 0.7]), 1e-9 * q[:, 1]
         model = CorrectedModel(quadratic(h), -h @ step - h @ anchor, anchor=anchor)
-        point, status = _box_minimize(model, anchor, 10.0, rng=None)
+        point, status = _box_minimize(model, 10.0, rng=None)
         assert status is None
         assert point == pytest.approx(anchor + step, abs=1e-12)
         # the zero eigenvector rounds at the scale of |H| |s|, here far
@@ -271,7 +271,7 @@ class TestWholeBoxStep:
         h = q @ np.diag([0.0, 1e-3, 1e3]) @ q.T
         h = (h + h.T) / 2.0
         model = CorrectedModel(quadratic(h), h @ q[:, 1], anchor=np.zeros(3))
-        assert _box_minimize(model, np.zeros(3), 10.0, rng=None)[1] is None
+        assert _box_minimize(model, 10.0, rng=None)[1] is None
 
     def test_declared_hessian_builds_no_generator(self, monkeypatch):
         def no_generator(*args, **kwargs):
@@ -464,7 +464,7 @@ class TestMaTrDriver:
                 params = SufficientDecreaseParams(
                     kappa=0.1, beta=estimate_beta(model, r.reference, r.radius)
                 )
-                assert check_sufficient_decrease(0.0, change, gnorm, r.radius, params)
+                assert check_sufficient_decrease(change, gnorm, r.radius, params)
 
     def test_radius_updates_follow_rho_branches(self):
         constants = TrustRegionConstants()
@@ -594,7 +594,7 @@ class TestMaTrDriver:
         last = trace.records[-1]
         assert not last.accepted
         model = rebuild_model(problem, last)
-        result = solve_subproblem(model, trace.final_reference, 0.5 * last.radius)
+        result = solve_subproblem(model, 0.5 * last.radius)
         assert not np.array_equal(result.cauchy_point, trace.final_reference)
         assert model.value_change(result.cauchy_point) >= 0.0
         assert result.predicted_change >= 0.0
@@ -613,6 +613,36 @@ class TestMaTrDriver:
         assert trace.termination_status == "stalled"
         assert trace.iterations == 0
         assert trace.plant_evaluation_count == 2
+
+    @pytest.mark.parametrize(
+        "raw, iterations",
+        [
+            # the Newton step of the exact solve underflows in a subnormal ball
+            ({"problem": "P3", "algorithm": "ma-tr", "u0": [0, 0], "delta0": 5e-324}, 1),
+            # a rejection shrinks the radius to 0.0
+            ({"problem": "P3", "algorithm": "trust-region", "u0": [1e-300, 1e-300],
+              "shrink_factor": 1e-300}, 2),
+            # g.g overflows: the plant gradient at the start is about 1e154
+            ({"problem": "P1", "algorithm": "trust-region", "u0": [5e153, 5e153]}, 0),
+            ({"problem": "P1", "algorithm": "ma-tr", "u0": [5e153, 5e153]}, 0),
+            # noise of 1e300 on the gradient, which overflows modifiers . anchor too
+            ({"problem": "P1", "algorithm": "ma-tr", "u0": [1e100, 1e100],
+              "noise_level": 1e300}, 0),
+        ],
+    )
+    def test_zero_ball_or_overflowing_gradient_ends_stalled(self, raw, iterations):
+        trace = run_config(config_from_dict(raw))
+        assert trace.termination_status == "stalled"
+        assert trace.iterations == iterations
+        assert all(r.radius > 0.0 for r in trace.records)
+
+    @pytest.mark.parametrize("run", [run_ma_tr, run_trust_region])
+    def test_overflowing_gradient_stalls_without_a_hessian(self, run):
+        p = get_problem("P1")
+        twin = ScalarOracle(p.model.value, p.model.gradient, p.dimension)
+        trace = run(ProblemPair("P1", p.plant, twin), [5e153, 5e153])
+        assert trace.termination_status == "stalled"
+        assert trace.iterations == 0
 
     def test_stopping_criteria_validation(self):
         with pytest.raises(ValueError, match="tolerance"):
@@ -646,9 +676,9 @@ class TestModelReuse:
 
         at_solve = []
 
-        def counted_solve(model, anchor, radius):
+        def counted_solve(model, radius):
             at_solve.append((problem.model.gradient_calls, len(built)))
-            return solve_subproblem(model, anchor, radius)
+            return solve_subproblem(model, radius)
 
         monkeypatch.setattr(drivers, "CorrectedModel", CountedModel)
         monkeypatch.setattr(drivers, "solve_subproblem", counted_solve)
@@ -676,7 +706,7 @@ class TestModelReuse:
             lam = alpha * raw + (1.0 - alpha) * lam
             assert r.modifiers.tobytes() == lam.tobytes()
             # the loop solved on a model with exactly these modifiers
-            result = solve_subproblem(rebuild_model(fresh, r), r.reference, r.radius)
+            result = solve_subproblem(rebuild_model(fresh, r), r.radius)
             assert result.candidate.tobytes() == r.applied_input.tobytes()
             fresh.evaluate_plant(r.applied_input)
             if r.accepted:
