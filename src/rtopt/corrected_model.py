@@ -127,18 +127,18 @@ class CorrectedModel:
         return self.base_model.gradient(u) + self.modifiers
 
     def anchor_terms(self) -> tuple:
-        """``(g, g.g, g.Hg, q^T g)`` for the corrected gradient g at the
-        anchor and the declared Hessian ``H = q diag(w) q^T`` (None, None
-        without one): the subproblem's terms that no radius changes,
-        computed on the first call.  A g.g that overflows is inf."""
+        """``(g, g.g, g.Hg, w, q, q^T g)`` for the corrected gradient g at
+        the anchor and the Hessian ``H = q diag(w) q^T``, ``w`` ascending
+        (the last four None without one): the solvers' one source of
+        curvature, computed on the first call.  A g.g that overflows is inf."""
         if self._anchor_terms is None:
             base = self._base_gradient
             g = (self.base_model.gradient(self.anchor) if base is None else base) + self.modifiers
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = (g, float(g.dot(g)), None, None)
+                terms = (g, float(g.dot(g)), None, None, None, None)
                 if self.hessian is not None:
-                    q = self.base_model.hessian_eigh()[1]
-                    terms = (g, terms[1], float(g @ (self.hessian @ g)), q.T @ g)
+                    w, q = self.base_model.hessian_eigh()
+                    terms = (g, terms[1], float(g @ (self.hessian @ g)), w, q, q.T @ g)
             self._anchor_terms = terms
         return self._anchor_terms
 

@@ -256,8 +256,7 @@ def _box_minimize(model: CorrectedModel, halfwidth: float, rng: np.random.Genera
     """
     current = model.anchor
     if model.hessian is not None:
-        w, q, _ = model.base_model.hessian_eigh()
-        gt = model.anchor_terms()[3]
+        w, q, gt = model.anchor_terms()[3:]
         tol = 10 * w.size * math.ulp(1.0)  # 10 n eps
         scale = max(-w[0], w[-1])  # max |w|
         null = np.abs(w) <= tol * scale

@@ -11,6 +11,7 @@ models are always exact.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -84,7 +85,8 @@ class ScalarOracle:
         ball-constrained subproblem is then solved exactly.
 
     Every ``value``/``gradient`` call increments the corresponding counter
-    by exactly one.  Non-finite results raise :class:`OracleError`.
+    by exactly one.  Non-finite results and an ``ArithmeticError`` raised
+    by a wrapped function (an overflow) raise :class:`OracleError`.
     """
 
     def __init__(
@@ -105,13 +107,12 @@ class ScalarOracle:
         """The constant Hessian (read-only), or None if none was declared."""
         return self._hessian
 
-    def hessian_eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ascending eigenvalues ``w``, orthonormal eigenvectors (columns)
-        and ``w + max(0, -w[0])`` (no eigenvalue below 0) of the declared
-        Hessian, computed on the first call and kept read-only."""
+    def hessian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending eigenvalues ``w`` and orthonormal eigenvectors
+        (columns) ``q`` of the declared Hessian, computed on the first
+        call and kept read-only."""
         if self._eigh is None:
-            w, q = np.linalg.eigh(self._hessian)
-            self._eigh = (w, q, w + max(0.0, -w[0]))
+            self._eigh = np.linalg.eigh(self._hessian)
             for a in self._eigh:
                 a.setflags(write=False)
         return self._eigh
@@ -119,7 +120,10 @@ class ScalarOracle:
     def value(self, u) -> float:
         u = as_input_vector(u, self.dimension)
         self.value_calls += 1
-        out = float(self._value_fn(u))
+        try:
+            out = float(self._value_fn(u))
+        except ArithmeticError as exc:
+            raise OracleError(f"oracle value failed at u={u!r}: {exc!r}") from exc
         if not math.isfinite(out):
             raise OracleError(f"oracle value is non-finite at u={u!r}")
         return out
@@ -127,7 +131,10 @@ class ScalarOracle:
     def gradient(self, u) -> np.ndarray:
         u = as_input_vector(u, self.dimension)
         self.gradient_calls += 1
-        out = np.asarray(self._grad_fn(u), dtype=float).reshape(-1)
+        try:
+            out = np.asarray(self._grad_fn(u), dtype=float).reshape(-1)
+        except ArithmeticError as exc:
+            raise OracleError(f"oracle gradient failed at u={u!r}: {exc!r}") from exc
         if out.size != self.dimension:
             raise OracleError(
                 f"gradient length {out.size} does not match dimension {self.dimension}"
@@ -244,6 +251,7 @@ def finite_difference_hessian(oracle: ScalarOracle, u, step: float = 1e-4) -> np
     return h
 
 
+@dataclass
 class AssumptionReport:
     """Sampled evidence about smoothness and boundedness of a problem pair.
 
@@ -252,19 +260,11 @@ class AssumptionReport:
     reflects the box that was probed.
     """
 
-    def __init__(
-        self,
-        plant_hessian_bound: float,
-        model_hessian_bound: float,
-        min_plant_value: float,
-        max_gradient_discrepancy: float,
-        sample_count: int,
-    ):
-        self.plant_hessian_bound = plant_hessian_bound
-        self.model_hessian_bound = model_hessian_bound
-        self.min_plant_value = min_plant_value
-        self.max_gradient_discrepancy = max_gradient_discrepancy
-        self.sample_count = sample_count
+    plant_hessian_bound: float
+    model_hessian_bound: float
+    min_plant_value: float
+    max_gradient_discrepancy: float
+    sample_count: int
 
     def __repr__(self):
         return (
@@ -326,8 +326,12 @@ def probe_assumptions(
 # Catalog
 # ---------------------------------------------------------------------------
 
+# The closed forms compute on Python floats: far out their ``**`` raises
+# OverflowError, an OracleError to ScalarOracle, where NumPy's would warn.
+
 def _p1_plant(u):
-    return (u[0] - 1.0) ** 2 + (u[1] - 1.0) ** 2
+    x, y = u.tolist()
+    return (x - 1.0) ** 2 + (y - 1.0) ** 2
 
 
 def _p1_plant_grad(u):
@@ -343,7 +347,7 @@ def _sphere_grad(u):
 
 
 def _p2_plant(u):
-    return u[0] ** 2
+    return u.tolist()[0] ** 2
 
 
 def _p2_plant_grad(u):
@@ -351,7 +355,7 @@ def _p2_plant_grad(u):
 
 
 def _p2_model(u):
-    return -(u[0] ** 2)
+    return -(u.tolist()[0] ** 2)
 
 
 def _p2_model_grad(u):
@@ -359,26 +363,24 @@ def _p2_model_grad(u):
 
 
 def _rosenbrock(u):
-    return 100.0 * (u[1] - u[0] ** 2) ** 2 + (1.0 - u[0]) ** 2
+    x, y = u.tolist()
+    return 100.0 * (y - x ** 2) ** 2 + (1.0 - x) ** 2
 
 
 def _rosenbrock_grad(u):
-    return np.array(
-        [
-            -400.0 * u[0] * (u[1] - u[0] ** 2) - 2.0 * (1.0 - u[0]),
-            200.0 * (u[1] - u[0] ** 2),
-        ]
-    )
+    x, y = u.tolist()
+    return np.array([-400.0 * x * (y - x ** 2) - 2.0 * (1.0 - x), 200.0 * (y - x ** 2)])
 
 
 def _himmelblau(u):
-    return (u[0] ** 2 + u[1] - 11.0) ** 2 + (u[0] + u[1] ** 2 - 7.0) ** 2
+    x, y = u.tolist()
+    return (x ** 2 + y - 11.0) ** 2 + (x + y ** 2 - 7.0) ** 2
 
 
 def _himmelblau_grad(u):
-    a = u[0] ** 2 + u[1] - 11.0
-    b = u[0] + u[1] ** 2 - 7.0
-    return np.array([4.0 * u[0] * a + 2.0 * b, 2.0 * a + 4.0 * u[1] * b])
+    x, y = u.tolist()
+    a, b = x ** 2 + y - 11.0, x + y ** 2 - 7.0
+    return np.array([4.0 * x * a + 2.0 * b, 2.0 * a + 4.0 * y * b])
 
 
 _SPHERE_HESSIAN = ((2.0, 0.0), (0.0, 2.0))

@@ -62,7 +62,6 @@ class SubproblemResult:
 
     candidate: np.ndarray
     predicted_change: float
-    cauchy_point: np.ndarray
     cauchy_override_applied: bool
     descent_evaluations: int
 
@@ -103,7 +102,7 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     if radius <= 0:
         raise ValueError("radius must be > 0")
     anchor = model.anchor
-    g, gg, curvature, _ = model.anchor_terms()
+    g, gg, curvature, *_ = model.anchor_terms()
     if not 0.0 < gg < math.inf:
         return anchor.copy(), 0.0
     gnorm = math.sqrt(gg)
@@ -255,11 +254,11 @@ def projected_descent(
 _MAX_NEWTON_STEPS = 100
 
 
-def _exact_step(w, shifted, q, gt, radius: float) -> np.ndarray:
+def _exact_step(w, q, gt, radius: float) -> np.ndarray:
     """Global minimizer s of ``g.s + s.Hs / 2`` over ``||s|| <= radius``,
     where ``H = q diag(w) q^T`` with ``w`` ascending (Moré & Sorensen 1983;
     Conn, Gould & Toint, *Trust-Region Methods*, 2000, ch. 7), given
-    ``gt = q^T g`` and ``shifted`` from ``ScalarOracle.hessian_eigh``.
+    ``gt = q^T g``.
 
     The minimizer is ``s = -(H + lam I)^-1 g`` for the smallest
     ``lam >= low = max(0, -w[0])`` with ``||s|| <= radius``, on the
@@ -273,6 +272,7 @@ def _exact_step(w, shifted, q, gt, radius: float) -> np.ndarray:
     stays inside the ball there; the step is then filled up to the
     boundary along the bottom eigenvector.
     """
+    shifted = w + max(0.0, -w[0])
     pole = shifted == 0.0
     # From the pole, 1/||s|| rises from 0 with slope 1/||gt[pole]||, so
     # this is Newton's first step; there is none off the pole.
@@ -320,7 +320,7 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     anchor = model.anchor
     project = _ball_projection(anchor, radius)
 
-    _, gg, _, gt = model.anchor_terms()
+    _, gg, _, w, q, gt = model.anchor_terms()
     cp, cp_change = cauchy_point(model, radius)
 
     if gt is None:
@@ -334,10 +334,9 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
                 start_value=known,
             )
     else:
-        w, q, shifted = model.base_model.hessian_eigh()
         # eigenvalues tiny beside g overflow the step: the Cauchy point stands in
         with np.errstate(over="ignore", invalid="ignore"):
-            best = project(anchor + _exact_step(w, shifted, q, gt, radius))
+            best = project(anchor + _exact_step(w, q, gt, radius))
         finite = all(map(math.isfinite, best.tolist()))
         best_change = model.value_change(best) if finite else math.inf
         evals = 0
@@ -350,7 +349,6 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     return SubproblemResult(
         candidate=candidate,
         predicted_change=change,
-        cauchy_point=cp,
         cauchy_override_applied=override,
         descent_evaluations=evals,
     )

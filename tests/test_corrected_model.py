@@ -221,7 +221,7 @@ class TestAnchorTerms:
         given_terms = given_model.anchor_terms()
         assert p.model.gradient_calls == calls + 1
         assert measured[1:3] == given_terms[1:3]
-        for a, b in ((measured[0], given_terms[0]), (measured[3], given_terms[3])):
+        for a, b in zip(measured[:1] + measured[3:], given_terms[:1] + given_terms[3:]):
             assert a.tobytes() == b.tobytes()
 
     def test_own_anchor_terms_are_computed_once(self):
@@ -236,24 +236,27 @@ class TestAnchorTerms:
         p = get_problem("P4")
         lam = np.array([1.0, 2.0])
         u = np.array([1.0, -2.0])
-        g, gg, curvature, gt = CorrectedModel(p.model, lam, anchor=u).anchor_terms()
+        g, gg, curvature, w, q, gt = CorrectedModel(p.model, lam, anchor=u).anchor_terms()
         assert g.tolist() == (p.model.gradient(u) + lam).tolist()
         assert gg == float(g @ g) and curvature == float(g @ (p.model.hessian @ g))
-        assert gt.tolist() == (p.model.hessian_eigh()[1].T @ g).tolist()
+        cached_w, cached_q = p.model.hessian_eigh()
+        assert w is cached_w and q is cached_q
+        assert w.tolist() == [2.0, 2.0] and q.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert gt.tolist() == (q.T @ g).tolist()
 
     def test_overflowing_terms_are_inf_without_a_warning(self):
         # g.g and g.Hg overflow for a gradient of 1e154 per component
         cm = CorrectedModel(get_problem("P1").model, [0.0, 0.0], anchor=[5e153, 5e153])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, gg, curvature, _ = cm.anchor_terms()
+            _, gg, curvature, *_ = cm.anchor_terms()
         assert gg == math.inf and curvature == math.inf
 
     def test_model_without_hessian_has_no_curvature_terms(self):
         cm = CorrectedModel(sphere_oracle(), [1.0, 0.0], anchor=[1.0, 1.0])
-        g, gg, curvature, gt = cm.anchor_terms()
+        g, gg, *curvature = cm.anchor_terms()
         assert g.tolist() == [3.0, 2.0] and gg == 13.0
-        assert curvature is None and gt is None
+        assert curvature == [None, None, None, None]
 
     @pytest.mark.parametrize("bad", [[1.0], [1.0, np.nan], [[1.0, 2.0]]])
     def test_base_gradient_is_validated(self, bad):

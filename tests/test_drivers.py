@@ -17,6 +17,7 @@ from rtopt import (
     StoppingCriteria,
     SufficientDecreaseParams,
     TrustRegionConstants,
+    cauchy_point,
     check_convergence,
     check_sufficient_decrease,
     estimate_beta,
@@ -550,6 +551,36 @@ class TestMaTrDriver:
         assert trace.termination_status == "oracle-failure"
         assert trace.iterations >= 1
 
+    @pytest.mark.parametrize("start", [1e300, -1e200])
+    @pytest.mark.parametrize("run", [run_basic_ma, run_trust_region, run_ma_tr])
+    @pytest.mark.parametrize("pid", ["P1", "P2", "P3", "P4"])
+    def test_catalog_overflow_is_an_oracle_failure(self, pid, run, start):
+        # every plant value overflows there; RuntimeWarnings are errors here
+        p = get_problem(pid)
+        trace = run(p, [start] * p.dimension)
+        assert trace.termination_status == "oracle-failure"
+        assert trace.iterations == 0 and trace.plant_value_evaluations == 1
+
+    def test_overflowing_user_plant_is_an_oracle_failure(self):
+        plant = ScalarOracle(lambda u: float(u[0]) ** 4, lambda u: 4.0 * u**3, 1)
+        model = ScalarOracle(lambda u: float(u[0]) ** 2, lambda u: 2.0 * u, 1)
+        trace = run_ma_tr(ProblemPair("quartic", plant, model), [1e100])
+        assert trace.termination_status == "oracle-failure"
+
+    @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
+    @pytest.mark.parametrize("call", ["value", "gradient"])
+    @pytest.mark.parametrize("oracle", ["plant", "model"])
+    def test_arithmetic_error_in_an_oracle_is_an_oracle_failure(self, oracle, call, error):
+        def fail(u):
+            raise error("out of range")
+
+        fns = {"value": lambda u: float(u @ u), "gradient": lambda u: 2.0 * u, call: fail}
+        failing = ScalarOracle(fns["value"], fns["gradient"], 2)
+        p1 = get_problem("P1")
+        plant, model = (failing, p1.model) if oracle == "plant" else (p1.plant, failing)
+        trace = run_ma_tr(ProblemPair("failing", plant, model), [0.0, 0.0])
+        assert trace.termination_status == "oracle-failure"
+
     @pytest.mark.parametrize("run", [run_basic_ma, run_ma_tr])
     def test_failed_gradient_probe_leaves_no_stale_norm(self, run):
         # the plant gradient fails at the first accepted candidate, after
@@ -595,8 +626,9 @@ class TestMaTrDriver:
         assert not last.accepted
         model = rebuild_model(problem, last)
         result = solve_subproblem(model, 0.5 * last.radius)
-        assert not np.array_equal(result.cauchy_point, trace.final_reference)
-        assert model.value_change(result.cauchy_point) >= 0.0
+        cp = cauchy_point(model, 0.5 * last.radius)[0]
+        assert not np.array_equal(cp, trace.final_reference)
+        assert model.value_change(cp) >= 0.0
         assert result.predicted_change >= 0.0
 
     @pytest.mark.parametrize("hessian", [None, [[2.0]]])

@@ -20,8 +20,9 @@ from rtopt import (
     solve_subproblem,
 )
 from rtopt import subproblem
+from rtopt.drivers import _box_minimize
 from rtopt.problems import PROBLEM_IDS
-from rtopt.subproblem import projected_descent
+from rtopt.subproblem import _exact_step, projected_descent
 
 
 def sphere_model(dim=2):
@@ -214,7 +215,7 @@ class TestSolveSubproblem:
                 assert dist <= radius * (1.0 + 1e-12) + 1e-12
                 assert (
                     cm.value_change(result.candidate)
-                    <= cm.value_change(result.cauchy_point) + 1e-12
+                    <= cm.value_change(cauchy_point(cm, radius)[0]) + 1e-12
                 )
 
     def test_concave_model_runs_to_boundary(self):
@@ -248,9 +249,9 @@ class TestSolveSubproblem:
             out = []
             for anchor, lam, radius in cases:
                 cm = CorrectedModel(oracle, lam, anchor=anchor)
+                cp = cauchy_point(cm, radius)[0]
                 points.clear()
                 r = solve_subproblem(cm, radius)
-                cp = r.cauchy_point
                 kept = subproblem._ball_projection(anchor, radius)(cp).tobytes() == cp.tobytes()
                 result = (r.candidate.tobytes(), r.predicted_change, r.descent_evaluations)
                 out.append((kept, points.count(cp.tobytes()), result))
@@ -362,9 +363,32 @@ class TestExactSubproblem:
 
         change = cm.value_change(s)
         assert result.predicted_change == change
-        assert change <= cm.value_change(result.cauchy_point) + 1e-12 * lam_scale * radius**2
+        cp = cauchy_point(cm, radius)[0]
+        assert change <= cm.value_change(cp) + 1e-12 * lam_scale * radius**2
         params = SufficientDecreaseParams(beta=max(h_norm, 1.5))
         assert check_sufficient_decrease(change, g_norm, radius, params)
+
+    def test_step_shifts_the_lowest_eigenvalue_to_an_exact_pole(self):
+        # H = diag(-1, 2) shifted by 1 has the eigenvalues (0, 3): from the
+        # exact pole Newton's first step is the root, s = (-1, 0)
+        w, q = np.array([-1.0, 2.0]), np.eye(2)
+        assert _exact_step(w, q, np.array([1.0, 0.0]), 1.0).tolist() == [-1.0, 0.0]
+        # a convex H is not shifted: the interior step is -g / w
+        w = np.array([1.0, 2.0])
+        assert _exact_step(w, q, np.array([1.0, 2.0]), 10.0).tolist() == [-1.0, -1.0]
+
+    def test_solvers_read_curvature_only_from_the_anchor_terms(self, monkeypatch):
+        p = get_problem("P4")
+        cm = CorrectedModel(p.model, [3.0, -0.5], anchor=[0.5, -1.25])
+        cm.anchor_terms()
+
+        def unreachable():
+            raise AssertionError("the solvers reached the base model's eigendecomposition")
+
+        monkeypatch.setattr(p.model, "hessian_eigh", unreachable)
+        assert solve_subproblem(cm, 0.5).predicted_change < 0.0
+        point, status = _box_minimize(cm, 10.0, None)
+        assert status is None and point.tolist() == [-1.5, 0.25]
 
     def test_hard_case_fills_to_the_boundary(self):
         # g has no component on the eigenvalue -1; the pole step (0, -2/3)
@@ -409,13 +433,13 @@ class TestExactSubproblem:
             anchor = rng.uniform(-3.0, 3.0, size=p.dimension)
             lam = p.plant_gradient(anchor) - p.model_gradient(anchor)
             radius = rng.uniform(0.05, 4.0)
-            exact = solve_subproblem(CorrectedModel(p.model, lam, anchor=anchor), radius)
-            approx = solve_subproblem(CorrectedModel(scan, lam, anchor=anchor), radius)
+            models = [CorrectedModel(m, lam, anchor=anchor) for m in (p.model, scan)]
+            exact, approx = (solve_subproblem(cm, radius) for cm in models)
             assert approx.descent_evaluations > 0 and exact.descent_evaluations == 0
-            assert exact.cauchy_point == pytest.approx(approx.cauchy_point, abs=1e-12)
+            exact_cp, approx_cp = (cauchy_point(cm, radius)[0] for cm in models)
+            assert exact_cp == pytest.approx(approx_cp, abs=1e-12)
             assert exact.candidate == pytest.approx(approx.candidate, abs=1e-6)
-            for result, model in ((exact, p.model), (approx, scan)):
-                cm = CorrectedModel(model, lam, anchor=anchor)
+            for result, cm in zip((exact, approx), models):
                 assert result.predicted_change == cm.value_change(result.candidate)
 
     def test_one_model_gradient_and_two_values_per_solve(self):
