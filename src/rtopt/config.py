@@ -17,6 +17,7 @@ from dataclasses import MISSING, fields
 from .drivers import (
     ALGORITHMS,
     FORMATS,
+    SETTINGS,
     RunConfig,
     RunTrace,
     run_basic_ma,
@@ -170,9 +171,7 @@ def load_config(path) -> RunConfig | list[RunConfig]:
 def run_config(cfg: RunConfig) -> RunTrace:
     """Build the problem and execute the configured run."""
     problem = get_problem(cfg.problem, noise_level=cfg.noise_level, seed=cfg.seed)
-    stop = cfg.stopping()
-    if cfg.algorithm == "basic-ma":
-        return run_basic_ma(problem, cfg.u0, cfg.alpha, stop, cfg.box_halfwidth)
-    if cfg.algorithm == "trust-region":
-        return run_trust_region(problem, cfg.u0, cfg.delta0, cfg.constants(), stop)
-    return run_ma_tr(problem, cfg.u0, cfg.delta0, cfg.constants(), cfg.alpha, stop)
+    # the drivers are looked up per call, where the benchmark's tracer rebinds them
+    driver = {"basic-ma": run_basic_ma, "trust-region": run_trust_region, "ma-tr": run_ma_tr}
+    settings = {name: getattr(cfg, name) for name in SETTINGS[cfg.algorithm]}
+    return driver[cfg.algorithm](problem, cfg.u0, **settings)

@@ -75,8 +75,9 @@ class CorrectedModel:
     plant_value_at_anchor : float, optional
         Measured plant value at the anchor.  When given, a constant is
         added so that ``value(anchor)`` equals it exactly.
-    base_gradient : array, optional
-        The base model's gradient at the anchor, if the caller has it.
+    base_value, base_gradient : float and array, optional
+        The base model's value and gradient at the anchor, if the caller
+        has them; a given one is not measured again.
     """
 
     def __init__(
@@ -85,12 +86,15 @@ class CorrectedModel:
         modifiers,
         anchor,
         plant_value_at_anchor: float | None = None,
+        base_value: float | None = None,
         base_gradient=None,
     ):
         self.base_model = base_model
         self.anchor = as_input_vector(anchor, base_model.dimension)
         self.modifiers = as_input_vector(modifiers, base_model.dimension)
-        self._model_at_anchor = base_model.value(self.anchor)
+        if base_value is None:
+            base_value = base_model.value(self.anchor)
+        self._model_at_anchor = float(base_value)
         if base_gradient is not None:
             base_gradient = as_input_vector(base_gradient, self.dimension)
         self._base_gradient, self._anchor_terms = base_gradient, None

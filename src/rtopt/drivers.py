@@ -12,9 +12,10 @@ traces.
   acceptance test: minimize the corrected model over the whole (boxed)
   input space and always move there.
 
-Every run returns a :class:`RunTrace` holding one record per iteration,
-termination metadata, plant-probe counts and its settings in
-:class:`RunConfig` field order.
+A driver's keywords are the :class:`RunConfig` fields of its algorithm,
+``SETTINGS[algorithm]``.  Every run returns a :class:`RunTrace` holding
+one record per iteration, termination metadata, plant-probe counts and
+its settings in :class:`RunConfig` field order.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "ALGORITHMS",
     "FORMATS",
     "RunConfig",
+    "SETTINGS",
     "StoppingCriteria",
     "IterationRecord",
     "RunTrace",
@@ -137,15 +139,13 @@ class RunConfig:
             values["radius_max"] = math.inf
         return TrustRegionConstants(**values)
 
-    def stopping(self) -> StoppingCriteria:
-        return StoppingCriteria(**self._values_for(StoppingCriteria))
-
     def check(self) -> RunConfig:
         """Apply the range rules of every setting but the problem's;
         returns ``self``.  A violation raises ``ConfigError`` naming the
         field."""
-        self.stopping()
+        StoppingCriteria(**self._values_for(StoppingCriteria))
         radius_max = self.constants().radius_max
+        require(radius_max < math.inf or self.radius_max is None, "radius_max", "must be finite")
         check_alpha(self.alpha)
         delta0 = self.delta0
         require(0.0 < delta0 < math.inf, "delta0", f"must be finite and > 0, got {delta0}")
@@ -167,6 +167,10 @@ _RECORDED = {
     )
     for a in ALGORITHMS
 }
+
+# each driver's keywords: its algorithm's recorded fields but those its problem and u0 give
+_GIVEN = ("problem", "algorithm", "u0", "noise_level", "seed")
+SETTINGS = {a: tuple(n for n in _RECORDED[a] if n not in _GIVEN) for a in ALGORITHMS}
 
 
 @dataclass
@@ -308,7 +312,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     ``_box_minimize`` and applies every candidate.
     """
     ball = cfg.algorithm != "basic-ma"
-    constants, stop = cfg.check().constants(), cfg.stopping()
+    constants = cfg.check().constants()
     u = as_input_vector(cfg.u0, problem.dimension)
     config = {name: getattr(cfg, name) for name in _RECORDED[cfg.algorithm]}
     config["u0"] = u.tolist()
@@ -320,29 +324,33 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     records: list[IterationRecord] = []
     status = "max-iterations"
     ref_grad = unmeasured = np.full(problem.dimension, np.nan)
-    state = model = model_grad = None
+    state = model = model_value = model_grad = None
     filt = ModifierFilter(cfg.alpha, problem.dimension)
     try:
         ref_value = problem.evaluate_plant(u)
         ref_grad = problem.plant_gradient(u)
         radius0 = cfg.delta0 if ball else math.inf
         state = TrustRegionState(reference=u, radius=radius0, reference_plant_value=ref_value)
-        for k in range(stop.max_iterations):
+        for k in range(cfg.max_iterations):
             gnorm = _norm(ref_grad)
-            if gnorm <= stop.tolerance:
+            if gnorm <= cfg.tolerance:
                 status = "converged"
                 break
             used = sum(problem.plant_evaluations()) - (v0 + g0)
-            if used + 2 > stop.max_plant_evaluations:
+            if used + 2 > cfg.max_plant_evaluations:
                 status = "max-iterations"
                 break
-            # A rejected step keeps the reference and its gradients (models are never
+            # A rejected step keeps the reference and its measurements (models are never
             # noisy), so the model too, with its anchor terms, unless the filter moves it.
             if model_grad is None:
                 model_grad = problem.model_gradient(state.reference)
+                model_value = problem.evaluate_model(state.reference)
             lam = filt.update(ref_grad, model_grad)
             if model is None or lam.tobytes() != model.modifiers.tobytes():
-                model = CorrectedModel(problem.model, lam, state.reference, base_gradient=model_grad)
+                model = CorrectedModel(
+                    problem.model, lam, state.reference,
+                    base_value=model_value, base_gradient=model_grad,
+                )
             anchor = state.reference.copy()
             anchor_value = state.reference_plant_value
             radius = state.radius
@@ -389,7 +397,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 ref_grad, model, model_grad = unmeasured, None, None
                 ref_grad = problem.plant_gradient(state.reference)
         # the cap can land exactly on the converging iteration
-        if status == "max-iterations" and _norm(ref_grad) <= stop.tolerance:
+        if status == "max-iterations" and _norm(ref_grad) <= cfg.tolerance:
             status = "converged"
     except OracleError:
         status = "oracle-failure"
@@ -414,17 +422,13 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     )
 
 
-def _drive(algorithm, problem, u0, stop=None, constants=None, **settings) -> RunTrace:
+def _drive(algorithm, problem, u0, settings) -> RunTrace:
     """A driver call as the RunConfig it describes, run on ``problem``.
-    A driver passes its parameters as they are: ``stop`` and
-    ``constants`` stand for their fields (None leaves RunConfig's
-    defaults), and every other setting is named as its RunConfig field."""
-    if stop is not None:
-        settings.update(vars(stop))
-    if constants is not None:
-        settings.update(vars(constants))
-        if math.isinf(constants.radius_max):
-            settings["radius_max"] = None  # RunConfig's "unbounded"
+    ``settings`` are the call's keywords, each a field of
+    ``SETTINGS[algorithm]``; the rest take RunConfig's defaults."""
+    takes = SETTINGS[algorithm]
+    for name in settings:
+        require(name in takes, name, f"not a setting of {algorithm} (takes {', '.join(takes)})")
     cfg = RunConfig(
         problem=problem.identifier,
         algorithm=algorithm,
@@ -436,13 +440,7 @@ def _drive(algorithm, problem, u0, stop=None, constants=None, **settings) -> Run
     return _run(problem, cfg)
 
 
-def run_basic_ma(
-    problem: ProblemPair,
-    u0,
-    alpha: float = RunConfig.alpha,
-    stop: StoppingCriteria | None = None,
-    box_halfwidth: float = RunConfig.box_halfwidth,
-) -> RunTrace:
+def run_basic_ma(problem: ProblemPair, u0, **settings) -> RunTrace:
     """Gradient-matched model correction with a whole-box model solve and
     no acceptance test, the trust-region loop's limit of an infinite
     radius: the minimizer is always applied and becomes the next
@@ -454,33 +452,20 @@ def run_basic_ma(
     (``unbounded-subproblem``) or its minimizer leaves the box
     (``outside-box``), or at the iteration/evaluation caps.
     """
-    return _drive("basic-ma", **locals())
+    return _drive("basic-ma", problem, u0, settings)
 
 
-def run_trust_region(
-    problem: ProblemPair,
-    u0,
-    delta0: float = RunConfig.delta0,
-    constants: TrustRegionConstants | None = None,
-    stop: StoppingCriteria | None = None,
-) -> RunTrace:
+def run_trust_region(problem: ProblemPair, u0, **settings) -> RunTrace:
     """Reference-based loop on the value-and-gradient matched model: the
     ``ma-tr`` loop with gain 1, since the value shift changes no iterate.
     """
-    return _drive("trust-region", **locals())
+    return _drive("trust-region", problem, u0, settings)
 
 
-def run_ma_tr(
-    problem: ProblemPair,
-    u0,
-    delta0: float = RunConfig.delta0,
-    constants: TrustRegionConstants | None = None,
-    alpha: float = RunConfig.alpha,
-    stop: StoppingCriteria | None = None,
-) -> RunTrace:
+def run_ma_tr(problem: ProblemPair, u0, **settings) -> RunTrace:
     """Reference-based loop on the gradient-matched corrected model.
 
     With ``alpha`` below 1 the correction is filtered and the run is
     annotated accordingly.
     """
-    return _drive("ma-tr", **locals())
+    return _drive("ma-tr", problem, u0, settings)

@@ -276,13 +276,13 @@ class AssumptionReport:
         )
 
 
+# probe_assumptions' difference steps
+_HESSIAN_STEP = 1e-4
+_GRADIENT_STEP = 1e-5
+
+
 def probe_assumptions(
-    problem: ProblemPair,
-    box: tuple,
-    sample_count: int,
-    seed: int = 0,
-    hessian_step: float = 1e-4,
-    gradient_step: float = 1e-5,
+    problem: ProblemPair, box: tuple, sample_count: int, seed: int = 0
 ) -> AssumptionReport:
     """Sample a box and report curvature bounds, the minimum plant value,
     and the worst analytic-vs-finite-difference gradient discrepancy.
@@ -305,12 +305,12 @@ def probe_assumptions(
     max_discrepancy = 0.0
     for _ in range(sample_count):
         u = lower + rng.random(problem.dimension) * (upper - lower)
-        hp = finite_difference_hessian(problem.plant, u, hessian_step)
-        hm = finite_difference_hessian(problem.model, u, hessian_step)
+        hp = finite_difference_hessian(problem.plant, u, _HESSIAN_STEP)
+        hm = finite_difference_hessian(problem.model, u, _HESSIAN_STEP)
         plant_bound = max(plant_bound, float(np.max(np.abs(np.linalg.eigvalsh(hp)))))
         model_bound = max(model_bound, float(np.max(np.abs(np.linalg.eigvalsh(hm)))))
         min_value = min(min_value, problem.plant.value(u))
-        fd = finite_difference_gradient(problem.plant, u, gradient_step)
+        fd = finite_difference_gradient(problem.plant, u, _GRADIENT_STEP)
         reference = problem.plant.gradient(u)
         max_discrepancy = max(max_discrepancy, float(np.max(np.abs(fd - reference))))
     return AssumptionReport(
@@ -339,7 +339,9 @@ def _p1_plant_grad(u):
 
 
 def _sphere(u):
-    return float(np.dot(u, u))
+    # np.vdot runs np.dot's BLAS kernel, so the same bits, but does not check
+    # the FP status: an overflow is a quiet inf, which ScalarOracle rejects
+    return float(np.vdot(u, u))
 
 
 def _sphere_grad(u):

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corrected_model import CorrectedModel
+from .errors import OracleError
 from .problems import as_input_vector
 
 __all__ = [
@@ -98,6 +99,9 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     Returns ``(point, change)``, ``change`` the model change from the
     anchor at ``point``.  A zero gradient, or one whose g.g overflows so
     that every step along the ray rounds to 0, returns ``(anchor, 0.0)``.
+    When ``t |g| + max|anchor|``, which bounds the closed form's point and
+    every scanned one, overflows, the ray leaves the floating-point range
+    and ``OracleError`` is raised.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
@@ -107,9 +111,13 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
         return anchor.copy(), 0.0
     gnorm = math.sqrt(gg)
 
-    t_max = radius / gnorm
+    t = radius / gnorm  # the ball's boundary
+    if curvature is not None and curvature > 0.0:
+        t = min(gg / curvature, t)
+    # |anchor - t g| <= this componentwise, rounding included; it never warns
+    if t * gnorm + max(map(abs, anchor.tolist())) == math.inf:
+        raise OracleError(f"the Cauchy ray leaves the floating-point range at radius {radius}")
     if curvature is not None:
-        t = t_max if curvature <= 0.0 else min(gg / curvature, t_max)
         point = anchor - t * g
         return point, model.value_change(point)
 
@@ -374,19 +382,18 @@ def check_sufficient_decrease(
     return -change >= threshold
 
 
-def estimate_beta(
-    model: CorrectedModel,
-    anchor,
-    radius: float,
-    n_samples: int = 5,
-    floor_eps: float = 1e-6,
-) -> float:
+# estimate_beta's sample points along the ray, and its floor's margin above 1
+_BETA_SAMPLES = 5
+_BETA_FLOOR_EPS = 1e-6
+
+
+def estimate_beta(model: CorrectedModel, anchor, radius: float) -> float:
     """Sampled curvature bound along the steepest-descent ray, floored
     strictly above 1.
 
     The bound is the largest absolute second-difference quotient of the
     model at a few points along the ray; it is advisory (a sample, not a
-    proof) and falls back to ``1 + floor_eps`` on flat models.
+    proof) and falls back to ``1 + _BETA_FLOOR_EPS`` on flat models.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
@@ -394,12 +401,12 @@ def estimate_beta(
     g = model.gradient(anchor)
     gnorm = math.sqrt(float(g.dot(g)))
     if gnorm == 0.0:
-        return 1.0 + floor_eps
+        return 1.0 + _BETA_FLOOR_EPS
     d = -g / gnorm
     h = max(radius * 1e-3, 1e-8)
     largest = 0.0
-    for i in range(n_samples):
-        s = radius * i / n_samples
+    for i in range(_BETA_SAMPLES):
+        s = radius * i / _BETA_SAMPLES
         x = anchor + s * d
         quotient = (
             model.value_change(x + h * d)
@@ -408,4 +415,4 @@ def estimate_beta(
         ) / h**2
         if math.isfinite(quotient):
             largest = max(largest, abs(quotient))
-    return max(1.0 + floor_eps, largest)
+    return max(1.0 + _BETA_FLOOR_EPS, largest)

@@ -18,7 +18,6 @@ import pytest
 
 from rtopt import (
     CorrectedModel,
-    StoppingCriteria,
     SufficientDecreaseParams,
     TrustRegionConstants,
     check_sufficient_decrease,
@@ -46,7 +45,7 @@ def report(number: int, passed: bool, detail: str) -> bool:
 
 # Budget of the uncapped P3 run: about 30% above the 15,433 iterations
 # and 30,752 plant probes default ma-tr takes to reach a 1e-6 gradient.
-P3_BUDGET = StoppingCriteria(max_iterations=20_000, max_plant_evaluations=40_000)
+P3_BUDGET = dict(max_iterations=20_000, max_plant_evaluations=40_000)
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +57,7 @@ def ma_tr_suite():
 @pytest.fixture(scope="session")
 def ma_tr_p3_budgeted():
     """Default gradient-matched P3 run under ``P3_BUDGET``."""
-    return run_ma_tr(get_problem("P3"), STARTS["P3"], stop=P3_BUDGET)
+    return run_ma_tr(get_problem("P3"), STARTS["P3"], **P3_BUDGET)
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from rtopt import (
     ConfigError,
     CorrectedModel,
     ProblemPair,
+    RunConfig,
     ScalarOracle,
     StoppingCriteria,
     SufficientDecreaseParams,
@@ -25,12 +26,13 @@ from rtopt import (
     run_basic_ma,
     run_ma_tr,
     run_trust_region,
+    export_trace,
     solve_subproblem,
     trace_to_dict,
 )
 from rtopt import drivers
 from rtopt.config import config_from_dict, run_config
-from rtopt.drivers import TERMINATION_STATUSES, _box_minimize
+from rtopt.drivers import SETTINGS, TERMINATION_STATUSES, _box_minimize
 
 STARTS = {"P1": [0.0, 0.0], "P2": [3.0], "P3": [-1.2, 1.0], "P4": [0.0, 0.0]}
 
@@ -118,9 +120,7 @@ class TestBasicMA:
     def test_iteration_cap(self):
         # heavily filtered corrections approach the optimum only
         # geometrically, so a small cap binds before convergence
-        trace = run_basic_ma(
-            get_problem("P1"), [0.0, 0.0], alpha=0.1, stop=StoppingCriteria(max_iterations=3)
-        )
+        trace = run_basic_ma(get_problem("P1"), [0.0, 0.0], alpha=0.1, max_iterations=3)
         assert trace.termination_status == "max-iterations"
         assert trace.iterations == 3
 
@@ -314,8 +314,9 @@ def quadratic_pairs(draw):
 
 @st.composite
 def loop_settings(draw):
-    """(delta0, constants): an initial radius and valid trust-region
-    constants, the radius cap unbounded or at least ``delta0``."""
+    """(settings, constants): an initial radius and valid trust-region
+    constants as driver settings, the radius cap unbounded (None) or at
+    least ``delta0``, and the constants as ``next_radius`` reads them."""
     delta0 = draw(st.floats(0.01, 10.0))
     eta1 = draw(st.floats(0.01, 0.9))
     constants = TrustRegionConstants(
@@ -325,7 +326,10 @@ def loop_settings(draw):
         shrink_factor=draw(st.floats(0.05, 0.95)),
         radius_max=draw(st.one_of(st.just(math.inf), st.floats(1.0, 100.0).map(delta0.__mul__))),
     )
-    return delta0, constants
+    settings = dict(vars(constants), delta0=delta0)
+    if math.isinf(constants.radius_max):
+        settings["radius_max"] = None
+    return settings, constants
 
 
 class TestRandomQuadraticPairs:
@@ -333,11 +337,11 @@ class TestRandomQuadraticPairs:
     @given(quadratic_pairs(), loop_settings(), st.floats(0.0, 1.0, exclude_min=True))
     def test_every_driver_ends_in_a_documented_status(self, pair, loop, alpha):
         build, u0, noisy = pair
-        delta0, constants = loop
-        stop = StoppingCriteria(tolerance=1e-6, max_iterations=10)
-        ball = dict(delta0=delta0, constants=constants, stop=stop)
+        settings, constants = loop
+        stop = dict(tolerance=1e-6, max_iterations=10)
+        ball = dict(settings, **stop)
         traces = {
-            "basic-ma": run_basic_ma(build(), u0, stop=stop, box_halfwidth=100.0),
+            "basic-ma": run_basic_ma(build(), u0, box_halfwidth=100.0, **stop),
             "trust-region": run_trust_region(build(), u0, **ball),
             "ma-tr": run_ma_tr(build(), u0, **ball),
             "filtered ma-tr": run_ma_tr(build(), u0, alpha=alpha, **ball),
@@ -346,7 +350,7 @@ class TestRandomQuadraticPairs:
             assert trace.termination_status in TERMINATION_STATUSES
             assert all(r.radius is None or r.radius > 0.0 for r in trace.records)
             if trace.termination_status == "converged":
-                assert trace.final_gradient_norm <= stop.tolerance
+                assert trace.final_gradient_norm <= stop["tolerance"]
             if name != "basic-ma":
                 for prev, nxt in zip(trace.records, trace.records[1:]):
                     assert nxt.radius == next_radius(prev, constants)
@@ -425,9 +429,8 @@ class TestMaTrDriver:
 
     def test_shift_equivalence_on_catalog(self):
         for pid, u0 in STARTS.items():
-            stop = StoppingCriteria(max_iterations=120)
-            plain = run_ma_tr(get_problem(pid), u0, stop=stop)
-            shifted = run_trust_region(get_problem(pid), u0, stop=stop)
+            plain = run_ma_tr(get_problem(pid), u0, max_iterations=120)
+            shifted = run_trust_region(get_problem(pid), u0, max_iterations=120)
             assert plain.iterations == shifted.iterations
             for ra, rb in zip(plain.records, shifted.records):
                 assert np.max(np.abs(ra.applied_input - rb.applied_input)) <= 1e-10
@@ -436,7 +439,7 @@ class TestMaTrDriver:
     def test_gradient_matching_at_every_iteration(self):
         for pid, u0 in STARTS.items():
             problem = get_problem(pid)
-            trace = run_ma_tr(problem, u0, stop=StoppingCriteria(max_iterations=120))
+            trace = run_ma_tr(problem, u0, max_iterations=120)
             check = get_problem(pid)
             for r in trace.records:
                 model = rebuild_model(check, r)
@@ -456,7 +459,7 @@ class TestMaTrDriver:
     def test_sufficient_decrease_certificate_every_iteration(self):
         for pid, u0 in STARTS.items():
             problem = get_problem(pid)
-            trace = run_ma_tr(problem, u0, stop=StoppingCriteria(max_iterations=120))
+            trace = run_ma_tr(problem, u0, max_iterations=120)
             check = get_problem(pid)
             for r in trace.records:
                 model = rebuild_model(check, r)
@@ -470,18 +473,12 @@ class TestMaTrDriver:
     def test_radius_updates_follow_rho_branches(self):
         constants = TrustRegionConstants()
         for pid, u0 in STARTS.items():
-            trace = run_ma_tr(get_problem(pid), u0, stop=StoppingCriteria(max_iterations=150))
+            trace = run_ma_tr(get_problem(pid), u0, max_iterations=150)
             for prev, nxt in zip(trace.records, trace.records[1:]):
                 assert nxt.radius == next_radius(prev, constants)
 
     def test_radius_stays_positive_and_capped(self):
-        constants = TrustRegionConstants(radius_max=4.0)
-        trace = run_ma_tr(
-            get_problem("P3"),
-            [-1.2, 1.0],
-            constants=constants,
-            stop=StoppingCriteria(max_iterations=200),
-        )
+        trace = run_ma_tr(get_problem("P3"), [-1.2, 1.0], radius_max=4.0, max_iterations=200)
         for r in trace.records:
             assert 0.0 < r.radius <= 4.0
 
@@ -515,26 +512,15 @@ class TestMaTrDriver:
 
     def test_delta0_must_respect_radius_max(self):
         with pytest.raises(ValueError, match="radius_max"):
-            run_ma_tr(
-                get_problem("P1"),
-                [0.0, 0.0],
-                delta0=5.0,
-                constants=TrustRegionConstants(radius_max=2.0),
-            )
+            run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=5.0, radius_max=2.0)
 
     def test_cap_landing_on_converging_iteration_reports_converged(self):
-        trace = run_ma_tr(
-            get_problem("P1"), [0.0, 0.0], delta0=2.0, stop=StoppingCriteria(max_iterations=1)
-        )
+        trace = run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=2.0, max_iterations=1)
         assert trace.termination_status == "converged"
         assert trace.iterations == 1
 
     def test_plant_evaluation_budget_binds(self):
-        trace = run_ma_tr(
-            get_problem("P4"),
-            [0.0, 0.0],
-            stop=StoppingCriteria(max_plant_evaluations=10),
-        )
+        trace = run_ma_tr(get_problem("P4"), [0.0, 0.0], max_plant_evaluations=10)
         assert trace.termination_status == "max-iterations"
         assert trace.plant_evaluation_count <= 10
 
@@ -560,6 +546,29 @@ class TestMaTrDriver:
         trace = run(p, [start] * p.dimension)
         assert trace.termination_status == "oracle-failure"
         assert trace.iterations == 0 and trace.plant_value_evaluations == 1
+
+    @pytest.mark.parametrize("algorithm", ["trust-region", "ma-tr"])
+    def test_cauchy_point_beyond_the_float_range_is_an_oracle_failure(self, algorithm):
+        # the closed-form Cauchy step of a small gradient in a huge ball overflows
+        raw = {"problem": "P2", "algorithm": algorithm, "u0": [0.25], "delta0": 1.5e308}
+        trace = run_config(config_from_dict(raw))
+        assert trace.termination_status == "oracle-failure"
+        assert trace.iterations == 0 and trace.plant_evaluation_count == 2
+
+    def test_cauchy_scan_beyond_the_float_range_is_an_oracle_failure(self):
+        # without a declared Hessian the ray's far end, which bounds the scan, overflows
+        plant = ScalarOracle(lambda u: float(u[0]) ** 2, lambda u: 2.0 * u, 1)
+        model = ScalarOracle(lambda u: -float(u[0]) ** 2, lambda u: -2.0 * u, 1)
+        trace = run_ma_tr(ProblemPair("concave", plant, model), [0.01], delta0=1.5e308)
+        assert trace.termination_status == "oracle-failure"
+        assert trace.iterations == 0 and trace.plant_evaluation_count == 2
+
+    @pytest.mark.parametrize("run", [run_basic_ma, run_trust_region, run_ma_tr])
+    def test_sphere_model_overflow_is_an_oracle_failure(self, run):
+        # on P3's valley the plant value is finite, but the sphere model's u . u overflows
+        trace = run(get_problem("P3"), [1.2e77, 1.44e154])
+        assert trace.termination_status == "oracle-failure"
+        assert trace.iterations == 0 and trace.plant_evaluation_count == 2
 
     def test_overflowing_user_plant_is_an_oracle_failure(self):
         plant = ScalarOracle(lambda u: float(u[0]) ** 4, lambda u: 4.0 * u**3, 1)
@@ -600,11 +609,7 @@ class TestMaTrDriver:
         # under noise the radius shrinks until the candidate rounds back to
         # the reference or registers no model decrease; the loop stops
         # there instead of shrinking the radius to 0
-        trace = run(
-            get_problem(pid, noise_level=0.02, seed=1),
-            STARTS[pid],
-            stop=StoppingCriteria(max_iterations=5000),
-        )
+        trace = run(get_problem(pid, noise_level=0.02, seed=1), STARTS[pid], max_iterations=5000)
         assert trace.termination_status == "stalled"
         assert "stalled" in TERMINATION_STATUSES
         assert trace.iterations < 5000
@@ -617,7 +622,7 @@ class TestMaTrDriver:
         # P1 under this noise stops where the Cauchy point still moves but
         # its model change rounds to >= 0: the subproblem predicts no decrease
         problem = get_problem("P1", noise_level=0.02, seed=1)
-        trace = run(problem, STARTS["P1"], stop=StoppingCriteria(max_iterations=5000))
+        trace = run(problem, STARTS["P1"], max_iterations=5000)
         assert trace.termination_status == "stalled"
         assert all(r.radius > 0.0 for r in trace.records)
         assert trace.plant_value_evaluations == 1 + trace.iterations
@@ -714,7 +719,7 @@ class TestModelReuse:
 
         monkeypatch.setattr(drivers, "CorrectedModel", CountedModel)
         monkeypatch.setattr(drivers, "solve_subproblem", counted_solve)
-        trace = run_ma_tr(problem, [0.0, 0.0], stop=StoppingCriteria(max_iterations=100))
+        trace = run_ma_tr(problem, [0.0, 0.0], max_iterations=100)
         records = trace.records
         rejected = [k for k in range(1, len(records)) if not records[k - 1].accepted]
         assert len(rejected) > len(records) // 2
@@ -725,9 +730,8 @@ class TestModelReuse:
     @pytest.mark.parametrize("alpha", [0.3, 1.0])
     def test_filter_follows_its_recursion_on_every_iteration(self, alpha):
         u0, seed = [0.0, 0.0], 4
-        stop = StoppingCriteria(max_iterations=100)
         problem = get_problem("P4", noise_level=0.02, seed=seed)
-        trace = run_ma_tr(problem, u0, alpha=alpha, stop=stop)
+        trace = run_ma_tr(problem, u0, alpha=alpha, max_iterations=100)
         # a fresh pair replays the run's noise draws in the run's order
         fresh = get_problem("P4", noise_level=0.02, seed=seed)
         fresh.evaluate_plant(u0)
@@ -753,6 +757,27 @@ class TestModelReuse:
         assert all(moved) if alpha < 1.0 else not any(moved)
 
 
+    def test_unmoved_anchor_is_measured_once_at_a_filter_gain_below_1(self, monkeypatch):
+        def run():
+            problem = get_problem("P4", noise_level=0.02, seed=4)
+            trace = run_ma_tr(problem, [0.0, 0.0], alpha=0.3, max_iterations=100)
+            return problem.model.value_calls, json.dumps(trace_to_dict(trace))
+
+        calls, trace = run()
+        assert calls == 164
+
+        class Remeasuring(CorrectedModel):
+            """Every rebuilt model measures the base value at its anchor."""
+
+            def __init__(self, *args, base_value=None, **kwargs):
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(drivers, "CorrectedModel", Remeasuring)
+        remeasured_calls, remeasured = run()
+        assert remeasured_calls > calls
+        assert remeasured == trace
+
+
 class TestArgumentRules:
     @pytest.mark.parametrize(
         "call, name",
@@ -765,6 +790,10 @@ class TestArgumentRules:
             (lambda: run_basic_ma(get_problem("P1"), [0.0, 0.0], box_halfwidth=-1),
              "box_halfwidth"),
             (lambda: run_basic_ma(get_problem("P1"), [0.0, 0.0], alpha=1.5), "alpha"),
+            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], radius_max=math.inf),
+             "radius_max"),
+            (lambda: RunConfig(problem="P1", algorithm="trust-region", u0=[0.0, 0.0],
+                               radius_max=math.inf).check(), "radius_max"),
             (lambda: get_problem("P1", noise_level=float("nan")), "noise_level"),
             (lambda: get_problem("P1", seed=-1), "seed"),
         ],
@@ -776,6 +805,8 @@ class TestArgumentRules:
             "trust-region-delta0-0",
             "box-halfwidth-negative",
             "basic-ma-alpha",
+            "radius-max-inf",
+            "run-config-radius-max-inf",
             "noise-level-nan",
             "seed-negative",
         ],
@@ -785,14 +816,28 @@ class TestArgumentRules:
         with pytest.raises(ValueError, match=f"'{name}'"):
             call()
 
+    @pytest.mark.parametrize(
+        "run, name, value",
+        [
+            (run_trust_region, "alpha", 0.5),
+            (run_basic_ma, "delta0", 2.0),
+            (run_ma_tr, "seed", 3),
+            (run_ma_tr, "stop", StoppingCriteria(max_iterations=3)),
+        ],
+        ids=["trust-region-alpha", "basic-ma-delta0", "ma-tr-seed", "ma-tr-stop"],
+    )
+    def test_setting_the_algorithm_does_not_take_is_rejected(self, run, name, value):
+        problem = get_problem("P1")
+        with pytest.raises(ConfigError, match=f"field '{name}': not a setting of"):
+            run(problem, [0.0, 0.0], **{name: value})
+        assert problem.plant_evaluations() == (0, 0)
+
 
 class TestCheckConvergence:
     def test_threshold_cases(self):
         trace = run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=2.0)
         assert check_convergence(trace, 1e-6)
-        capped = run_ma_tr(
-            get_problem("P3"), [-1.2, 1.0], stop=StoppingCriteria(max_iterations=5)
-        )
+        capped = run_ma_tr(get_problem("P3"), [-1.2, 1.0], max_iterations=5)
         assert not check_convergence(capped, 1e-6)
 
     def test_any_himmelblau_minimizer_counts(self):
@@ -894,6 +939,24 @@ class TestReplay:
     from a config."""
 
     DRIVERS = {"basic-ma": run_basic_ma, "trust-region": run_trust_region, "ma-tr": run_ma_tr}
+
+    # a value off RunConfig's default for every driver setting
+    OFF_DEFAULT = {"delta0": 0.5, "eta1": 0.2, "eta2": 0.8, "expansion_factor": 3.0,
+                   "shrink_factor": 0.25, "radius_max": 4.0, "alpha": 0.5, "tolerance": 1e-3,
+                   "max_iterations": 7, "max_plant_evaluations": 99, "box_halfwidth": 10.0}
+
+    @pytest.mark.parametrize("algorithm", sorted(DRIVERS))
+    def test_every_driver_setting_replays(self, algorithm, tmp_path):
+        settings = {name: self.OFF_DEFAULT[name] for name in SETTINGS[algorithm]}
+        assert all(value != getattr(RunConfig, name) for name, value in settings.items())
+        problem = get_problem("P4", noise_level=0.01, seed=3)
+        library = self.DRIVERS[algorithm](problem, [0.5, -1.0], **settings)
+        assert {name: library.config[name] for name in settings} == settings
+        replayed = run_config(config_from_dict(library.config))
+        for fmt in ("csv", "json"):
+            a = export_trace(library, fmt, tmp_path / f"library.{fmt}")
+            b = export_trace(replayed, fmt, tmp_path / f"replayed.{fmt}")
+            assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["noise-free", "noisy"])
     @pytest.mark.parametrize("pid", sorted(STARTS))

@@ -50,6 +50,16 @@ class TestCatalogValues:
         assert p.evaluate_model([2.0, 0.0]) == pytest.approx(4.0)
         assert p.model_gradient([2.0, 0.0]) == pytest.approx([4.0, 0.0])
 
+    def test_sphere_model_has_np_dot_bits_and_overflows_quietly(self):
+        # every P1/P3/P4 trace depends on np.dot's rounding of u . u
+        rng = np.random.default_rng(3)
+        model = get_problem("P3").model
+        for u in rng.normal(size=(2000, 2)) * 10.0 ** rng.uniform(-150, 150, size=(2000, 1)):
+            assert model.value(u) == float(np.dot(u, u))
+        # beyond the float range: an OracleError, and no RuntimeWarning (an error here)
+        with pytest.raises(OracleError):
+            model.value([1.2e77, 1.44e154])
+
     def test_known_optima_are_critical(self):
         for pid in PROBLEM_IDS:
             p = get_problem(pid)

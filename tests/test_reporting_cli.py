@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from rtopt import (
-    StoppingCriteria,
     export_trace,
     get_problem,
     load_config,
@@ -23,14 +22,12 @@ from rtopt.reporting import CSV_COLUMNS
 
 
 def small_trace():
-    return run_ma_tr(get_problem("P4"), [0.0, 0.0], stop=StoppingCriteria(max_iterations=3))
+    return run_ma_tr(get_problem("P4"), [0.0, 0.0], max_iterations=3)
 
 
 def degenerate_trace():
     # a vanishing initial radius makes every predicted decrease vanish
-    return run_ma_tr(
-        get_problem("P1"), [0.0, 0.0], delta0=1e-16, stop=StoppingCriteria(max_iterations=3)
-    )
+    return run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=1e-16, max_iterations=3)
 
 
 class TestCsvExport:
