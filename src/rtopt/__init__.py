@@ -13,7 +13,6 @@ from .drivers import (
     DEGENERATE,
     IterationRecord,
     RunTrace,
-    StoppingCriteria,
     check_convergence,
     run_basic_ma,
     run_ma_tr,
@@ -61,7 +60,6 @@ __all__ = [
     "RunConfig",
     "RunTrace",
     "ScalarOracle",
-    "StoppingCriteria",
     "SubproblemResult",
     "SufficientDecreaseParams",
     "TrustRegionConstants",

@@ -42,7 +42,6 @@ __all__ = [
     "FORMATS",
     "RunConfig",
     "SETTINGS",
-    "StoppingCriteria",
     "IterationRecord",
     "RunTrace",
     "run_basic_ma",
@@ -72,22 +71,8 @@ _LOOPS = ("trust-region", "ma-tr")
 FORMATS = ("csv", "json")
 
 
-@dataclass(frozen=True)
-class StoppingCriteria:
-    """Loop termination plumbing; the underlying schemes iterate forever."""
-
-    tolerance: float = 1e-6
-    max_iterations: int = 500
-    max_plant_evaluations: int = 10_000
-
-    def __post_init__(self):
-        require(
-            0.0 < self.tolerance < math.inf,
-            "tolerance",
-            f"must be finite and > 0, got {self.tolerance}",
-        )
-        require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
-        require(self.max_plant_evaluations >= 1, "max_plant_evaluations", "must be >= 1")
+def _check_tolerance(tolerance: float) -> None:
+    require(0.0 < tolerance < math.inf, "tolerance", f"must be finite and > 0, got {tolerance}")
 
 
 def _setting(default=MISSING, algorithms=ALGORITHMS, recorded=True, choices=None):
@@ -108,7 +93,8 @@ class RunConfig:
 
     Field types and metadata drive config parsing.  ``check`` holds the
     range rules of the settings the run's objects do not check themselves
-    (``TrustRegionConstants``, ``StoppingCriteria``, ``ProblemPair``).
+    (``TrustRegionConstants``, ``ProblemPair``), the stopping rules among
+    them: the schemes iterate forever, and stopping is the run's setting.
     """
 
     problem: str = _setting()
@@ -123,18 +109,15 @@ class RunConfig:
     alpha: float = _setting(1.0, ("basic-ma", "ma-tr"))
     noise_level: float = _setting(0.0)
     seed: int = _setting(0)
-    tolerance: float = _setting(StoppingCriteria.tolerance)
-    max_iterations: int = _setting(StoppingCriteria.max_iterations)
-    max_plant_evaluations: int = _setting(StoppingCriteria.max_plant_evaluations)
+    tolerance: float = _setting(1e-6)
+    max_iterations: int = _setting(500)
+    max_plant_evaluations: int = _setting(10_000)
     box_halfwidth: float = _setting(1e6, ("basic-ma",))
     output: str | None = _setting(None, recorded=False)
     format: str = _setting("csv", recorded=False, choices=FORMATS)
 
-    def _values_for(self, cls) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(cls)}
-
     def constants(self) -> TrustRegionConstants:
-        values = self._values_for(TrustRegionConstants)
+        values = {f.name: getattr(self, f.name) for f in fields(TrustRegionConstants)}
         if self.radius_max is None:  # unbounded
             values["radius_max"] = math.inf
         return TrustRegionConstants(**values)
@@ -143,7 +126,9 @@ class RunConfig:
         """Apply the range rules of every setting but the problem's;
         returns ``self``.  A violation raises ``ConfigError`` naming the
         field."""
-        StoppingCriteria(**self._values_for(StoppingCriteria))
+        _check_tolerance(self.tolerance)
+        require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
+        require(self.max_plant_evaluations >= 1, "max_plant_evaluations", "must be >= 1")
         radius_max = self.constants().radius_max
         require(radius_max < math.inf or self.radius_max is None, "radius_max", "must be finite")
         check_alpha(self.alpha)
@@ -226,7 +211,7 @@ class RunTrace:
 def check_convergence(trace: RunTrace, tolerance: float) -> bool:
     """Whether the trace's final reference is first-order critical to the
     given tolerance (measured plant gradient norm)."""
-    StoppingCriteria(tolerance=tolerance)  # the one tolerance rule
+    _check_tolerance(tolerance)
     if not np.isfinite(trace.final_gradient_norm):
         raise ValueError("trace has no finite final gradient norm")
     return trace.final_gradient_norm <= tolerance
@@ -264,12 +249,11 @@ def _box_minimize(model: CorrectedModel, halfwidth: float, rng: np.random.Genera
         tol = 10 * w.size * math.ulp(1.0)  # 10 n eps
         scale = max(-w[0], w[-1])  # max |w|
         null = np.abs(w) <= tol * scale
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = np.where(null, 0.0, gt) / np.where(null, 1.0, w)
-            off_range = null.any() and np.linalg.norm(gt[null]) > tol * (
-                np.linalg.norm(gt) + scale * (np.linalg.norm(step) + np.linalg.norm(current))
-            )
-            point = current - q @ step
+        step = np.where(null, 0.0, gt) / np.where(null, 1.0, w)
+        off_range = null.any() and np.linalg.norm(gt[null]) > tol * (
+            np.linalg.norm(gt) + scale * (np.linalg.norm(step) + np.linalg.norm(current))
+        )
+        point = current - q @ step
         if w[0] < -tol * scale or off_range:
             return current, "unbounded-subproblem"
         # an overflowed step is outside too: NaN fails the comparison
@@ -299,8 +283,7 @@ def _box_minimize(model: CorrectedModel, halfwidth: float, rng: np.random.Genera
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a measured gradient; inf where its square overflows."""
-    with np.errstate(over="ignore"):
-        return math.sqrt(float(v.dot(v)))
+    return math.sqrt(float(v.dot(v)))
 
 
 def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
@@ -322,7 +305,9 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     rng = None if ball or problem.model.hessian is not None else np.random.default_rng(cfg.seed)
 
     records: list[IterationRecord] = []
-    status = "max-iterations"
+    status = None
+    # the probe count past which a pass cannot afford its two probes
+    budget = cfg.max_plant_evaluations - 2 + v0 + g0
     ref_grad = unmeasured = np.full(problem.dimension, np.nan)
     state = model = model_value = model_grad = None
     filt = ModifierFilter(cfg.alpha, problem.dimension)
@@ -331,14 +316,18 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
         ref_grad = problem.plant_gradient(u)
         radius0 = cfg.delta0 if ball else math.inf
         state = TrustRegionState(reference=u, radius=radius0, reference_plant_value=ref_value)
-        for k in range(cfg.max_iterations):
+        for k in range(cfg.max_iterations + 1):
+            # Every stop that needs no solve; the pass at the cap only checks.
+            # A ball shrunk to 0.0 predicts no decrease: every later iteration
+            # would be degenerate and only shrink the radius.
             gnorm = _norm(ref_grad)
             if gnorm <= cfg.tolerance:
                 status = "converged"
-                break
-            used = sum(problem.plant_evaluations()) - (v0 + g0)
-            if used + 2 > cfg.max_plant_evaluations:
+            elif k == cfg.max_iterations or sum(problem.plant_evaluations()) > budget:
                 status = "max-iterations"
+            elif state.radius == 0.0:
+                status = "stalled"
+            if status is not None:
                 break
             # A rejected step keeps the reference and its measurements (models are never
             # noisy), so the model too, with its anchor terms, unless the filter moves it.
@@ -354,18 +343,14 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             anchor = state.reference.copy()
             anchor_value = state.reference_plant_value
             radius = state.radius
-            # No predicted model decrease, as in a ball shrunk to 0.0: every
-            # later iteration would be degenerate and only shrink the radius.
-            if ball and radius == 0.0:
-                end = "stalled"
-            elif ball:
+            if ball:
                 result = solve_subproblem(model, radius)
                 candidate = result.candidate
-                end = "stalled" if result.predicted_change >= 0.0 else None
+                if result.predicted_change >= 0.0:  # no predicted decrease
+                    status = "stalled"
             else:
-                candidate, end = _box_minimize(model, cfg.box_halfwidth, rng)
-            if end is not None:
-                status = end
+                candidate, status = _box_minimize(model, cfg.box_halfwidth, rng)
+            if status is not None:
                 break
             cand_value = problem.evaluate_plant(candidate)
             if ball:
@@ -396,9 +381,6 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             if accepted:  # NaN if the probe fails: the old gradient is not the new one's
                 ref_grad, model, model_grad = unmeasured, None, None
                 ref_grad = problem.plant_gradient(state.reference)
-        # the cap can land exactly on the converging iteration
-        if status == "max-iterations" and _norm(ref_grad) <= cfg.tolerance:
-            status = "converged"
     except OracleError:
         status = "oracle-failure"
 
@@ -437,7 +419,9 @@ def _drive(algorithm, problem, u0, settings) -> RunTrace:
         seed=problem.seed,
         **settings,
     )
-    return _run(problem, cfg)
+    # NumPy overflow inside a run is quiet: its inf or NaN ends the run in a status
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _run(problem, cfg)
 
 
 def run_basic_ma(problem: ProblemPair, u0, **settings) -> RunTrace:

@@ -9,6 +9,9 @@ import pytest
 
 from rtopt import ConfigError, RunConfig, load_config, run_config
 from rtopt.config import config_from_dict
+from rtopt.drivers import TERMINATION_STATUSES
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -216,8 +219,9 @@ class TestRunConfigDispatch:
 
 
 class TestReadmeReference:
-    """The README configuration reference is written by hand; it must list
-    exactly the RunConfig fields, in order, with their defaults."""
+    """The README configuration reference and status table are written by
+    hand; they must list exactly the RunConfig fields, in order, with their
+    defaults, and exactly the termination statuses, in order."""
 
     @staticmethod
     def parse_default(text):
@@ -228,7 +232,7 @@ class TestReadmeReference:
             return text  # a bare name, such as csv
 
     def test_table_matches_run_config(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
         required = re.findall(r"`(\w+)`", section.split("Required:", 1)[1].split("Optional", 1)[0])
         documented = {}
@@ -247,3 +251,9 @@ class TestReadmeReference:
                 assert f.name in required
             else:
                 assert documented[f.name] == f.default, f.name
+
+    def test_status_table_matches_termination_statuses(self):
+        readme = README.read_text(encoding="utf-8")
+        table = readme.split("| status | meaning |", 1)[1].split("\n\n", 1)[0]
+        rows = re.findall(r"^\| `([\w-]+)` \|", table, re.MULTILINE)
+        assert tuple(rows) == TERMINATION_STATUSES

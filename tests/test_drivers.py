@@ -15,7 +15,6 @@ from rtopt import (
     ProblemPair,
     RunConfig,
     ScalarOracle,
-    StoppingCriteria,
     SufficientDecreaseParams,
     TrustRegionConstants,
     cauchy_point,
@@ -333,15 +332,18 @@ def loop_settings(draw):
 
 
 class TestRandomQuadraticPairs:
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=20, deadline=None)
     @given(quadratic_pairs(), loop_settings(), st.floats(0.0, 1.0, exclude_min=True))
     def test_every_driver_ends_in_a_documented_status(self, pair, loop, alpha):
         build, u0, noisy = pair
         settings, constants = loop
-        stop = dict(tolerance=1e-6, max_iterations=10)
+        stop = dict(tolerance=1e-6, max_iterations=100)
         ball = dict(settings, **stop)
+        # basic-ma runs 10 iterations: its box search without a Hessian
+        # spends up to 20,000 model values an iteration
+        boxed = dict(stop, max_iterations=10, box_halfwidth=100.0)
         traces = {
-            "basic-ma": run_basic_ma(build(), u0, box_halfwidth=100.0, **stop),
+            "basic-ma": run_basic_ma(build(), u0, **boxed),
             "trust-region": run_trust_region(build(), u0, **ball),
             "ma-tr": run_ma_tr(build(), u0, **ball),
             "filtered ma-tr": run_ma_tr(build(), u0, alpha=alpha, **ball),
@@ -576,6 +578,31 @@ class TestMaTrDriver:
         trace = run_ma_tr(ProblemPair("quartic", plant, model), [1e100])
         assert trace.termination_status == "oracle-failure"
 
+    @pytest.mark.parametrize("run", [run_basic_ma, run_trust_region, run_ma_tr])
+    def test_numpy_overflow_in_a_user_plant_is_quiet(self, run):
+        # NumPy's u[0] ** 4 overflows to inf, with a RuntimeWarning outside a run
+        plant = ScalarOracle(lambda u: u[0] ** 4, lambda u: 4.0 * u**3, 1)
+        model = ScalarOracle(lambda u: float(u[0]) ** 2, lambda u: 2.0 * u, 1)
+        trace = run(ProblemPair("quartic", plant, model), [1e100])
+        assert trace.termination_status == "oracle-failure"
+        assert trace.iterations == 0 and trace.plant_evaluation_count == 1
+
+    @pytest.mark.parametrize(
+        "pid, u0, settings, status, iterations",
+        [
+            # the projected descent's gradient dot product overflows
+            ("P4", [0.3, -1e6], {"box_halfwidth": 1e300}, "oracle-failure", 2),
+            # the model change's modifiers @ (u - anchor) overflows
+            ("P2", [1.3e154], {}, "outside-box", 0),
+        ],
+    )
+    def test_overflow_in_the_box_search_is_quiet(self, pid, u0, settings, status, iterations):
+        p = get_problem(pid)
+        twin = ScalarOracle(p.model.value, p.model.gradient, p.dimension)
+        trace = run_basic_ma(ProblemPair(pid, p.plant, twin), u0, **settings)
+        assert trace.termination_status == status
+        assert trace.iterations == iterations
+
     @pytest.mark.parametrize("error", [OverflowError, ZeroDivisionError])
     @pytest.mark.parametrize("call", ["value", "gradient"])
     @pytest.mark.parametrize("oracle", ["plant", "model"])
@@ -665,6 +692,9 @@ class TestMaTrDriver:
             # noise of 1e300 on the gradient, which overflows modifiers . anchor too
             ({"problem": "P1", "algorithm": "ma-tr", "u0": [1e100, 1e100],
               "noise_level": 1e300}, 0),
+            # the same zero ball under a filter that moves the model every pass
+            ({"problem": "P3", "algorithm": "ma-tr", "u0": [1e-300, 1e-300],
+              "shrink_factor": 1e-300, "alpha": 0.5}, 2),
         ],
     )
     def test_zero_ball_or_overflowing_gradient_ends_stalled(self, raw, iterations):
@@ -672,6 +702,16 @@ class TestMaTrDriver:
         assert trace.termination_status == "stalled"
         assert trace.iterations == iterations
         assert all(r.radius > 0.0 for r in trace.records)
+
+    def test_zero_ball_stops_before_the_filtered_model_is_rebuilt(self):
+        # the top of the pass stops the run: no solve, no oracle call
+        p = get_problem("P3")
+        trace = run_ma_tr(p, [1e-300, 1e-300], shrink_factor=1e-300, alpha=0.5)
+        assert trace.termination_status == "stalled"
+        assert [r.radius for r in trace.records] == [1.0, 1e-300]
+        counts = (p.plant.value_calls, p.plant.gradient_calls,
+                  p.model.value_calls, p.model.gradient_calls)
+        assert counts == (3, 1, 5, 1)
 
     @pytest.mark.parametrize("run", [run_ma_tr, run_trust_region])
     def test_overflowing_gradient_stalls_without_a_hessian(self, run):
@@ -682,12 +722,11 @@ class TestMaTrDriver:
         assert trace.iterations == 0
 
     def test_stopping_criteria_validation(self):
-        with pytest.raises(ValueError, match="tolerance"):
-            StoppingCriteria(tolerance=0.0)
-        with pytest.raises(ValueError, match="max_iterations"):
-            StoppingCriteria(max_iterations=0)
-        with pytest.raises(ValueError, match="max_plant_evaluations"):
-            StoppingCriteria(max_plant_evaluations=0)
+        for name in ("tolerance", "max_iterations", "max_plant_evaluations"):
+            problem = get_problem("P1")
+            with pytest.raises(ConfigError, match=f"'{name}'"):
+                run_ma_tr(problem, [0.0, 0.0], **{name: 0})
+            assert problem.plant_evaluations() == (0, 0)
 
 
 class TestModelReuse:
@@ -782,8 +821,10 @@ class TestArgumentRules:
     @pytest.mark.parametrize(
         "call, name",
         [
-            (lambda: StoppingCriteria(tolerance=float("nan")), "tolerance"),
-            (lambda: StoppingCriteria(tolerance=float("inf")), "tolerance"),
+            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], tolerance=float("nan")),
+             "tolerance"),
+            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], tolerance=float("inf")),
+             "tolerance"),
             (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=float("nan")), "delta0"),
             (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=float("inf")), "delta0"),
             (lambda: run_trust_region(get_problem("P1"), [0.0, 0.0], delta0=0.0), "delta0"),
@@ -822,7 +863,7 @@ class TestArgumentRules:
             (run_trust_region, "alpha", 0.5),
             (run_basic_ma, "delta0", 2.0),
             (run_ma_tr, "seed", 3),
-            (run_ma_tr, "stop", StoppingCriteria(max_iterations=3)),
+            (run_ma_tr, "stop", {"max_iterations": 3}),
         ],
         ids=["trust-region-alpha", "basic-ma-delta0", "ma-tr-seed", "ma-tr-stop"],
     )

@@ -57,7 +57,7 @@ class TestComputeRho:
     def test_negative_model_decrease_is_degenerate(self):
         assert compute_rho(1.0, 0.5, 1.0) is None
 
-    def test_threshold_is_configurable(self):
+    def test_floor_scales_with_the_plant_value(self):
         # floor at plant_ref=1: 4 machine epsilons, about 8.9e-16
         assert compute_rho(1.0, 0.5, -4e-16) is None
         assert compute_rho(1.0, 0.5, -1e-15) is not None
@@ -72,7 +72,7 @@ class TestComputeRho:
         with pytest.raises(ValueError, match="predicted_change"):
             compute_rho(1.0, 0.5, -math.inf)
 
-    def test_negated_decrease_is_degenerate_by_default(self):
+    def test_negated_decrease_is_degenerate(self):
         assert compute_rho(0.0, 1.0, 0.5) is None
 
 
