@@ -38,13 +38,7 @@ from .subproblem import (
     estimate_beta,
     solve_subproblem,
 )
-from .trust_region import (
-    TrustRegionConstants,
-    TrustRegionState,
-    accept_candidate,
-    compute_rho,
-    update_radius,
-)
+from .trust_region import TrustRegionState, accept_candidate, compute_rho, update_radius
 
 __version__ = "0.1.0"
 
@@ -62,7 +56,6 @@ __all__ = [
     "ScalarOracle",
     "SubproblemResult",
     "SufficientDecreaseParams",
-    "TrustRegionConstants",
     "TrustRegionState",
     "accept_candidate",
     "cauchy_point",

@@ -29,13 +29,7 @@ from .corrected_model import CorrectedModel, ModifierFilter, check_alpha
 from .errors import OracleError, require
 from .problems import ProblemPair, as_input_vector
 from .subproblem import projected_descent, solve_subproblem
-from .trust_region import (
-    TrustRegionConstants,
-    TrustRegionState,
-    accept_candidate,
-    compute_rho,
-    update_radius,
-)
+from .trust_region import TrustRegionState, accept_candidate, compute_rho, update_radius
 
 __all__ = [
     "ALGORITHMS",
@@ -92,8 +86,9 @@ class RunConfig:
     ``trace.config``.
 
     Field types and metadata drive config parsing.  ``check`` holds the
-    range rules of the settings the run's objects do not check themselves
-    (``TrustRegionConstants``, ``ProblemPair``), the stopping rules among
+    range rules of every setting but ``noise_level`` and ``seed``, which
+    ``ProblemPair`` checks; the trust-region helpers read the same fields,
+    ``radius_max`` None being unbounded.  The stopping rules are among
     them: the schemes iterate forever, and stopping is the run's setting.
     """
 
@@ -101,10 +96,10 @@ class RunConfig:
     algorithm: str = _setting(choices=ALGORITHMS)
     u0: list = _setting()
     delta0: float = _setting(1.0, _LOOPS)
-    eta1: float = _setting(TrustRegionConstants.eta1, _LOOPS)
-    eta2: float = _setting(TrustRegionConstants.eta2, _LOOPS)
-    expansion_factor: float = _setting(TrustRegionConstants.expansion_factor, _LOOPS)
-    shrink_factor: float = _setting(TrustRegionConstants.shrink_factor, _LOOPS)
+    eta1: float = _setting(0.1, _LOOPS)
+    eta2: float = _setting(0.9, _LOOPS)
+    expansion_factor: float = _setting(2.0, _LOOPS)
+    shrink_factor: float = _setting(0.5, _LOOPS)
     radius_max: float | None = _setting(None, _LOOPS)
     alpha: float = _setting(1.0, ("basic-ma", "ma-tr"))
     noise_level: float = _setting(0.0)
@@ -116,12 +111,6 @@ class RunConfig:
     output: str | None = _setting(None, recorded=False)
     format: str = _setting("csv", recorded=False, choices=FORMATS)
 
-    def constants(self) -> TrustRegionConstants:
-        values = {f.name: getattr(self, f.name) for f in fields(TrustRegionConstants)}
-        if self.radius_max is None:  # unbounded
-            values["radius_max"] = math.inf
-        return TrustRegionConstants(**values)
-
     def check(self) -> RunConfig:
         """Apply the range rules of every setting but the problem's;
         returns ``self``.  A violation raises ``ConfigError`` naming the
@@ -129,12 +118,26 @@ class RunConfig:
         _check_tolerance(self.tolerance)
         require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
         require(self.max_plant_evaluations >= 1, "max_plant_evaluations", "must be >= 1")
-        radius_max = self.constants().radius_max
-        require(radius_max < math.inf or self.radius_max is None, "radius_max", "must be finite")
+        eta1, eta2, radius_max = self.eta1, self.eta2, self.radius_max
+        require(
+            0.0 < eta1 <= eta2 < 1.0,
+            "eta1",
+            f"require 0 < eta1 <= eta2 < 1, got eta1={eta1}, eta2={eta2}",
+        )
+        shrink, expansion = self.shrink_factor, self.expansion_factor
+        require(0.0 < shrink < 1.0, "shrink_factor", f"must lie in (0, 1), got {shrink}")
+        require(
+            1.0 < expansion < math.inf,
+            "expansion_factor",
+            f"must be finite and > 1, got {expansion}",
+        )
+        if radius_max is not None:  # None: unbounded
+            require(radius_max > 0.0, "radius_max", f"must be > 0, got {radius_max}")
+            require(radius_max < math.inf, "radius_max", "must be finite")
         check_alpha(self.alpha)
         delta0 = self.delta0
         require(0.0 < delta0 < math.inf, "delta0", f"must be finite and > 0, got {delta0}")
-        require(delta0 <= radius_max, "delta0", "must not exceed radius_max")
+        require(radius_max is None or delta0 <= radius_max, "delta0", "must not exceed radius_max")
         require(
             0.0 < self.box_halfwidth < math.inf,
             "box_halfwidth",
@@ -295,7 +298,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     ``_box_minimize`` and applies every candidate.
     """
     ball = cfg.algorithm != "basic-ma"
-    constants = cfg.check().constants()
+    cfg.check()
     u = as_input_vector(cfg.u0, problem.dimension)
     config = {name: getattr(cfg, name) for name in _RECORDED[cfg.algorithm]}
     config["u0"] = u.tolist()
@@ -357,8 +360,8 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 # The model enters the ratio as its change from the anchor,
                 # which is the same with or without the value shift.
                 rho = compute_rho(anchor_value, cand_value, result.predicted_change)
-                accepted = accept_candidate(state, candidate, cand_value, rho, constants)
-                state.radius = update_radius(radius, rho, constants)
+                accepted = accept_candidate(state, candidate, cand_value, rho, cfg)
+                state.radius = update_radius(radius, rho, cfg)
                 rho = DEGENERATE if rho is None else rho
                 override = result.cauchy_override_applied
             else:

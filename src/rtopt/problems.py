@@ -151,7 +151,8 @@ class ProblemPair:
     standard deviation ``noise_level`` drawn from a generator seeded at
     construction, so noisy runs are reproducible.  With ``noise_level`` 0
     repeated evaluation at the same point is bit-identical.  The model is
-    never noisy.
+    never noisy.  A noisy measurement that overflows raises
+    :class:`OracleError`, though the noise level is finite.
 
     Noiseless pairs are stateless apart from the call counters and may be
     shared across concurrent read-only runs when per-run counts are not
@@ -191,12 +192,16 @@ class ProblemPair:
         val = self.plant.value(u)
         if self.noise_level > 0.0:
             val += self.noise_level * self._rng.standard_normal()
+            if not math.isfinite(val):
+                raise OracleError(f"noisy plant value is non-finite at u={u!r}")
         return val
 
     def plant_gradient(self, u) -> np.ndarray:
         grad = self.plant.gradient(u)
         if self.noise_level > 0.0:
             grad = grad + self.noise_level * self._rng.standard_normal(self.dimension)
+            if not all(map(math.isfinite, grad.tolist())):
+                raise OracleError(f"noisy plant gradient is non-finite at u={u!r}")
         return grad
 
     def evaluate_model(self, u) -> float:

@@ -6,14 +6,16 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import require
 from .problems import as_input_vector
 
+if TYPE_CHECKING:  # drivers imports this module
+    from .drivers import RunConfig
+
 __all__ = [
-    "TrustRegionConstants",
     "TrustRegionState",
     "compute_rho",
     "accept_candidate",
@@ -26,41 +28,6 @@ __all__ = [
 # decrease cannot resolve it, so the acceptance ratio is undefined and the
 # iteration fails.  Relative to |f_ref| it stays usable as f_ref -> 0.
 DEGENERACY_EPS_FACTOR = 4.0
-
-
-@dataclass(frozen=True)
-class TrustRegionConstants:
-    """Acceptance thresholds and radius-update factors.
-
-    Requires 0 < eta1 <= eta2 < 1, 0 < shrink_factor < 1 and
-    expansion_factor > 1.  An unsuccessful step may take any radius in
-    [gamma1, gamma2] times the old one (Conn, Gould & Toint, Alg. 6.1.1);
-    this loop always takes the one factor ``shrink_factor``.
-    """
-
-    eta1: float = 0.1
-    eta2: float = 0.9
-    expansion_factor: float = 2.0
-    shrink_factor: float = 0.5
-    radius_max: float = math.inf
-
-    def __post_init__(self):
-        require(
-            0.0 < self.eta1 <= self.eta2 < 1.0,
-            "eta1",
-            f"require 0 < eta1 <= eta2 < 1, got eta1={self.eta1}, eta2={self.eta2}",
-        )
-        require(
-            0.0 < self.shrink_factor < 1.0,
-            "shrink_factor",
-            f"must lie in (0, 1), got {self.shrink_factor}",
-        )
-        require(
-            1.0 < self.expansion_factor < math.inf,
-            "expansion_factor",
-            f"must be finite and > 1, got {self.expansion_factor}",
-        )
-        require(self.radius_max > 0.0, "radius_max", f"must be > 0, got {self.radius_max}")
 
 
 @dataclass
@@ -104,31 +71,34 @@ def accept_candidate(
     candidate,
     candidate_plant_value: float,
     rho: float | None,
-    constants: TrustRegionConstants,
+    cfg: RunConfig,
 ) -> bool:
-    """Move the reference to the candidate iff rho >= eta1.
+    """Move the reference to the candidate iff rho >= ``cfg.eta1``.
 
     A degenerate (None) rho never moves the reference.  Returns whether the
     reference moved; on a move the stored plant value is updated to the
     candidate's measured value.
     """
-    if rho is not None and rho >= constants.eta1:
+    if rho is not None and rho >= cfg.eta1:
         state.reference = as_input_vector(candidate, state.reference.size)
         state.reference_plant_value = float(candidate_plant_value)
         return True
     return False
 
 
-def update_radius(
-    radius: float, rho: float | None, constants: TrustRegionConstants
-) -> float:
-    """Next radius: expand on very successful steps, keep on successful
-    ones, shrink otherwise (including degenerate rho).
+def update_radius(radius: float, rho: float | None, cfg: RunConfig) -> float:
+    """Next radius from the run's settings: expand on very successful
+    steps (rho >= eta2) up to ``radius_max``, None being unbounded; keep
+    on successful ones; shrink otherwise, including degenerate rho.  An
+    unsuccessful step may take any radius in [gamma1, gamma2] times the
+    old one (Conn, Gould & Toint, Alg. 6.1.1); this loop always takes the
+    one factor ``shrink_factor``.
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    if rho is not None and rho >= constants.eta2:
-        return min(constants.expansion_factor * radius, constants.radius_max)
-    if rho is not None and rho >= constants.eta1:
+    if rho is not None and rho >= cfg.eta2:
+        expanded = cfg.expansion_factor * radius
+        return expanded if cfg.radius_max is None else min(expanded, cfg.radius_max)
+    if rho is not None and rho >= cfg.eta1:
         return radius
-    return constants.shrink_factor * radius
+    return cfg.shrink_factor * radius

@@ -12,14 +12,15 @@ other problems.
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rtopt import (
     CorrectedModel,
+    RunConfig,
     SufficientDecreaseParams,
-    TrustRegionConstants,
     check_sufficient_decrease,
     estimate_beta,
     finite_difference_gradient,
@@ -168,18 +169,22 @@ def test_criterion_05_sufficient_decrease_certificate(ma_tr_suite, tr_suite):
 
 def test_criterion_06_radius_update_conformance():
     rng = np.random.default_rng(2024)
+    base = RunConfig(problem="P1", algorithm="ma-tr", u0=STARTS["P1"])
     failures = 0
     for case in range(10_000):
         radius = float(10.0 ** rng.uniform(-8, 6))
         eta1 = rng.uniform(0.01, 0.5)
         eta2 = eta1 + rng.uniform(0.0, 0.99 - eta1)
-        constants = TrustRegionConstants(
+        constants = replace(
+            base,
+            delta0=radius,
             eta1=eta1,
             eta2=eta2,
             shrink_factor=rng.uniform(0.01, 0.99),
             expansion_factor=1.0 + rng.uniform(0.01, 9.0),
-            radius_max=np.inf if case % 3 else radius * rng.uniform(1.0, 4.0),
-        )
+            radius_max=None if case % 3 else radius * rng.uniform(1.0, 4.0),
+        ).check()
+        cap = np.inf if constants.radius_max is None else constants.radius_max
         draw = rng.uniform()
         if draw < 0.05:
             rho = None
@@ -191,7 +196,7 @@ def test_criterion_06_radius_update_conformance():
             rho = float(rng.uniform(-4.0, 2.5))
         out = update_radius(radius, rho, constants)
         if rho is not None and rho >= eta2:
-            good = out == min(constants.expansion_factor * radius, constants.radius_max)
+            good = out == min(constants.expansion_factor * radius, cap)
         elif rho is not None and rho >= eta1:
             good = out == radius
         else:
@@ -327,7 +332,7 @@ def test_capped_rosenbrock_run_keeps_invariants(ma_tr_suite):
     progress; only the 500-iteration budget binds.
     """
     trace = ma_tr_suite["P3"]
-    constants = TrustRegionConstants()
+    constants = RunConfig(problem="P3", algorithm="ma-tr", u0=STARTS["P3"])
     assert trace.termination_status == "max-iterations"
     assert trace.iterations == 500
     # substantial descent happened even though the tolerance was not reached

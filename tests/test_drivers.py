@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from rtopt import (
     RunConfig,
     ScalarOracle,
     SufficientDecreaseParams,
-    TrustRegionConstants,
     cauchy_point,
     check_convergence,
     check_sufficient_decrease,
@@ -34,6 +34,9 @@ from rtopt.config import config_from_dict, run_config
 from rtopt.drivers import SETTINGS, TERMINATION_STATUSES, _box_minimize
 
 STARTS = {"P1": [0.0, 0.0], "P2": [3.0], "P3": [-1.2, 1.0], "P4": [0.0, 0.0]}
+
+# the default run settings, as the trust-region helpers read them
+DEFAULTS = RunConfig(problem="P1", algorithm="ma-tr", u0=STARTS["P1"])
 
 # Polished to machine precision by local quadratic convergence from the
 # standard literature coordinates; frozen here after one-time computation.
@@ -55,12 +58,14 @@ def rebuild_model(problem, record, shifted=False):
 
 
 def next_radius(record, constants):
-    """The radius after ``record``: expanded (up to the cap), kept, or
-    shrunk by ``shrink_factor``, by the branch its rho falls in."""
+    """The radius after ``record``: expanded (up to the cap, None being
+    none), kept, or shrunk by ``shrink_factor``, by the branch its rho
+    falls in; ``constants`` is the run's RunConfig."""
     if record.rho == DEGENERATE or record.rho < constants.eta1:
         return constants.shrink_factor * record.radius
     if record.rho >= constants.eta2:
-        return min(constants.expansion_factor * record.radius, constants.radius_max)
+        cap = math.inf if constants.radius_max is None else constants.radius_max
+        return min(constants.expansion_factor * record.radius, cap)
     return record.radius
 
 
@@ -314,21 +319,20 @@ def quadratic_pairs(draw):
 @st.composite
 def loop_settings(draw):
     """(settings, constants): an initial radius and valid trust-region
-    constants as driver settings, the radius cap unbounded (None) or at
-    least ``delta0``, and the constants as ``next_radius`` reads them."""
+    settings as driver keywords, the radius cap unbounded (None) or at
+    least ``delta0``, and the RunConfig they describe, which
+    ``next_radius`` reads."""
     delta0 = draw(st.floats(0.01, 10.0))
     eta1 = draw(st.floats(0.01, 0.9))
-    constants = TrustRegionConstants(
+    settings = dict(
         eta1=eta1,
         eta2=draw(st.floats(eta1, 0.99)),
         expansion_factor=draw(st.floats(1.1, 4.0)),
         shrink_factor=draw(st.floats(0.05, 0.95)),
-        radius_max=draw(st.one_of(st.just(math.inf), st.floats(1.0, 100.0).map(delta0.__mul__))),
+        radius_max=draw(st.one_of(st.just(None), st.floats(1.0, 100.0).map(delta0.__mul__))),
+        delta0=delta0,
     )
-    settings = dict(vars(constants), delta0=delta0)
-    if math.isinf(constants.radius_max):
-        settings["radius_max"] = None
-    return settings, constants
+    return settings, replace(DEFAULTS, **settings).check()
 
 
 class TestRandomQuadraticPairs:
@@ -473,7 +477,7 @@ class TestMaTrDriver:
                 assert check_sufficient_decrease(change, gnorm, r.radius, params)
 
     def test_radius_updates_follow_rho_branches(self):
-        constants = TrustRegionConstants()
+        constants = DEFAULTS
         for pid, u0 in STARTS.items():
             trace = run_ma_tr(get_problem(pid), u0, max_iterations=150)
             for prev, nxt in zip(trace.records, trace.records[1:]):
@@ -586,6 +590,13 @@ class TestMaTrDriver:
         trace = run(ProblemPair("quartic", plant, model), [1e100])
         assert trace.termination_status == "oracle-failure"
         assert trace.iterations == 0 and trace.plant_evaluation_count == 1
+
+    @pytest.mark.parametrize("run", [run_basic_ma, run_trust_region, run_ma_tr])
+    @pytest.mark.parametrize("pid", ["P1", "P4"])
+    def test_overflowing_noise_is_an_oracle_failure(self, pid, run):
+        # noise_level 1e308 is finite, but at seed 3 a noisy measurement overflows
+        trace = run(get_problem(pid, noise_level=1e308, seed=3), [0.0, 0.0])
+        assert trace.termination_status == "oracle-failure"
 
     @pytest.mark.parametrize(
         "pid, u0, settings, status, iterations",

@@ -1,6 +1,7 @@
 """Tests for the acceptance ratio, candidate acceptance, and radius update."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,21 +9,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rtopt import (
-    TrustRegionConstants,
+    ConfigError,
+    RunConfig,
     TrustRegionState,
     accept_candidate,
     compute_rho,
+    get_problem,
+    run_ma_tr,
     update_radius,
 )
+from rtopt.config import config_from_dict
+
+# a run's settings, as the trust-region helpers read them
+DEFAULTS = RunConfig(problem="P1", algorithm="ma-tr", u0=[0.0, 0.0])
 
 
 class TestConstants:
     def test_defaults_are_valid(self):
-        c = TrustRegionConstants()
+        c = DEFAULTS.check()
         assert c.eta1 == 0.1 and c.eta2 == 0.9
         assert c.shrink_factor == 0.5
         assert c.expansion_factor == 2.0
-        assert math.isinf(c.radius_max)
+        assert c.radius_max is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -39,8 +47,13 @@ class TestConstants:
         ],
     )
     def test_invalid_constants_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TrustRegionConstants(**kwargs)
+        field = next(iter(kwargs))
+        if field.startswith("eta"):  # 0 < eta1 <= eta2 < 1 is one rule, named eta1
+            field = "eta1"
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            run_ma_tr(get_problem("P1"), [0.0, 0.0], **kwargs)
+        with pytest.raises(ConfigError, match=f"field '{field}'"):
+            config_from_dict({"problem": "P1", "algorithm": "ma-tr", "u0": [0.0, 0.0], **kwargs})
 
 
 class TestComputeRho:
@@ -84,48 +97,48 @@ class TestAcceptCandidate:
 
     def test_accepts_above_threshold(self):
         state = self._state()
-        moved = accept_candidate(state, [1.0, 0.0], 4.0, 0.5, TrustRegionConstants())
+        moved = accept_candidate(state, [1.0, 0.0], 4.0, 0.5, DEFAULTS)
         assert moved
         assert np.array_equal(state.reference, [1.0, 0.0])
         assert state.reference_plant_value == 4.0
 
     def test_rejects_below_threshold(self):
         state = self._state()
-        moved = accept_candidate(state, [1.0, 0.0], 4.0, 0.05, TrustRegionConstants())
+        moved = accept_candidate(state, [1.0, 0.0], 4.0, 0.05, DEFAULTS)
         assert not moved
         assert np.array_equal(state.reference, [0.0, 0.0])
         assert state.reference_plant_value == 5.0
 
     def test_degenerate_never_moves(self):
         state = self._state()
-        assert not accept_candidate(state, [1.0, 0.0], 0.0, None, TrustRegionConstants())
+        assert not accept_candidate(state, [1.0, 0.0], 0.0, None, DEFAULTS)
         assert np.array_equal(state.reference, [0.0, 0.0])
 
     def test_boundary_rho_accepts(self):
         state = self._state()
-        assert accept_candidate(state, [1.0, 0.0], 4.0, 0.1, TrustRegionConstants())
+        assert accept_candidate(state, [1.0, 0.0], 4.0, 0.1, DEFAULTS)
 
 
 class TestUpdateRadius:
     def test_very_successful_expands(self):
-        assert update_radius(1.0, 0.95, TrustRegionConstants()) == 2.0
+        assert update_radius(1.0, 0.95, DEFAULTS) == 2.0
 
     def test_successful_keeps(self):
-        assert update_radius(1.0, 0.5, TrustRegionConstants()) == 1.0
+        assert update_radius(1.0, 0.5, DEFAULTS) == 1.0
 
     def test_failed_shrinks(self):
-        assert update_radius(1.0, 0.01, TrustRegionConstants()) == 0.5
+        assert update_radius(1.0, 0.01, DEFAULTS) == 0.5
 
     def test_degenerate_shrinks(self):
-        assert update_radius(1.0, None, TrustRegionConstants()) == 0.5
+        assert update_radius(1.0, None, DEFAULTS) == 0.5
 
     def test_expansion_respects_radius_max(self):
-        c = TrustRegionConstants(radius_max=1.5)
+        c = replace(DEFAULTS, radius_max=1.5).check()
         assert update_radius(1.0, 0.99, c) == 1.5
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):
-            update_radius(0.0, 0.5, TrustRegionConstants())
+            update_radius(0.0, 0.5, DEFAULTS)
 
     @given(
         radius=st.floats(min_value=1e-8, max_value=1e8),
@@ -136,12 +149,13 @@ class TestUpdateRadius:
         expansion=st.floats(min_value=1.01, max_value=10.0),
     )
     def test_output_lies_in_branch_interval(self, radius, rho, eta1, eta_gap, shrink, expansion):
-        constants = TrustRegionConstants(
+        constants = replace(
+            DEFAULTS,
             eta1=eta1,
             eta2=min(eta1 + eta_gap, 0.99),
             shrink_factor=shrink,
             expansion_factor=expansion,
-        )
+        ).check()
         out = update_radius(radius, rho, constants)
         if rho is not None and rho >= constants.eta2:
             assert out == expansion * radius
@@ -159,7 +173,7 @@ class TestState:
 
     def test_reference_move_strictly_decreases_plant_value(self):
         # rho >= eta1 > 0 with positive predicted decrease forces descent
-        constants = TrustRegionConstants()
+        constants = DEFAULTS
         state = TrustRegionState(
             reference=np.zeros(1), radius=1.0, reference_plant_value=3.0
         )
