@@ -77,7 +77,9 @@ class CorrectedModel:
         added so that ``value(anchor)`` equals it exactly.
     base_value, base_gradient : float and array, optional
         The base model's value and gradient at the anchor, if the caller
-        has them; a given one is not measured again.
+        has them; a given one is not measured again.  The base value at the
+        last point ``value_change`` measured is kept for the caller, whose
+        next model may be anchored there (``measured_base_value``).
     """
 
     def __init__(
@@ -98,15 +100,8 @@ class CorrectedModel:
         if base_gradient is not None:
             base_gradient = as_input_vector(base_gradient, self.dimension)
         self._base_gradient, self._anchor_terms = base_gradient, None
-        # The shift lives in this one constant: every value is the value at
-        # the anchor plus the shift-free change from it.  Far from the
-        # origin modifiers . anchor may overflow; no value change reads it.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self._value_at_anchor = (
-                self._model_at_anchor + float(self.modifiers @ self.anchor)
-                if plant_value_at_anchor is None
-                else float(plant_value_at_anchor)
-            )
+        self._plant_value = None if plant_value_at_anchor is None else float(plant_value_at_anchor)
+        self._last_measured = (b"", None)  # (point bytes, base value) of the last value_change
 
     @property
     def dimension(self) -> int:
@@ -123,8 +118,14 @@ class CorrectedModel:
 
     def value(self, u) -> float:
         """Corrected value at u: model(u) + modifiers . u, or with the shift
-        the measured plant value at the anchor plus the change from it."""
-        return self._value_at_anchor + self.value_change(u)
+        the measured plant value at the anchor plus the change from it.  The
+        value at the anchor is computed here, on demand: no value change
+        reads it, and far from the origin its modifiers . anchor may overflow."""
+        at_anchor = self._plant_value
+        if at_anchor is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                at_anchor = self._model_at_anchor + float(self.modifiers @ self.anchor)
+        return at_anchor + self.value_change(u)
 
     def gradient(self, u) -> np.ndarray:
         """Corrected gradient at u; identical with or without the shift."""
@@ -148,8 +149,14 @@ class CorrectedModel:
 
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference
-        form so it is bit-identical with or without the shift.
-        """
+        form so it is bit-identical with or without the shift."""
         base = self.base_model.value(u)
         u = np.asarray(u, dtype=float).reshape(-1)
+        self._last_measured = (u.tobytes(), base)
         return base - self._model_at_anchor + float(self.modifiers @ (u - self.anchor))
+
+    def measured_base_value(self, u) -> float | None:
+        """The base model's value at the array u if u, to the bit, is the
+        last point ``value_change`` measured, else None."""
+        point, value = self._last_measured
+        return value if point == u.tobytes() else None

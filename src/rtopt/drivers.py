@@ -336,7 +336,8 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             # noisy), so the model too, with its anchor terms, unless the filter moves it.
             if model_grad is None:
                 model_grad = problem.model_gradient(state.reference)
-                model_value = problem.evaluate_model(state.reference)
+                if model_value is None:  # the start, or a reference the solve did not measure last
+                    model_value = problem.evaluate_model(state.reference)
             lam = filt.update(ref_grad, model_grad)
             if model is None or lam.tobytes() != model.modifiers.tobytes():
                 model = CorrectedModel(
@@ -382,6 +383,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 )
             )
             if accepted:  # NaN if the probe fails: the old gradient is not the new one's
+                model_value = model.measured_base_value(state.reference)
                 ref_grad, model, model_grad = unmeasured, None, None
                 ref_grad = problem.plant_gradient(state.reference)
     except OracleError:

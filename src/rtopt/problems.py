@@ -199,7 +199,9 @@ class ProblemPair:
     def plant_gradient(self, u) -> np.ndarray:
         grad = self.plant.gradient(u)
         if self.noise_level > 0.0:
-            grad = grad + self.noise_level * self._rng.standard_normal(self.dimension)
+            # Python floats: NumPy's element-wise bits, and an overflow is a quiet inf
+            noise = self._rng.standard_normal(self.dimension).tolist()
+            grad = np.array([g + self.noise_level * z for g, z in zip(grad.tolist(), noise)])
             if not all(map(math.isfinite, grad.tolist())):
                 raise OracleError(f"noisy plant gradient is non-finite at u={u!r}")
         return grad

@@ -273,31 +273,35 @@ def _exact_step(w, q, gt, radius: float) -> np.ndarray:
     boundary unless ``lam`` is 0.  In the eigenbasis ``lam = low + mu``,
     and ``H + low I`` has the eigenvalues ``shifted``, exactly 0 on the
     pole, so the distance to the pole stays exact however close the root
-    lies to it.  ``mu`` solves ``1/||s|| = 1/radius`` by Newton's method:
-    the left side is increasing and concave in ``mu``, so from the left
-    the iterates rise monotonically to the root.  In the hard case ``g``
-    has no component on the pole of a negative eigenvalue and ``||s||``
-    stays inside the ball there; the step is then filled up to the
+    lies to it; a positive-definite ``H`` has no pole, and ``shifted`` is
+    ``w``.  ``mu`` solves ``1/||s|| = 1/radius`` by Newton's method: the
+    left side is increasing and concave in ``mu``, so from the left the
+    iterates rise monotonically to the root; a first pass at ``mu = 0``
+    is the test for an interior minimizer.  In the hard case ``g`` has no
+    component on the pole of a negative eigenvalue and ``||s||`` stays
+    inside the ball there; the step is then filled up to the
     boundary along the bottom eigenvector.
     """
-    shifted = w + max(0.0, -w[0])
-    pole = shifted == 0.0
-    # From the pole, 1/||s|| rises from 0 with slope 1/||gt[pole]||, so
-    # this is Newton's first step; there is none off the pole.
-    mu = math.sqrt(float(gt[pole] @ gt[pole])) / radius
-    if mu == 0.0:
-        gt = np.where(pole, 0.0, gt)  # below the pole's resolution, if not already 0
-        shifted = np.where(pole, 1.0, shifted)  # any positive value: nothing is divided there
-        s = -gt / shifted
-        slack = radius * radius - float(s @ s)
-        if slack >= 0.0:
-            if w[0] < 0.0:  # hard case
-                s[0] = math.sqrt(slack)
-            return q @ s
+    if w[0] > 0.0:  # positive definite: w + 0.0 is w to the bit, and there is no pole
+        shifted, mu = w, 0.0
+    else:
+        shifted = w + max(0.0, -w[0])
+        pole = shifted == 0.0
+        # from the pole 1/||s|| rises from 0 with slope 1/||gt[pole]||: Newton's first step
+        mu = math.sqrt(float(gt[pole] @ gt[pole])) / radius
+        if mu == 0.0:
+            gt = np.where(pole, 0.0, gt)  # below the pole's resolution, if not already 0
+            shifted = np.where(pole, 1.0, shifted)  # any positive value: nothing is divided there
     for _ in range(_MAX_NEWTON_STEPS):
         d = shifted + mu
         c = gt / d
         norm2 = float(c @ c)
+        slack = radius * radius - norm2
+        if mu == 0.0 and slack >= 0.0:  # mu is 0 on the first pass only: an interior step
+            s = -c  # -gt / d to the bit: d is finite and positive
+            if w[0] < 0.0:  # hard case
+                s[0] = math.sqrt(slack)
+            return q @ s
         norm = math.sqrt(norm2)
         if norm <= radius:
             break

@@ -1,6 +1,7 @@
 """Tests for the first-order model correction and modifier filtering."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -161,6 +162,52 @@ class TestCorrectedValue:
         cm = CorrectedModel(p.model, [0.5, -1.5], anchor=[0.2, 0.8])
         u = np.array([1.3, -0.7])
         assert cm.value_change(u) == pytest.approx(cm.value(u) - cm.value(cm.anchor))
+
+
+class TestValueOnDemand:
+    """``value`` computes the value at the anchor when called, with the
+    bits of the same constant computed once at construction: the base
+    value at the anchor plus ``modifiers . anchor``, or the plant value."""
+
+    @staticmethod
+    def constructor_form(base, lam, anchor, plant_value, u):
+        cm = CorrectedModel(base, lam, anchor=anchor)
+        with np.errstate(over="ignore", invalid="ignore"):
+            at_anchor = (
+                base.value(anchor) + float(np.asarray(lam, float) @ np.asarray(anchor, float))
+                if plant_value is None
+                else float(plant_value)
+            )
+        return at_anchor + cm.value_change(u)
+
+    @staticmethod
+    def bits(x):
+        return struct.pack("<d", x)
+
+    @pytest.mark.parametrize("plant_value", [None, 24.2])
+    def test_same_bits_as_a_constant_computed_at_construction(self, plant_value):
+        base = get_problem("P3").model
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            lam, anchor, u = (rng.normal(size=2) * 10.0 ** rng.uniform(-3, 3) for _ in range(3))
+            cm = CorrectedModel(base, lam, anchor=anchor, plant_value_at_anchor=plant_value)
+            want = self.constructor_form(base, lam, anchor, plant_value, u)
+            assert self.bits(cm.value(u)) == self.bits(want)
+
+    @pytest.mark.parametrize("lam", [[1e10, 1e10], [1e10, -1e10]], ids=["inf", "nan"])
+    @pytest.mark.parametrize("plant_value", [None, 3.0])
+    def test_far_anchor_overflows_quietly(self, lam, plant_value):
+        # modifiers . anchor overflows: the unshifted value is inf or NaN,
+        # the shifted one finite, and no warning reaches the caller
+        flat = ScalarOracle(lambda u: 1.0, lambda u: np.zeros(2), 2)
+        anchor, u = [1e300, 1e300], [1e300 * (1.0 + 2.0**-52), 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cm = CorrectedModel(flat, lam, anchor=anchor, plant_value_at_anchor=plant_value)
+            got = cm.value(u)
+            want = self.constructor_form(flat, lam, anchor, plant_value, u)
+        assert self.bits(got) == self.bits(want)
+        assert math.isfinite(got) == (plant_value is not None)
 
 
 class TestCorrectedGradient:

@@ -814,7 +814,7 @@ class TestModelReuse:
             return problem.model.value_calls, json.dumps(trace_to_dict(trace))
 
         calls, trace = run()
-        assert calls == 164
+        assert calls == 150
 
         class Remeasuring(CorrectedModel):
             """Every rebuilt model measures the base value at its anchor."""
@@ -825,6 +825,28 @@ class TestModelReuse:
         monkeypatch.setattr(drivers, "CorrectedModel", Remeasuring)
         remeasured_calls, remeasured = run()
         assert remeasured_calls > calls
+        assert remeasured == trace
+
+    def test_accepted_candidate_is_measured_once(self, monkeypatch):
+        # the README's P3 baseline run: an accepted candidate's base value
+        # comes from the solve, except after the 4 accepted Cauchy overrides
+        def run():
+            problem = get_problem("P3")
+            trace = run_ma_tr(problem, [-1.2, 1.0])
+            return problem.model.value_calls, json.dumps(trace_to_dict(trace))
+
+        calls, trace = run()
+        assert calls == 1015
+
+        class Remeasuring(CorrectedModel):
+            """Every new reference's base value is measured again."""
+
+            def measured_base_value(self, u):
+                return None
+
+        monkeypatch.setattr(drivers, "CorrectedModel", Remeasuring)
+        remeasured_calls, remeasured = run()
+        assert remeasured_calls == 1489
         assert remeasured == trace
 
 

@@ -1,5 +1,7 @@
 """Tests for the plant/model catalog, oracles, and probing utilities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,30 @@ class TestDeterminismAndNoise:
         assert p.evaluate_plant(u) == clean.evaluate_plant(u) + 0.1 * rng.standard_normal()
         expected = clean.plant_gradient(u) + 0.1 * rng.standard_normal(2)
         assert np.array_equal(p.plant_gradient(u), expected)
+
+    @pytest.mark.parametrize("noise_level", [0.02, 1.0, 1e150])
+    def test_noisy_gradient_has_numpys_element_wise_bits(self, noise_level):
+        clean = get_problem("P4")
+        for seed in range(20):
+            p = get_problem("P4", noise_level=noise_level, seed=seed)
+            rng = np.random.default_rng(seed)
+            for u in ([0.0, -0.0], [1.5, -2.25], [-3.0, 1e-3]):
+                expected = clean.plant_gradient(u) + noise_level * rng.standard_normal(2)
+                assert p.plant_gradient(u).tobytes() == expected.tobytes()
+
+    def test_noisy_gradient_overflow_is_an_oracle_error_without_a_warning(self):
+        # noise_level 1e308 is finite; at seed 3 some of the noise overflows
+        p = get_problem("P1", noise_level=1e308, seed=3)
+        failed = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(5):
+                for probe in (p.evaluate_plant, p.plant_gradient):
+                    try:
+                        probe([0.0, 0.0])
+                    except OracleError as exc:
+                        failed.append(str(exc).split(" is ")[0])
+        assert "noisy plant gradient" in failed
 
     def test_different_seeds_differ(self):
         a = get_problem("P1", noise_level=0.1, seed=1)

@@ -503,3 +503,78 @@ class TestEstimateBeta:
     def test_always_strictly_above_one(self):
         cm = CorrectedModel(sphere_model(), [0.0, 0.0], anchor=[0.0, 0.0])
         assert estimate_beta(cm, [0.0, 0.0], 1.0) > 1.0
+
+
+def _reference_exact_step(w, q, gt, radius):
+    """The exact step without the positive-definite fast path and with a
+    separate interior test: the reference whose bits ``_exact_step``
+    must return."""
+    shifted = w + max(0.0, -w[0])
+    pole = shifted == 0.0
+    mu = math.sqrt(float(gt[pole] @ gt[pole])) / radius
+    if mu == 0.0:
+        gt = np.where(pole, 0.0, gt)
+        shifted = np.where(pole, 1.0, shifted)
+        s = -gt / shifted
+        slack = radius * radius - float(s @ s)
+        if slack >= 0.0:
+            if w[0] < 0.0:
+                s[0] = math.sqrt(slack)
+            return q @ s
+    for _ in range(100):
+        d = shifted + mu
+        c = gt / d
+        norm2 = float(c @ c)
+        norm = math.sqrt(norm2)
+        if norm <= radius:
+            break
+        slope = radius * float(c @ (c / d))
+        if slope == 0.0:
+            break
+        step = norm2 * (norm - radius) / slope
+        if mu + step == mu:
+            break
+        mu += step
+    return q @ (-gt / (shifted + mu))
+
+
+KINDS = ("definite", "indefinite", "singular", "hard")
+
+
+def exact_step_case(rng, kind):
+    """(w, q, gt, radius) of one kind, 1-4-D, ``w`` ascending and, like
+    ``hessian_eigh``'s, read-only; radii from 1e-300 to 1e300."""
+    n = int(rng.integers(1, 5))
+    w = np.sort(10.0 ** rng.uniform(-5.0, 5.0, n))
+    if kind != "definite":
+        w[0] = 0.0 if kind == "singular" else -w[0]
+        w = np.sort(w)
+    gt = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    gt[rng.random(n) < 0.2] = 0.0
+    if kind == "hard":
+        gt[w == w[0]] = 0.0
+    q = np.eye(n) if rng.random() < 0.3 else np.linalg.qr(rng.normal(size=(n, n)))[0]
+    w.setflags(write=False)
+    return w, q, gt, 10.0 ** rng.uniform(-300.0, 300.0)
+
+
+class TestExactStepBits:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_bits_as_the_step_without_the_fast_path(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        for _ in range(500):
+            w, q, gt, radius = exact_step_case(rng, kind)
+            # the solver runs the step under this errstate: extreme radii overflow
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _exact_step(w, q, gt.copy(), radius)
+                want = _reference_exact_step(w, q, gt.copy(), radius)
+            assert got.tobytes() == want.tobytes(), (w, q, gt, radius)
+
+    def test_definite_cases_reach_the_interior_and_the_boundary(self):
+        rng = np.random.default_rng(0)
+        inside = set()
+        for _ in range(500):
+            w, q, gt, radius = exact_step_case(rng, "definite")
+            s = _exact_step(w, q, gt, min(radius, 1e100))
+            inside.add(bool(np.allclose(s, q @ (-gt / w))))
+        assert inside == {True, False}
