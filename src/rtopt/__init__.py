@@ -32,7 +32,6 @@ from .problems import (
 from .reporting import export_trace, summarize, trace_to_dict
 from .subproblem import (
     SubproblemResult,
-    SufficientDecreaseParams,
     cauchy_point,
     check_sufficient_decrease,
     estimate_beta,
@@ -55,7 +54,6 @@ __all__ = [
     "RunTrace",
     "ScalarOracle",
     "SubproblemResult",
-    "SufficientDecreaseParams",
     "TrustRegionState",
     "accept_candidate",
     "cauchy_point",

@@ -56,7 +56,8 @@ class ModifierFilter:
             raise ValueError("gradients must be finite")
         raw = pg - mg
         if raw.size != self.previous.size:
-            raise ValueError("raw_difference and previous must have equal length")
+            n, m = raw.size, self.previous.size
+            raise ValueError(f"gradients and previous must have equal length, got {n} and {m}")
         self.previous = self.alpha * raw + (1.0 - self.alpha) * self.previous
         return self.previous.copy()
 

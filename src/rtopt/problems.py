@@ -273,15 +273,6 @@ class AssumptionReport:
     max_gradient_discrepancy: float
     sample_count: int
 
-    def __repr__(self):
-        return (
-            f"AssumptionReport(plant_hessian_bound={self.plant_hessian_bound:.6g}, "
-            f"model_hessian_bound={self.model_hessian_bound:.6g}, "
-            f"min_plant_value={self.min_plant_value:.6g}, "
-            f"max_gradient_discrepancy={self.max_gradient_discrepancy:.3g}, "
-            f"sample_count={self.sample_count})"
-        )
-
 
 # probe_assumptions' difference steps
 _HESSIAN_STEP = 1e-4
@@ -359,10 +350,6 @@ def _p2_plant(u):
     return u.tolist()[0] ** 2
 
 
-def _p2_plant_grad(u):
-    return 2.0 * u
-
-
 def _p2_model(u):
     return -(u.tolist()[0] ** 2)
 
@@ -407,7 +394,7 @@ _CATALOG = {
     "P2": (
         "wrong-curvature",
         1,
-        (_p2_plant, _p2_plant_grad),
+        (_p2_plant, _sphere_grad),
         (_p2_model, _p2_model_grad),
         ((-2.0,),),
         (0.0,),

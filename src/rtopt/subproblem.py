@@ -32,28 +32,12 @@ from .problems import as_input_vector
 
 __all__ = [
     "SubproblemResult",
-    "SufficientDecreaseParams",
     "cauchy_point",
     "solve_subproblem",
     "check_sufficient_decrease",
     "estimate_beta",
     "projected_descent",
 ]
-
-
-@dataclass(frozen=True)
-class SufficientDecreaseParams:
-    """Constants of the model-decrease certificate: a fraction kappa in
-    (0, 1) and a curvature bound beta > 1."""
-
-    kappa: float = 0.1
-    beta: float = 2.0
-
-    def __post_init__(self):
-        if not 0.0 < self.kappa < 1.0:
-            raise ValueError(f"kappa must be in (0, 1), got {self.kappa}")
-        if not self.beta > 1.0:
-            raise ValueError(f"beta must be > 1, got {self.beta}")
 
 
 @dataclass
@@ -174,6 +158,7 @@ def projected_descent(
     base; only differences matter.  ``budget`` caps the combined number of
     value and gradient evaluations.  Returns ``(best_point, best_change,
     evaluations_used)`` where best is over every point evaluated.
+    ``start`` is validated and copied; a non-finite one raises ValueError.
     A known ``start_value`` is not measured again but counts as an evaluation.
 
     Near a minimizer the decrease a step makes sinks below the rounding of
@@ -184,7 +169,7 @@ def projected_descent(
     exact for quadratics, and it becomes the best point if its value ties
     with the best to the same margin.
     """
-    x = project(np.asarray(start, dtype=float))
+    x = project(as_input_vector(start))
     fx = change_fn(x) if start_value is None else start_value
     evals = 1
     best_x, best_f = x.copy(), fx
@@ -370,10 +355,12 @@ def check_sufficient_decrease(
     change: float,
     grad_norm: float,
     radius: float,
-    params: SufficientDecreaseParams,
+    beta: float,
+    kappa: float = 0.1,
 ) -> bool:
-    """True iff the model decrease ``-change`` reaches the certified
-    fraction of ``grad_norm * min(grad_norm / beta, radius)``.
+    """True iff the model decrease ``-change`` reaches the fraction
+    ``kappa`` in (0, 1) of ``grad_norm * min(grad_norm / beta, radius)``,
+    for a curvature bound ``beta`` > 1.
     """
     for name, v in (("change", change), ("grad_norm", grad_norm), ("radius", radius)):
         if not math.isfinite(v):
@@ -382,7 +369,11 @@ def check_sufficient_decrease(
         raise ValueError("grad_norm must be >= 0")
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    threshold = params.kappa * grad_norm * min(grad_norm / params.beta, radius)
+    if not 0.0 < kappa < 1.0:
+        raise ValueError(f"kappa must be in (0, 1), got {kappa}")
+    if not beta > 1.0:
+        raise ValueError(f"beta must be > 1, got {beta}")
+    threshold = kappa * grad_norm * min(grad_norm / beta, radius)
     return -change >= threshold
 
 
@@ -391,9 +382,9 @@ _BETA_SAMPLES = 5
 _BETA_FLOOR_EPS = 1e-6
 
 
-def estimate_beta(model: CorrectedModel, anchor, radius: float) -> float:
-    """Sampled curvature bound along the steepest-descent ray, floored
-    strictly above 1.
+def estimate_beta(model: CorrectedModel, radius: float) -> float:
+    """Sampled curvature bound along the steepest-descent ray from the
+    model's anchor, floored strictly above 1.
 
     The bound is the largest absolute second-difference quotient of the
     model at a few points along the ray; it is advisory (a sample, not a
@@ -401,9 +392,9 @@ def estimate_beta(model: CorrectedModel, anchor, radius: float) -> float:
     """
     if radius <= 0:
         raise ValueError("radius must be > 0")
-    anchor = as_input_vector(anchor, model.dimension)
-    g = model.gradient(anchor)
-    gnorm = math.sqrt(float(g.dot(g)))
+    anchor = model.anchor
+    g, gg, *_ = model.anchor_terms()
+    gnorm = math.sqrt(gg)
     if gnorm == 0.0:
         return 1.0 + _BETA_FLOOR_EPS
     d = -g / gnorm

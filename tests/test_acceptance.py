@@ -20,7 +20,6 @@ import pytest
 from rtopt import (
     CorrectedModel,
     RunConfig,
-    SufficientDecreaseParams,
     check_sufficient_decrease,
     estimate_beta,
     finite_difference_gradient,
@@ -156,11 +155,9 @@ def test_criterion_05_sufficient_decrease_certificate(ma_tr_suite, tr_suite):
                 model = _rebuild(problem, r, shifted=shifted)
                 change = model.value_change(r.applied_input)
                 gnorm = float(np.linalg.norm(model.gradient(r.reference)))
-                params = SufficientDecreaseParams(
-                    kappa=0.1, beta=estimate_beta(model, r.reference, r.radius)
-                )
+                beta = estimate_beta(model, r.radius)
                 checked += 1
-                if not check_sufficient_decrease(change, gnorm, r.radius, params):
+                if not check_sufficient_decrease(change, gnorm, r.radius, beta, kappa=0.1):
                     failures += 1
     ok = failures == 0 and checked > 0
     detail = f"decrease certificate held at {checked - failures}/{checked} iterations"

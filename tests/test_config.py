@@ -49,6 +49,11 @@ class TestLoadConfig:
         assert isinstance(configs, list)
         assert [c.problem for c in configs] == ["P1", "P2"]
 
+    def test_array_entry_that_is_not_an_object_is_config_error(self, tmp_path):
+        path = write_config(tmp_path, [{"problem": "P1", "algorithm": "ma-tr", "u0": [0, 0]}, 3])
+        with pytest.raises(ConfigError, match=re.escape(f"{path}[1]: expected an object, got int")):
+            load_config(path)
+
     def test_parse_error_is_config_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")

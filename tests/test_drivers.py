@@ -16,7 +16,6 @@ from rtopt import (
     ProblemPair,
     RunConfig,
     ScalarOracle,
-    SufficientDecreaseParams,
     cauchy_point,
     check_convergence,
     check_sufficient_decrease,
@@ -471,10 +470,8 @@ class TestMaTrDriver:
                 model = rebuild_model(check, r)
                 change = model.value_change(r.applied_input)
                 gnorm = float(np.linalg.norm(model.gradient(r.reference)))
-                params = SufficientDecreaseParams(
-                    kappa=0.1, beta=estimate_beta(model, r.reference, r.radius)
-                )
-                assert check_sufficient_decrease(change, gnorm, r.radius, params)
+                beta = estimate_beta(model, r.radius)
+                assert check_sufficient_decrease(change, gnorm, r.radius, beta, kappa=0.1)
 
     def test_radius_updates_follow_rho_branches(self):
         constants = DEFAULTS
@@ -936,6 +933,14 @@ class TestCheckConvergence:
         trace = run_ma_tr(get_problem("P1"), [0.0, 0.0])
         with pytest.raises(ConfigError, match="field 'tolerance'"):
             check_convergence(trace, tolerance)
+
+    def test_trace_without_a_finite_final_gradient_norm_rejected(self):
+        # the first noisy plant gradient overflows: the run ends before one is measured
+        trace = run_ma_tr(get_problem("P1", noise_level=1e308, seed=3), [0.0, 0.0])
+        assert trace.termination_status == "oracle-failure"
+        assert math.isnan(trace.final_gradient_norm)
+        with pytest.raises(ValueError, match="trace has no finite final gradient norm"):
+            check_convergence(trace, 1e-6)
 
 
 class TestRecordedConfig:

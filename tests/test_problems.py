@@ -149,6 +149,11 @@ class TestScalarOracle:
         with pytest.raises(OracleError, match="OverflowError"):
             getattr(oracle, call)([1e200])
 
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_nonpositive_dimension_rejected(self, dimension):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            ScalarOracle(lambda u: 0.0, lambda u: u, dimension)
+
     def test_wrong_gradient_length_signals_failure(self):
         oracle = ScalarOracle(lambda u: 0.0, lambda u: np.zeros(3), 2)
         with pytest.raises(OracleError, match="gradient length"):
@@ -206,6 +211,12 @@ class TestScalarOracle:
         pair = ProblemPair("custom", plant, model, known_optimum=[2.0])
         assert pair.evaluate_plant([2.0]) == 0.0
         assert pair.plant_gradient([0.0]) == pytest.approx([-4.0])
+
+    def test_plant_and_model_of_different_dimensions_rejected(self):
+        plant = ScalarOracle(lambda u: 0.0, lambda u: u, 2)
+        model = ScalarOracle(lambda u: 0.0, lambda u: u, 1)
+        with pytest.raises(ValueError, match="plant and model dimensions differ"):
+            ProblemPair("custom", plant, model)
 
 
 class TestDeterminismAndNoise:
@@ -299,9 +310,10 @@ class TestFiniteDifferences:
 
     def test_nonpositive_step_rejected(self):
         p = get_problem("P1")
-        for step in (0.0, -1e-5):
-            with pytest.raises(ValueError, match="step"):
-                finite_difference_gradient(p.plant, [0.0, 0.0], step)
+        for difference in (finite_difference_gradient, finite_difference_hessian):
+            for step in (0.0, -1e-5):
+                with pytest.raises(ValueError, match="step must be > 0"):
+                    difference(p.plant, [0.0, 0.0], step)
 
     def test_hessian_of_quadratic(self):
         p = get_problem("P1")
@@ -330,6 +342,10 @@ class TestProbeAssumptions:
         assert small.plant_hessian_bound > 100.0
         assert large.plant_hessian_bound > small.plant_hessian_bound
         assert large.model_hessian_bound == pytest.approx(2.0, abs=1e-3)
+
+    def test_nonpositive_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="sample_count must be >= 1"):
+            probe_assumptions(get_problem("P1"), ([0.0, 0.0], [1.0, 1.0]), 0)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError, match="degenerate box"):

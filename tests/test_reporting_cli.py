@@ -253,6 +253,16 @@ class TestCli:
         assert main(["run", str(path)]) == 1
         assert "compare" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha, notes", [(1.0, []), (0.5, ["note: no convergence guarantee"])])
+    def test_run_takes_an_array_holding_one_config(self, tmp_path, capsys, alpha, notes):
+        path = write_config(
+            tmp_path, [{"problem": "P1", "algorithm": "ma-tr", "u0": [0, 0], "alpha": alpha}]
+        )
+        assert main(["run", str(path)]) == 0
+        summary, *rest = capsys.readouterr().out.splitlines()
+        assert summary.startswith("P1 ma-tr: ")
+        assert rest == notes
+
     @pytest.mark.parametrize("command", ["run", "compare", "check"])
     def test_empty_config_array_exits_1(self, tmp_path, capsys, command):
         path = write_config(tmp_path, [])

@@ -1,6 +1,7 @@
 """Tests for the ball-constrained solver, Cauchy search, and decrease checks."""
 
 import math
+import re
 import struct
 import warnings
 
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from rtopt import (
     CorrectedModel,
     ScalarOracle,
-    SufficientDecreaseParams,
     cauchy_point,
     check_sufficient_decrease,
     estimate_beta,
@@ -226,6 +226,12 @@ class TestSolveSubproblem:
         result = solve_subproblem(cm, 1.0)
         assert result.candidate == pytest.approx([0.0], abs=1e-9)
 
+    def test_nonpositive_radius_rejected(self):
+        cm = CorrectedModel(sphere_model(), [0.0, 0.0], anchor=[0.0, 0.0])
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius must be > 0"):
+                solve_subproblem(cm, radius)
+
     def test_cauchy_value_measured_once_without_a_hessian(self, monkeypatch):
         # The ray search measures the Cauchy point once and returns its
         # change; where the ball projection leaves the point in place, the
@@ -289,6 +295,36 @@ class TestProjectedDescent:
                 2000,
             )
             assert x == pytest.approx(target, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "budget, point, change, values, gradients",
+        [(1, [1.0], 1.0, 1, 0), (3, [0.5], 0.25, 2, 1)],
+        ids=["start-only", "one-accepted-step"],
+    )
+    def test_budget_caps_the_evaluations(self, budget, point, change, values, gradients):
+        # x^2 from 1 with a first step of 0.25: the gradient 2 moves it to 0.5,
+        # which passes the Armijo test with the budget spent
+        calls = []
+
+        def value(u):
+            calls.append("value")
+            return float(u @ u)
+
+        def gradient(u):
+            calls.append("gradient")
+            return 2.0 * u
+
+        result = projected_descent(value, gradient, [1.0], lambda u: u, budget, 0.25)
+        assert (result[0].tolist(), result[1], result[2]) == (point, change, budget)
+        assert (calls.count("value"), calls.count("gradient")) == (values, gradients)
+
+    @pytest.mark.parametrize("start", [[math.nan], [math.inf, 0.0]], ids=["nan", "inf"])
+    def test_non_finite_start_rejected_before_any_evaluation(self, start):
+        def unreachable(u):
+            raise AssertionError("evaluated a non-finite start")
+
+        with pytest.raises(ValueError, match="non-finite"):
+            projected_descent(unreachable, unreachable, start, unreachable, 10)
 
 
 eigenvalues = st.one_of(
@@ -365,8 +401,7 @@ class TestExactSubproblem:
         assert result.predicted_change == change
         cp = cauchy_point(cm, radius)[0]
         assert change <= cm.value_change(cp) + 1e-12 * lam_scale * radius**2
-        params = SufficientDecreaseParams(beta=max(h_norm, 1.5))
-        assert check_sufficient_decrease(change, g_norm, radius, params)
+        assert check_sufficient_decrease(change, g_norm, radius, max(h_norm, 1.5))
 
     def test_step_shifts_the_lowest_eigenvalue_to_an_exact_pole(self):
         # H = diag(-1, 2) shifted by 1 has the eigenvalues (0, 3): from the
@@ -466,43 +501,61 @@ class TestExactSubproblem:
 class TestSufficientDecrease:
     def test_hand_computed_quadratic_case(self):
         # 1-d quadratic from anchor 1 with radius 0.5: decrease 0.75
-        params = SufficientDecreaseParams(kappa=0.5, beta=2.0)
-        assert check_sufficient_decrease(-0.75, 2.0, 0.5, params)
+        assert check_sufficient_decrease(-0.75, 2.0, 0.5, beta=2.0, kappa=0.5)
 
     def test_zero_gradient_is_vacuous(self):
-        params = SufficientDecreaseParams(kappa=0.5, beta=2.0)
-        assert check_sufficient_decrease(0.0, 0.0, 0.5, params)
+        assert check_sufficient_decrease(0.0, 0.0, 0.5, beta=2.0, kappa=0.5)
 
     def test_insufficient_decrease_fails(self):
-        params = SufficientDecreaseParams(kappa=0.5, beta=2.0)
-        assert not check_sufficient_decrease(-0.1, 2.0, 0.5, params)
+        assert not check_sufficient_decrease(-0.1, 2.0, 0.5, beta=2.0, kappa=0.5)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError, match="kappa"):
-            SufficientDecreaseParams(kappa=1.0, beta=2.0)
-        with pytest.raises(ValueError, match="beta"):
-            SufficientDecreaseParams(kappa=0.5, beta=1.0)
+        with pytest.raises(ValueError, match=r"kappa must be in \(0, 1\), got 1.0"):
+            check_sufficient_decrease(-0.75, 2.0, 0.5, beta=2.0, kappa=1.0)
+        with pytest.raises(ValueError, match="beta must be > 1, got 1.0"):
+            check_sufficient_decrease(-0.75, 2.0, 0.5, beta=1.0, kappa=0.5)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 2.0, 0.5), "change must be finite, got nan"),
+            ((-0.75, math.inf, 0.5), "grad_norm must be finite, got inf"),
+            ((-0.75, 2.0, -math.inf), "radius must be finite, got -inf"),
+            ((-0.75, -1.0, 0.5), "grad_norm must be >= 0"),
+            ((-0.75, 2.0, 0.0), "radius must be > 0"),
+        ],
+        ids=["nan-change", "inf-grad-norm", "inf-radius", "negative-grad-norm", "zero-radius"],
+    )
+    def test_invalid_arguments_rejected(self, args, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_sufficient_decrease(*args, beta=2.0)
 
 
 class TestEstimateBeta:
     def test_quadratic_curvature(self):
         cm = CorrectedModel(sphere_model(1), [1.0], anchor=[1.0])
-        assert estimate_beta(cm, [1.0], 1.0) == pytest.approx(2.0, abs=1e-3)
+        assert estimate_beta(cm, 1.0) == pytest.approx(2.0, abs=1e-3)
 
     def test_linear_model_floors_just_above_one(self):
         cm = CorrectedModel(linear_model([3.0]), [0.0], anchor=[0.0])
-        assert estimate_beta(cm, [0.0], 1.0) == pytest.approx(1.0 + 1e-6, abs=1e-9)
+        assert estimate_beta(cm, 1.0) == pytest.approx(1.0 + 1e-6, abs=1e-9)
 
     def test_concave_curvature_magnitude(self):
         p = get_problem("P2")
         anchor = [1.0]
         lam = p.plant_gradient(anchor) - p.model_gradient(anchor)
         cm = CorrectedModel(p.model, lam, anchor=anchor)
-        assert estimate_beta(cm, anchor, 1.0) == pytest.approx(2.0, abs=1e-3)
+        assert estimate_beta(cm, 1.0) == pytest.approx(2.0, abs=1e-3)
 
     def test_always_strictly_above_one(self):
         cm = CorrectedModel(sphere_model(), [0.0, 0.0], anchor=[0.0, 0.0])
-        assert estimate_beta(cm, [0.0, 0.0], 1.0) > 1.0
+        assert estimate_beta(cm, 1.0) > 1.0
+
+    def test_nonpositive_radius_rejected(self):
+        cm = CorrectedModel(sphere_model(1), [1.0], anchor=[1.0])
+        for radius in (0.0, -1.0):
+            with pytest.raises(ValueError, match="radius must be > 0"):
+                estimate_beta(cm, radius)
 
 
 def _reference_exact_step(w, q, gt, radius):
