@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import require
+from .errors import OracleError, require
 from .problems import ScalarOracle, as_input_vector
 
 __all__ = [
@@ -47,19 +47,28 @@ class ModifierFilter:
     def update(self, plant_grad, model_grad) -> np.ndarray:
         """The next coefficients, ``alpha * (plant_grad - model_grad) +
         (1 - alpha) * previous``, at gain 1 too: a shortcut to the raw gap
-        there could flip the sign of a zero."""
+        there could flip the sign of a zero.  A gap that overflows raises
+        OracleError."""
         pg = np.asarray(plant_grad, dtype=float).reshape(-1)
         mg = np.asarray(model_grad, dtype=float).reshape(-1)
         if pg.size != mg.size:
             raise ValueError(f"gradient length mismatch: plant {pg.size} vs model {mg.size}")
         if not all(map(math.isfinite, pg.tolist() + mg.tolist())):
             raise ValueError("gradients must be finite")
-        raw = pg - mg
-        if raw.size != self.previous.size:
-            n, m = raw.size, self.previous.size
+        if pg.size != self.previous.size:
+            n, m = pg.size, self.previous.size
             raise ValueError(f"gradients and previous must have equal length, got {n} and {m}")
-        self.previous = self.alpha * raw + (1.0 - self.alpha) * self.previous
-        return self.previous.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._step(pg, mg)
+
+    def _step(self, plant_grad: np.ndarray, model_grad: np.ndarray) -> np.ndarray:
+        """``update`` on gradients an oracle checked: finite float arrays of
+        the filter's length.  Only the new coefficients are checked."""
+        lam = self.alpha * (plant_grad - model_grad) + (1.0 - self.alpha) * self.previous
+        if not all(map(math.isfinite, lam.tolist())):
+            raise OracleError("the gap between plant and model gradients overflows")
+        self.previous = lam
+        return lam.copy()
 
 
 class CorrectedModel:
@@ -78,9 +87,14 @@ class CorrectedModel:
         added so that ``value(anchor)`` equals it exactly.
     base_value, base_gradient : float and array, optional
         The base model's value and gradient at the anchor, if the caller
-        has them; a given one is not measured again.  The base value at the
-        last point ``value_change`` measured is kept for the caller, whose
-        next model may be anchored there (``measured_base_value``).
+        has them; a given one is not measured again.  The base values at the
+        last two points ``value_change`` measured are kept for the caller,
+        whose next model may be anchored there (``measured_base_value``).
+
+    A run builds its models with the private ``_in_run``: its anchor,
+    modifiers and base gradient, which the loop or an oracle checked, are
+    kept as given, and the anchor terms are computed at once under the
+    run's errstate, which the solvers then use as their own.
     """
 
     def __init__(
@@ -91,18 +105,26 @@ class CorrectedModel:
         plant_value_at_anchor: float | None = None,
         base_value: float | None = None,
         base_gradient=None,
+        *,
+        _in_run: bool = False,
     ):
         self.base_model = base_model
-        self.anchor = as_input_vector(anchor, base_model.dimension)
-        self.modifiers = as_input_vector(modifiers, base_model.dimension)
+        self._in_run = _in_run
+        if _in_run:
+            self.anchor, self.modifiers = anchor, modifiers
+        else:
+            self.anchor = as_input_vector(anchor, base_model.dimension)
+            self.modifiers = as_input_vector(modifiers, base_model.dimension)
+            if base_gradient is not None:
+                base_gradient = as_input_vector(base_gradient, self.dimension)
         if base_value is None:
             base_value = base_model.value(self.anchor)
         self._model_at_anchor = float(base_value)
-        if base_gradient is not None:
-            base_gradient = as_input_vector(base_gradient, self.dimension)
-        self._base_gradient, self._anchor_terms = base_gradient, None
+        self._base_gradient = base_gradient
         self._plant_value = None if plant_value_at_anchor is None else float(plant_value_at_anchor)
-        self._last_measured = (b"", None)  # (point bytes, base value) of the last value_change
+        # (point bytes, base value) of the last two value_change calls, the later last
+        self._measured = ((b"", None), (b"", None))
+        self._anchor_terms = self._terms() if _in_run else None
 
     @property
     def dimension(self) -> int:
@@ -136,28 +158,34 @@ class CorrectedModel:
         """``(g, g.g, g.Hg, w, q, q^T g)`` for the corrected gradient g at
         the anchor and the Hessian ``H = q diag(w) q^T``, ``w`` ascending
         (the last four None without one): the solvers' one source of
-        curvature, computed on the first call.  A g.g that overflows is inf."""
+        curvature, computed once.  A g.g that overflows is inf."""
         if self._anchor_terms is None:
-            base = self._base_gradient
-            g = (self.base_model.gradient(self.anchor) if base is None else base) + self.modifiers
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = (g, float(g.dot(g)), None, None, None, None)
-                if self.hessian is not None:
-                    w, q = self.base_model.hessian_eigh()
-                    terms = (g, terms[1], float(g @ (self.hessian @ g)), w, q, q.T @ g)
-            self._anchor_terms = terms
+                self._anchor_terms = self._terms()
         return self._anchor_terms
+
+    def _terms(self) -> tuple:
+        base = self._base_gradient
+        g = (self.base_model.gradient(self.anchor) if base is None else base) + self.modifiers
+        gg = float(g.dot(g))
+        if self.hessian is None:
+            return g, gg, None, None, None, None
+        w, q = self.base_model.hessian_eigh()
+        return g, gg, float(g @ (self.hessian @ g)), w, q, q.T @ g
 
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference
         form so it is bit-identical with or without the shift."""
         base = self.base_model.value(u)
         u = np.asarray(u, dtype=float).reshape(-1)
-        self._last_measured = (u.tobytes(), base)
+        self._measured = (self._measured[1], (u.tobytes(), base))
         return base - self._model_at_anchor + float(self.modifiers @ (u - self.anchor))
 
     def measured_base_value(self, u) -> float | None:
-        """The base model's value at the array u if u, to the bit, is the
-        last point ``value_change`` measured, else None."""
-        point, value = self._last_measured
-        return value if point == u.tobytes() else None
+        """The base model's value at the array u if u, to the bit, is one of
+        the last two points ``value_change`` measured, else None."""
+        key = u.tobytes()
+        for point, value in self._measured:
+            if point == key:
+                return value
+        return None

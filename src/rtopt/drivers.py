@@ -336,13 +336,14 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             # noisy), so the model too, with its anchor terms, unless the filter moves it.
             if model_grad is None:
                 model_grad = problem.model_gradient(state.reference)
-                if model_value is None:  # the start, or a reference the solve did not measure last
+                if model_value is None:  # the start, or one the solve did not measure
                     model_value = problem.evaluate_model(state.reference)
-            lam = filt.update(ref_grad, model_grad)
+            # the gradients and the reference are the oracles' checked vectors
+            lam = filt._step(ref_grad, model_grad)
             if model is None or lam.tobytes() != model.modifiers.tobytes():
                 model = CorrectedModel(
                     problem.model, lam, state.reference,
-                    base_value=model_value, base_gradient=model_grad,
+                    base_value=model_value, base_gradient=model_grad, _in_run=True,
                 )
             anchor = state.reference.copy()
             anchor_value = state.reference_plant_value

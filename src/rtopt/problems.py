@@ -31,16 +31,22 @@ __all__ = [
 ]
 
 
+_FLOAT64 = np.dtype(float)
+
+
 def as_input_vector(u, dimension: int | None = None) -> np.ndarray:
     """Validate and copy a decision-variable vector.
 
     Raises ValueError on wrong shape, wrong length, or non-finite entries.
     """
-    arr = np.array(u, dtype=float, copy=True)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim != 1:
-        raise ValueError(f"input must be a 1-D vector, got shape {arr.shape}")
+    if type(u) is np.ndarray and u.dtype is _FLOAT64 and u.ndim == 1:
+        arr = u.copy()  # the general conversion's bytes, without its dispatch
+    else:
+        arr = np.array(u, dtype=float, copy=True)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
+        if arr.ndim != 1:
+            raise ValueError(f"input must be a 1-D vector, got shape {arr.shape}")
     if dimension is not None and arr.size != dimension:
         raise ValueError(
             f"dimension mismatch: expected length {dimension}, got {arr.size}"

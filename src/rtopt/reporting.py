@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -30,55 +31,57 @@ CSV_COLUMNS = (
 )
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def _fmt_vector(vec) -> str:
-    return ";".join(_fmt(x) for x in np.asarray(vec).reshape(-1))
-
-
-def _fmt_rho(rho) -> str:
-    if rho is None:
+def _optional(value) -> str:
+    """A float cell that may be empty (None) or the ``degenerate`` marker."""
+    if value is None:
         return ""
-    if rho == DEGENERATE:
-        return DEGENERATE
-    return _fmt(rho)
+    return DEGENERATE if value == DEGENERATE else "%.17g" % value
+
+
+@lru_cache(maxsize=16)
+def _row_format(applied: int, reference: int) -> str:
+    """A CSV row as one %-format for vectors of the given lengths."""
+    a, r = (";".join(["%.17g"] * n) for n in (applied, reference))
+    return f"%d,{a},{r},%.17g,%.17g,%s,%s,%s,%s"
 
 
 def _record_csv_row(r: IterationRecord) -> str:
-    radius = "" if r.radius is None else _fmt(r.radius)
-    return ",".join(
-        (
-            str(r.k),
-            _fmt_vector(r.applied_input),
-            _fmt_vector(r.reference),
-            _fmt(r.plant_value_at_reference),
-            _fmt(r.plant_gradient_norm_at_reference),
-            _fmt_rho(r.rho),
-            radius,
-            "true" if r.accepted else "false",
-            "true" if r.cauchy_override else "false",
-        )
+    applied = np.asarray(r.applied_input, dtype=float).reshape(-1).tolist()
+    reference = np.asarray(r.reference, dtype=float).reshape(-1).tolist()
+    return _row_format(len(applied), len(reference)) % (
+        r.k,
+        *applied,
+        *reference,
+        r.plant_value_at_reference,
+        r.plant_gradient_norm_at_reference,
+        _optional(r.rho),
+        _optional(r.radius),
+        "true" if r.accepted else "false",
+        "true" if r.cauchy_override else "false",
     )
 
 
-def _json_value(value, is_int: bool):
-    """A record field as JSON: arrays as float lists; ``int`` fields,
-    flags, the ``degenerate`` marker and None as they are; other numbers
-    as floats."""
-    if isinstance(value, np.ndarray):
-        return value.astype(float, copy=False).tolist()
-    if is_int or value is None or isinstance(value, (bool, str)):
-        return value
-    return float(value)
+def _json_converter(type_name: str):
+    """How a record field of the given annotation goes to JSON: arrays as
+    float lists; ``int`` and ``bool`` fields as they are; numbers as
+    floats, keeping None and strings such as the ``degenerate`` marker."""
+    if type_name == "np.ndarray":
+        return lambda v: v.astype(float, copy=False).tolist()
+    if type_name in ("int", "bool"):
+        return None
+    if type_name == "float":
+        return float
+    return lambda v: v if v is None or isinstance(v, str) else float(v)
 
 
-_RECORD_FIELDS = tuple((f.name, f.type == "int") for f in fields(IterationRecord))
+_RECORD_FIELDS = tuple((f.name, _json_converter(f.type)) for f in fields(IterationRecord))
 
 
 def _record_to_dict(r: IterationRecord) -> dict:
-    return {name: _json_value(getattr(r, name), is_int) for name, is_int in _RECORD_FIELDS}
+    return {
+        name: getattr(r, name) if convert is None else convert(getattr(r, name))
+        for name, convert in _RECORD_FIELDS
+    }
 
 
 def trace_to_dict(trace: RunTrace) -> dict:

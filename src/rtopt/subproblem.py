@@ -22,6 +22,7 @@ whether or not the model carries a constant shift.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +159,9 @@ def projected_descent(
     base; only differences matter.  ``budget`` caps the combined number of
     value and gradient evaluations.  Returns ``(best_point, best_change,
     evaluations_used)`` where best is over every point evaluated.
-    ``start`` is validated and copied; a non-finite one raises ValueError.
-    A known ``start_value`` is not measured again but counts as an evaluation.
+    ``start`` is validated and copied; a non-finite one, or a budget below
+    1, raises ValueError.  A known ``start_value`` is not measured again but
+    counts as an evaluation.
 
     Near a minimizer the decrease a step makes sinks below the rounding of
     the values, which would stop the descent short of it by about
@@ -169,6 +171,8 @@ def projected_descent(
     exact for quadratics, and it becomes the best point if its value ties
     with the best to the same margin.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     x = project(as_input_vector(start))
     fx = change_fn(x) if start_value is None else start_value
     evals = 1
@@ -297,7 +301,9 @@ def _exact_step(w, q, gt, radius: float) -> np.ndarray:
         if mu + step == mu:
             break
         mu += step
-    return q @ (-gt / (shifted + mu))
+    else:
+        d = shifted + mu
+    return q @ (-gt / d)
 
 
 def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
@@ -319,20 +325,22 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
 
     _, gg, _, w, q, gt = model.anchor_terms()
     cp, cp_change = cauchy_point(model, radius)
+    # a run's own model is solved under the run's errstate, the same as this one
+    quiet = nullcontext() if model._in_run else np.errstate(over="ignore", invalid="ignore")
 
     if gt is None:
         initial_step = radius / math.sqrt(gg) if gg > 0 else 1.0
         # the descent projects its start: cp_change holds if that leaves cp in place
         known = cp_change if project(cp).tobytes() == cp.tobytes() else None
         # a g.g that overflows overflows the ball's norms too; they then scale steps to 0
-        with np.errstate(over="ignore", invalid="ignore"):
+        with quiet:
             best, best_change, evals = projected_descent(
                 model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step,
                 start_value=known,
             )
     else:
         # eigenvalues tiny beside g overflow the step: the Cauchy point stands in
-        with np.errstate(over="ignore", invalid="ignore"):
+        with quiet:
             best = project(anchor + _exact_step(w, q, gt, radius))
         finite = all(map(math.isfinite, best.tolist()))
         best_change = model.value_change(best) if finite else math.inf

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtopt import CorrectedModel, ModifierFilter, ScalarOracle, get_problem
+from rtopt import CorrectedModel, ModifierFilter, OracleError, ScalarOracle, get_problem
 
 # desk-scale values: at +-1e6 the quadratic reaches 1e12, where rounding of
 # two near-equal values can exceed any difference-relative tolerance
@@ -52,6 +52,14 @@ class TestComputeModifiers:
     def test_dimension_mismatch_with_the_filter_rejected(self):
         with pytest.raises(ValueError, match="previous must have equal length"):
             ModifierFilter(1.0, 2).update([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+
+    def test_overflowing_gap_is_an_oracle_error_without_a_warning(self):
+        filt = ModifierFilter(1.0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OracleError, match="overflows"):
+                filt.update([1.5e308], [-1.5e308])
+        assert filt.previous.tolist() == [0.0]
 
 
 class TestFilterModifiers:
@@ -208,6 +216,21 @@ class TestValueOnDemand:
             want = self.constructor_form(flat, lam, anchor, plant_value, u)
         assert self.bits(got) == self.bits(want)
         assert math.isfinite(got) == (plant_value is not None)
+
+
+class TestMeasuredBaseValue:
+    def test_the_last_two_measured_points_are_kept(self):
+        oracle = sphere_oracle()
+        cm = CorrectedModel(oracle, [1.0, 0.0], anchor=[0.0, 0.0])
+        points = [np.array([1.0, 2.0]), np.array([3.0, 0.5]), np.array([-1.0, 0.0])]
+        for u in points:
+            cm.value_change(u)
+        assert cm.measured_base_value(points[0]) is None
+        assert cm.measured_base_value(points[1]) == 9.25
+        assert cm.measured_base_value(points[2]) == 1.0
+        # to the bit: -0.0 is another point than 0.0
+        assert cm.measured_base_value(np.array([-1.0, -0.0])) is None
+        assert oracle.value_calls == 4
 
 
 class TestCorrectedGradient:

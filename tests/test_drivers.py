@@ -13,6 +13,7 @@ from rtopt import (
     DEGENERATE,
     ConfigError,
     CorrectedModel,
+    ModifierFilter,
     ProblemPair,
     RunConfig,
     ScalarOracle,
@@ -589,6 +590,15 @@ class TestMaTrDriver:
         assert trace.iterations == 0 and trace.plant_evaluation_count == 1
 
     @pytest.mark.parametrize("run", [run_basic_ma, run_trust_region, run_ma_tr])
+    def test_overflowing_gradient_gap_is_an_oracle_failure(self, run):
+        # both gradients are finite, but their difference, the modifiers, is not
+        plant = ScalarOracle(lambda u: 0.0, lambda u: np.array([1.5e308]), 1)
+        model = ScalarOracle(lambda u: 0.0, lambda u: np.array([-1.5e308]), 1, hessian=[[1.0]])
+        trace = run(ProblemPair("gap", plant, model), [0.0])
+        assert trace.termination_status == "oracle-failure"
+        assert trace.iterations == 0 and trace.plant_evaluation_count == 2
+
+    @pytest.mark.parametrize("run", [run_basic_ma, run_trust_region, run_ma_tr])
     @pytest.mark.parametrize("pid", ["P1", "P4"])
     def test_overflowing_noise_is_an_oracle_failure(self, pid, run):
         # noise_level 1e308 is finite, but at seed 3 a noisy measurement overflows
@@ -826,14 +836,15 @@ class TestModelReuse:
 
     def test_accepted_candidate_is_measured_once(self, monkeypatch):
         # the README's P3 baseline run: an accepted candidate's base value
-        # comes from the solve, except after the 4 accepted Cauchy overrides
+        # comes from the solve, which measured the Cauchy point and the
+        # exact step last, so an accepted Cauchy override's too
         def run():
             problem = get_problem("P3")
             trace = run_ma_tr(problem, [-1.2, 1.0])
             return problem.model.value_calls, json.dumps(trace_to_dict(trace))
 
         calls, trace = run()
-        assert calls == 1015
+        assert calls == 1011
 
         class Remeasuring(CorrectedModel):
             """Every new reference's base value is measured again."""
@@ -845,6 +856,57 @@ class TestModelReuse:
         remeasured_calls, remeasured = run()
         assert remeasured_calls == 1489
         assert remeasured == trace
+
+
+class TestLoopPath:
+    """A run builds its models and filters its modifiers from the vectors it
+    has checked; the public entry points, which check them again, give the
+    same runs."""
+
+    class PublicModel(CorrectedModel):
+        built = 0
+
+        def __init__(self, *args, _in_run=False, **kwargs):
+            type(self).built += 1
+            super().__init__(*args, **kwargs)
+
+    class PublicFilter:
+        """The loop's filter, stepping through ``ModifierFilter.update``."""
+
+        def __init__(self, alpha, dimension):
+            self.filter = ModifierFilter(alpha, dimension)
+
+        def _step(self, plant_grad, model_grad):
+            return self.filter.update(plant_grad, model_grad)
+
+    def traces(self, make_problem, u0, monkeypatch, runs, **settings):
+        fast = [json.dumps(trace_to_dict(run(make_problem(), u0, **settings))) for run in runs]
+        with monkeypatch.context() as m:
+            m.setattr(self.PublicModel, "built", 0)
+            m.setattr(drivers, "CorrectedModel", self.PublicModel)
+            m.setattr(drivers, "ModifierFilter", self.PublicFilter)
+            public = [
+                json.dumps(trace_to_dict(run(make_problem(), u0, **settings))) for run in runs
+            ]
+            assert self.PublicModel.built > 0
+        return fast, public
+
+    @pytest.mark.parametrize("pid", ["P1", "P2", "P3", "P4"])
+    def test_public_entry_points_give_the_same_traces(self, pid, monkeypatch):
+        runs = (run_basic_ma, run_trust_region, run_ma_tr)
+        fast, public = self.traces(lambda: get_problem(pid), STARTS[pid], monkeypatch, runs)
+        assert fast == public
+
+    def test_public_entry_points_give_the_same_noisy_filtered_traces(self, monkeypatch):
+        def problem():
+            return get_problem("P4", noise_level=0.02, seed=4)
+
+        # trust-region has no filter gain: its gain is 1
+        runs = (run_basic_ma, run_ma_tr)
+        fast, public = self.traces(
+            problem, [0.0, 0.0], monkeypatch, runs, alpha=0.3, max_iterations=100
+        )
+        assert fast == public
 
 
 class TestArgumentRules:

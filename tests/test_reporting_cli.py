@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -159,6 +160,71 @@ class TestJsonExport:
         )
         assert ma["records"][0]["rho"] is None
         assert ma["records"][0]["radius"] is None
+
+
+def reference_csv_row(r):
+    """A record's CSV row, one ``format(float(x), ".17g")`` per number."""
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    def vector(v):
+        return ";".join(fmt(x) for x in np.asarray(v).reshape(-1))
+
+    return ",".join((
+        str(r.k), vector(r.applied_input), vector(r.reference),
+        fmt(r.plant_value_at_reference), fmt(r.plant_gradient_norm_at_reference),
+        "" if r.rho is None else r.rho if r.rho == "degenerate" else fmt(r.rho),
+        "" if r.radius is None else fmt(r.radius),
+        "true" if r.accepted else "false", "true" if r.cauchy_override else "false",
+    ))
+
+
+def reference_record_dict(r):
+    """A record's JSON fields, each converted by its value's type."""
+
+    def convert(name, value):
+        if isinstance(value, np.ndarray):
+            return value.astype(float, copy=False).tolist()
+        if name == "k" or value is None or isinstance(value, (bool, str)):
+            return value
+        return float(value)
+
+    return {name: convert(name, value) for name, value in vars(r).items()}
+
+
+class TestRecordRendering:
+    """Both exports render each record as the per-value formatting does."""
+
+    def records(self):
+        extremes = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                    1.0 / 3.0, -1e16, 0.1]
+        for i, x in enumerate(extremes):
+            yield IterationRecord(
+                k=i, applied_input=np.array([x, -x, 1.0]), reference=np.array([0.5, x, -0.0]),
+                plant_value_at_reference=np.float64(x), plant_gradient_norm_at_reference=abs(x),
+                rho=(None, "degenerate", x, np.float64(x))[i % 4], radius=(None, x)[i % 2],
+                accepted=bool(i % 2), cauchy_override=not i % 3,
+                modifiers=np.array([x, 2.0, -x]),
+            )
+        for trace in (small_trace(), degenerate_trace(), run_basic_ma(get_problem("P2"), [3.0])):
+            yield from trace.records
+
+    def test_csv_rows_match_the_per_value_formatting(self, tmp_path):
+        for r in self.records():
+            trace = RunTrace("custom", "ma-tr", {}, [r], "max-iterations", 1, 1,
+                             np.array([0.0]), 0.0, 1.0)
+            row = export_trace(trace, "csv", tmp_path / "t.csv").read_text().splitlines()[1]
+            assert row == reference_csv_row(r)
+
+    def test_json_records_match_the_per_value_conversion(self):
+        for r in self.records():
+            trace = RunTrace("custom", "ma-tr", {}, [r], "max-iterations", 1, 1,
+                             np.array([0.0]), 0.0, 1.0)
+            got = trace_to_dict(trace)["records"][0]
+            want = reference_record_dict(r)
+            assert json.dumps(got) == json.dumps(want)
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 class TestSummarize:

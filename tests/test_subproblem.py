@@ -326,6 +326,14 @@ class TestProjectedDescent:
         with pytest.raises(ValueError, match="non-finite"):
             projected_descent(unreachable, unreachable, start, unreachable, 10)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_1_rejected_before_any_evaluation(self, budget):
+        def unreachable(u):
+            raise AssertionError("evaluated with no budget")
+
+        with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+            projected_descent(unreachable, unreachable, [1.0], unreachable, budget)
+
 
 eigenvalues = st.one_of(
     st.sampled_from([-2.0, 0.0, 1.0]),
