@@ -47,28 +47,24 @@ class ModifierFilter:
     def update(self, plant_grad, model_grad) -> np.ndarray:
         """The next coefficients, ``alpha * (plant_grad - model_grad) +
         (1 - alpha) * previous``, at gain 1 too: a shortcut to the raw gap
-        there could flip the sign of a zero.  A gap that overflows raises
-        OracleError."""
-        pg = np.asarray(plant_grad, dtype=float).reshape(-1)
-        mg = np.asarray(model_grad, dtype=float).reshape(-1)
-        if pg.size != mg.size:
-            raise ValueError(f"gradient length mismatch: plant {pg.size} vs model {mg.size}")
-        if not all(map(math.isfinite, pg.tolist() + mg.tolist())):
-            raise ValueError("gradients must be finite")
-        if pg.size != self.previous.size:
-            n, m = pg.size, self.previous.size
+        there could flip the sign of a zero.  Python floats give NumPy's
+        bits and overflow quietly: only a non-finite result has its inputs
+        checked, and a gap that overflows raises OracleError."""
+        pg = np.asarray(plant_grad, dtype=float).ravel().tolist()
+        mg = np.asarray(model_grad, dtype=float).ravel().tolist()
+        if len(pg) != len(mg):
+            raise ValueError(f"gradient length mismatch: plant {len(pg)} vs model {len(mg)}")
+        if len(pg) != self.previous.size:
+            n, m = len(pg), self.previous.size
             raise ValueError(f"gradients and previous must have equal length, got {n} and {m}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._step(pg, mg)
-
-    def _step(self, plant_grad: np.ndarray, model_grad: np.ndarray) -> np.ndarray:
-        """``update`` on gradients an oracle checked: finite float arrays of
-        the filter's length.  Only the new coefficients are checked."""
-        lam = self.alpha * (plant_grad - model_grad) + (1.0 - self.alpha) * self.previous
-        if not all(map(math.isfinite, lam.tolist())):
+        a, b = self.alpha, 1.0 - self.alpha
+        lam = [a * (p - m) + b * q for p, m, q in zip(pg, mg, self.previous.tolist())]
+        if not all(map(math.isfinite, lam)):
+            if not all(map(math.isfinite, pg + mg)):
+                raise ValueError("gradients must be finite")
             raise OracleError("the gap between plant and model gradients overflows")
-        self.previous = lam
-        return lam.copy()
+        self.previous = np.array(lam)
+        return self.previous.copy()
 
 
 class CorrectedModel:
@@ -83,18 +79,18 @@ class CorrectedModel:
     anchor : array
         Reference point the correction was computed at.
     plant_value_at_anchor : float, optional
-        Measured plant value at the anchor.  When given, a constant is
-        added so that ``value(anchor)`` equals it exactly.
-    base_value, base_gradient : float and array, optional
-        The base model's value and gradient at the anchor, if the caller
-        has them; a given one is not measured again.  The base values at the
-        last two points ``value_change`` measured are kept for the caller,
-        whose next model may be anchored there (``measured_base_value``).
+        Measured plant value at the anchor.  When given, it must be finite,
+        and a constant is added so that ``value(anchor)`` equals it exactly.
 
-    A run builds its models with the private ``_in_run``: its anchor,
-    modifiers and base gradient, which the loop or an oracle checked, are
-    kept as given, and the anchor terms are computed at once under the
-    run's errstate, which the solvers then use as their own.
+    The base model's values at the last two points ``value_change``
+    measured are kept for the caller, whose next model may be anchored
+    there (``measured_base_value``).
+
+    A run passes the private ``_run=(base_value, base_gradient)``, the
+    base model's value (None: measured here) and gradient at the anchor.
+    Its anchor, modifiers and gradient, which the oracles and the filter
+    checked, are then kept as given, and the anchor terms are computed at
+    once under the run's errstate, which the solvers then use as their own.
     """
 
     def __init__(
@@ -103,28 +99,27 @@ class CorrectedModel:
         modifiers,
         anchor,
         plant_value_at_anchor: float | None = None,
-        base_value: float | None = None,
-        base_gradient=None,
         *,
-        _in_run: bool = False,
+        _run: tuple | None = None,
     ):
         self.base_model = base_model
-        self._in_run = _in_run
-        if _in_run:
+        self._in_run = _run is not None
+        base_value, base_gradient = _run or (None, None)
+        if self._in_run:
             self.anchor, self.modifiers = anchor, modifiers
         else:
             self.anchor = as_input_vector(anchor, base_model.dimension)
             self.modifiers = as_input_vector(modifiers, base_model.dimension)
-            if base_gradient is not None:
-                base_gradient = as_input_vector(base_gradient, self.dimension)
+        plant = None if plant_value_at_anchor is None else float(plant_value_at_anchor)
+        if plant is not None and not math.isfinite(plant):
+            raise ValueError(f"plant_value_at_anchor must be finite, got {plant}")
         if base_value is None:
             base_value = base_model.value(self.anchor)
         self._model_at_anchor = float(base_value)
-        self._base_gradient = base_gradient
-        self._plant_value = None if plant_value_at_anchor is None else float(plant_value_at_anchor)
+        self._plant_value = plant
         # (point bytes, base value) of the last two value_change calls, the later last
         self._measured = ((b"", None), (b"", None))
-        self._anchor_terms = self._terms() if _in_run else None
+        self._anchor_terms = self._terms(base_gradient) if self._in_run else None
 
     @property
     def dimension(self) -> int:
@@ -164,8 +159,7 @@ class CorrectedModel:
                 self._anchor_terms = self._terms()
         return self._anchor_terms
 
-    def _terms(self) -> tuple:
-        base = self._base_gradient
+    def _terms(self, base=None) -> tuple:
         g = (self.base_model.gradient(self.anchor) if base is None else base) + self.modifiers
         gg = float(g.dot(g))
         if self.hessian is None:
@@ -177,7 +171,7 @@ class CorrectedModel:
         """value(u) - value(anchor), computed in the shift-free difference
         form so it is bit-identical with or without the shift."""
         base = self.base_model.value(u)
-        u = np.asarray(u, dtype=float).reshape(-1)
+        u = np.asarray(u, dtype=float)
         self._measured = (self._measured[1], (u.tobytes(), base))
         return base - self._model_at_anchor + float(self.modifiers @ (u - self.anchor))
 

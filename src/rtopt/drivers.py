@@ -117,7 +117,8 @@ class RunConfig:
         field."""
         _check_tolerance(self.tolerance)
         require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
-        require(self.max_plant_evaluations >= 1, "max_plant_evaluations", "must be >= 1")
+        probes = self.max_plant_evaluations
+        require(probes >= 2, "max_plant_evaluations", "must be >= 2: the start probes twice")
         eta1, eta2, radius_max = self.eta1, self.eta2, self.radius_max
         require(
             0.0 < eta1 <= eta2 < 1.0,
@@ -338,12 +339,11 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 model_grad = problem.model_gradient(state.reference)
                 if model_value is None:  # the start, or one the solve did not measure
                     model_value = problem.evaluate_model(state.reference)
-            # the gradients and the reference are the oracles' checked vectors
-            lam = filt._step(ref_grad, model_grad)
+            lam = filt.update(ref_grad, model_grad)
             if model is None or lam.tobytes() != model.modifiers.tobytes():
+                # the reference and both gradients are the oracles' checked vectors
                 model = CorrectedModel(
-                    problem.model, lam, state.reference,
-                    base_value=model_value, base_gradient=model_grad, _in_run=True,
+                    problem.model, lam, state.reference, _run=(model_value, model_grad)
                 )
             anchor = state.reference.copy()
             anchor_value = state.reference_plant_value

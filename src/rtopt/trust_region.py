@@ -42,6 +42,9 @@ class TrustRegionState:
         self.reference = as_input_vector(self.reference)
         if self.radius <= 0:
             raise ValueError("radius must be > 0")
+        value = self.reference_plant_value
+        if not math.isfinite(value):
+            raise ValueError(f"reference_plant_value must be finite, got {value}")
 
 
 def compute_rho(plant_ref: float, plant_cand: float, predicted_change: float) -> float | None:
@@ -77,8 +80,10 @@ def accept_candidate(
 
     A degenerate (None) rho never moves the reference.  Returns whether the
     reference moved; on a move the stored plant value is updated to the
-    candidate's measured value.
+    candidate's measured value, which must be finite.
     """
+    if not math.isfinite(candidate_plant_value):
+        raise ValueError(f"candidate_plant_value must be finite, got {candidate_plant_value}")
     if rho is not None and rho >= cfg.eta1:
         state.reference = as_input_vector(candidate, state.reference.size)
         state.reference_plant_value = float(candidate_plant_value)

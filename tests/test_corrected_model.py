@@ -109,6 +109,45 @@ class TestFilterModifiers:
             assert gap == pytest.approx((1.0 - alpha) * previous_gap, rel=1e-7)
 
 
+def components(rng, n):
+    """n signed components: magnitudes 10^-300..10^300, a quarter of them near
+    the largest float, where a difference may overflow, and a fifth +-0.0."""
+    x = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    x = np.where(rng.random(n) < 0.25, rng.uniform(0.5, 1.79, n) * 1e308, x)
+    x = rng.choice([-1.0, 1.0], n) * x
+    return np.where(rng.random(n) < 0.2, rng.choice([-0.0, 0.0], n), x)
+
+
+class TestUpdateBits:
+    """``update`` gives the NumPy formula's bits, and its OracleError where
+    that formula overflows, without a RuntimeWarning."""
+
+    def test_seeded_filters_match_the_numpy_formula(self):
+        rng = np.random.default_rng(20)
+        overflows = 0
+        for _ in range(1000):
+            n = int(rng.integers(1, 5))
+            alpha = 1.0 if rng.random() < 0.25 else 1.0 - rng.random()  # (0, 1]
+            filt = ModifierFilter(alpha, n)
+            for _ in range(3):
+                pg, mg, previous = components(rng, n), components(rng, n), filt.previous
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = alpha * (pg - mg) + (1.0 - alpha) * previous
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if np.isfinite(want).all():
+                        got = filt.update(pg, mg)
+                    else:
+                        overflows += 1
+                        with pytest.raises(OracleError, match="overflows"):
+                            filt.update(pg, mg)
+                        assert filt.previous is previous
+                        continue
+                assert got.tobytes() == want.tobytes()
+                assert filt.previous.tobytes() == want.tobytes()
+        assert overflows > 50
+
+
 class TestCorrectedValue:
     def test_unshifted_example(self):
         p = get_problem("P1")
@@ -170,6 +209,13 @@ class TestCorrectedValue:
         cm = CorrectedModel(p.model, [0.5, -1.5], anchor=[0.2, 0.8])
         u = np.array([1.3, -0.7])
         assert cm.value_change(u) == pytest.approx(cm.value(u) - cm.value(cm.anchor))
+
+    @pytest.mark.parametrize("plant_value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_plant_value_rejected(self, plant_value):
+        oracle = sphere_oracle()
+        with pytest.raises(ValueError, match="plant_value_at_anchor"):
+            CorrectedModel(oracle, [0.5, 0.5], [0.0, 0.0], plant_value_at_anchor=plant_value)
+        assert oracle.value_calls == 0
 
 
 class TestValueOnDemand:
@@ -281,11 +327,11 @@ class TestAnchorTerms:
 
     def test_known_base_gradient_gives_the_same_terms_without_a_call(self):
         p = get_problem("P4")
-        anchor, lam = np.array([0.5, -1.25]), [3.0, -0.5]
+        anchor, lam = np.array([0.5, -1.25]), np.array([3.0, -0.5])
         measured = CorrectedModel(p.model, lam, anchor=anchor).anchor_terms()
         calls = p.model.gradient_calls
         given_model = CorrectedModel(
-            p.model, lam, anchor=anchor, base_gradient=p.model.gradient(anchor)
+            p.model, lam, anchor=anchor, _run=(None, p.model.gradient(anchor))
         )
         assert p.model.gradient_calls == calls + 1
         given_terms = given_model.anchor_terms()
@@ -327,8 +373,3 @@ class TestAnchorTerms:
         g, gg, *curvature = cm.anchor_terms()
         assert g.tolist() == [3.0, 2.0] and gg == 13.0
         assert curvature == [None, None, None, None]
-
-    @pytest.mark.parametrize("bad", [[1.0], [1.0, np.nan], [[1.0, 2.0]]])
-    def test_base_gradient_is_validated(self, bad):
-        with pytest.raises(ValueError):
-            CorrectedModel(sphere_oracle(), [0.0, 0.0], anchor=[0.0, 0.0], base_gradient=bad)

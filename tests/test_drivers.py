@@ -13,7 +13,6 @@ from rtopt import (
     DEGENERATE,
     ConfigError,
     CorrectedModel,
-    ModifierFilter,
     ProblemPair,
     RunConfig,
     ScalarOracle,
@@ -528,6 +527,12 @@ class TestMaTrDriver:
         assert trace.termination_status == "max-iterations"
         assert trace.plant_evaluation_count <= 10
 
+    @pytest.mark.parametrize("run", [run_basic_ma, run_trust_region, run_ma_tr])
+    def test_smallest_plant_evaluation_budget_spends_the_start_probes(self, run):
+        trace = run(get_problem("P4"), [0.0, 0.0], max_plant_evaluations=2)
+        assert trace.termination_status == "max-iterations"
+        assert trace.plant_evaluation_count == 2 and trace.iterations == 0
+
     def test_oracle_failure_is_reported(self):
         # unbounded-below plant whose value blows up once the iterates
         # march past the instrumented range
@@ -826,8 +831,8 @@ class TestModelReuse:
         class Remeasuring(CorrectedModel):
             """Every rebuilt model measures the base value at its anchor."""
 
-            def __init__(self, *args, base_value=None, **kwargs):
-                super().__init__(*args, **kwargs)
+            def __init__(self, *args, _run, **kwargs):
+                super().__init__(*args, _run=(None, _run[1]), **kwargs)
 
         monkeypatch.setattr(drivers, "CorrectedModel", Remeasuring)
         remeasured_calls, remeasured = run()
@@ -859,32 +864,21 @@ class TestModelReuse:
 
 
 class TestLoopPath:
-    """A run builds its models and filters its modifiers from the vectors it
-    has checked; the public entry points, which check them again, give the
-    same runs."""
+    """A run builds its models from the vectors it has checked; the public
+    constructor, which checks them again, gives the same runs."""
 
     class PublicModel(CorrectedModel):
         built = 0
 
-        def __init__(self, *args, _in_run=False, **kwargs):
+        def __init__(self, *args, _run, **kwargs):
             type(self).built += 1
             super().__init__(*args, **kwargs)
-
-    class PublicFilter:
-        """The loop's filter, stepping through ``ModifierFilter.update``."""
-
-        def __init__(self, alpha, dimension):
-            self.filter = ModifierFilter(alpha, dimension)
-
-        def _step(self, plant_grad, model_grad):
-            return self.filter.update(plant_grad, model_grad)
 
     def traces(self, make_problem, u0, monkeypatch, runs, **settings):
         fast = [json.dumps(trace_to_dict(run(make_problem(), u0, **settings))) for run in runs]
         with monkeypatch.context() as m:
             m.setattr(self.PublicModel, "built", 0)
             m.setattr(drivers, "CorrectedModel", self.PublicModel)
-            m.setattr(drivers, "ModifierFilter", self.PublicFilter)
             public = [
                 json.dumps(trace_to_dict(run(make_problem(), u0, **settings))) for run in runs
             ]

@@ -44,6 +44,7 @@ class TestConstants:
             {"shrink_factor": math.nan},
             {"expansion_factor": 1.0},
             {"radius_max": 0.0},
+            {"max_plant_evaluations": 1},  # the start alone probes the plant twice
         ],
     )
     def test_invalid_constants_rejected(self, kwargs):
@@ -118,6 +119,14 @@ class TestAcceptCandidate:
         state = self._state()
         assert accept_candidate(state, [1.0, 0.0], 4.0, 0.1, DEFAULTS)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_candidate_value_rejected(self, value):
+        state = self._state()
+        with pytest.raises(ValueError, match="candidate_plant_value"):
+            accept_candidate(state, [1.0, 0.0], value, 0.5, DEFAULTS)
+        assert np.array_equal(state.reference, [0.0, 0.0])
+        assert state.reference_plant_value == 5.0
+
 
 class TestUpdateRadius:
     def test_very_successful_expands(self):
@@ -170,6 +179,11 @@ class TestState:
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError, match="radius"):
             TrustRegionState(reference=np.zeros(2), radius=0.0, reference_plant_value=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_reference_value_rejected(self, value):
+        with pytest.raises(ValueError, match="reference_plant_value"):
+            TrustRegionState(reference=np.zeros(2), radius=1.0, reference_plant_value=value)
 
     def test_reference_move_strictly_decreases_plant_value(self):
         # rho >= eta1 > 0 with positive predicted decrease forces descent
