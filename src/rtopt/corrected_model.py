@@ -12,6 +12,7 @@ unaffected by it.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -90,7 +91,7 @@ class CorrectedModel:
     base model's value (None: measured here) and gradient at the anchor.
     Its anchor, modifiers and gradient, which the oracles and the filter
     checked, are then kept as given, and the anchor terms are computed at
-    once under the run's errstate, which the solvers then use as their own.
+    once under the run's errstate, which ``errstate()`` then leaves as is.
     """
 
     def __init__(
@@ -166,6 +167,12 @@ class CorrectedModel:
             return g, gg, None, None, None, None
         w, q = self.base_model.hessian_eigh()
         return g, gg, float(g @ (self.hessian @ g)), w, q, q.T @ g
+
+    def errstate(self):
+        """The context the solvers run this model's NumPy arithmetic in:
+        overflow and invalid results are quiet.  A run's model holds the
+        run's own such errstate, so it gets a context that changes nothing."""
+        return nullcontext() if self._in_run else np.errstate(over="ignore", invalid="ignore")
 
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference

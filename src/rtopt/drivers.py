@@ -252,16 +252,20 @@ def _box_minimize(model: CorrectedModel, halfwidth: float, rng: np.random.Genera
         w, q, gt = model.anchor_terms()[3:]
         tol = 10 * w.size * math.ulp(1.0)  # 10 n eps
         scale = max(-w[0], w[-1])  # max |w|
-        null = np.abs(w) <= tol * scale
-        step = np.where(null, 0.0, gt) / np.where(null, 1.0, w)
-        off_range = null.any() and np.linalg.norm(gt[null]) > tol * (
-            np.linalg.norm(gt) + scale * (np.linalg.norm(step) + np.linalg.norm(current))
-        )
-        point = current - q @ step
-        if w[0] < -tol * scale or off_range:
+        if w[0] < -tol * scale:
             return current, "unbounded-subproblem"
+        if w[0] > tol * scale:  # no null eigenvalue: w ascends from w[0]
+            step = gt / w
+        else:
+            null = np.abs(w) <= tol * scale
+            step = np.where(null, 0.0, gt) / np.where(null, 1.0, w)
+            if np.linalg.norm(gt[null]) > tol * (
+                np.linalg.norm(gt) + scale * (np.linalg.norm(step) + np.linalg.norm(current))
+            ):
+                return current, "unbounded-subproblem"
+        point = current - q @ step
         # an overflowed step is outside too: NaN fails the comparison
-        return point, None if np.all(np.abs(point) <= halfwidth) else "outside-box"
+        return point, None if all(abs(x) <= halfwidth for x in point.tolist()) else "outside-box"
 
     def project(u):
         return np.clip(u, -halfwidth, halfwidth)
@@ -320,11 +324,11 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
         ref_grad = problem.plant_gradient(u)
         radius0 = cfg.delta0 if ball else math.inf
         state = TrustRegionState(reference=u, radius=radius0, reference_plant_value=ref_value)
+        gnorm = _norm(ref_grad)
         for k in range(cfg.max_iterations + 1):
             # Every stop that needs no solve; the pass at the cap only checks.
             # A ball shrunk to 0.0 predicts no decrease: every later iteration
             # would be degenerate and only shrink the radius.
-            gnorm = _norm(ref_grad)
             if gnorm <= cfg.tolerance:
                 status = "converged"
             elif k == cfg.max_iterations or sum(problem.plant_evaluations()) > budget:
@@ -334,17 +338,19 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             if status is not None:
                 break
             # A rejected step keeps the reference and its measurements (models are never
-            # noisy), so the model too, with its anchor terms, unless the filter moves it.
-            if model_grad is None:
-                model_grad = problem.model_gradient(state.reference)
-                if model_value is None:  # the start, or one the solve did not measure
-                    model_value = problem.evaluate_model(state.reference)
-            lam = filt.update(ref_grad, model_grad)
-            if model is None or lam.tobytes() != model.modifiers.tobytes():
-                # the reference and both gradients are the oracles' checked vectors
-                model = CorrectedModel(
-                    problem.model, lam, state.reference, _run=(model_value, model_grad)
-                )
+            # noisy).  At gain 1 the filter would return the same bits, so the modifiers and
+            # the model with its anchor terms stay; a lower gain steps it every iteration.
+            if model is None or filt.alpha < 1.0:
+                if model_grad is None:
+                    model_grad = problem.model_gradient(state.reference)
+                    if model_value is None:  # the start, or one the solve did not measure
+                        model_value = problem.evaluate_model(state.reference)
+                lam = filt.update(ref_grad, model_grad)
+                if model is None or lam.tobytes() != model.modifiers.tobytes():
+                    # the reference and both gradients are the oracles' checked vectors
+                    model = CorrectedModel(
+                        problem.model, lam, state.reference, _run=(model_value, model_grad)
+                    )
             anchor = state.reference.copy()
             anchor_value = state.reference_plant_value
             radius = state.radius
@@ -387,6 +393,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 model_value = model.measured_base_value(state.reference)
                 ref_grad, model, model_grad = unmeasured, None, None
                 ref_grad = problem.plant_gradient(state.reference)
+                gnorm = _norm(ref_grad)
     except OracleError:
         status = "oracle-failure"
 

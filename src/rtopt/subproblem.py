@@ -22,7 +22,6 @@ whether or not the model carries a constant shift.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +56,7 @@ def _ball_projection(anchor: np.ndarray, radius: float):
         d = u - anchor
         norm = math.sqrt(float(d.dot(d)))
         if norm <= radius:
-            return u.copy()
+            return u  # a point the ball holds is returned as is
         return anchor + d * (radius / norm)
 
     return project
@@ -271,7 +270,7 @@ def _exact_step(w, q, gt, radius: float) -> np.ndarray:
     inside the ball there; the step is then filled up to the
     boundary along the bottom eigenvector.
     """
-    if w[0] > 0.0:  # positive definite: w + 0.0 is w to the bit, and there is no pole
+    if w[0] > 0.0:  # positive definite: no shift and no pole
         shifted, mu = w, 0.0
     else:
         shifted = w + max(0.0, -w[0])
@@ -282,7 +281,7 @@ def _exact_step(w, q, gt, radius: float) -> np.ndarray:
             gt = np.where(pole, 0.0, gt)  # below the pole's resolution, if not already 0
             shifted = np.where(pole, 1.0, shifted)  # any positive value: nothing is divided there
     for _ in range(_MAX_NEWTON_STEPS):
-        d = shifted + mu
+        d = shifted + mu if mu else shifted  # + 0.0 would change no bit: shifted has no -0.0
         c = gt / d
         norm2 = float(c @ c)
         slack = radius * radius - norm2
@@ -302,8 +301,8 @@ def _exact_step(w, q, gt, radius: float) -> np.ndarray:
             break
         mu += step
     else:
-        d = shifted + mu
-    return q @ (-gt / d)
+        return q @ (-gt / (shifted + mu))
+    return q @ -c  # -gt / d to the bit, at this pass's mu
 
 
 def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
@@ -325,9 +324,9 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
 
     _, gg, _, w, q, gt = model.anchor_terms()
     cp, cp_change = cauchy_point(model, radius)
-    # a run's own model is solved under the run's errstate, the same as this one
-    quiet = nullcontext() if model._in_run else np.errstate(over="ignore", invalid="ignore")
+    quiet = model.errstate()
 
+    stepped = None  # the exact step's point before projection
     if gt is None:
         initial_step = radius / math.sqrt(gg) if gg > 0 else 1.0
         # the descent projects its start: cp_change holds if that leaves cp in place
@@ -341,15 +340,18 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     else:
         # eigenvalues tiny beside g overflow the step: the Cauchy point stands in
         with quiet:
-            best = project(anchor + _exact_step(w, q, gt, radius))
+            stepped = anchor + _exact_step(w, q, gt, radius)
+            best = project(stepped)
         finite = all(map(math.isfinite, best.tolist()))
         best_change = model.value_change(best) if finite else math.inf
         evals = 0
 
     override = best_change > cp_change
     measured, change = (cp, cp_change) if override else (best, best_change)
-    candidate = project(measured)
-    if candidate.tolist() != measured.tolist():  # rounding at the boundary
+    # a point the ball held is its own projection; rounding at the boundary may
+    # move a scaled one when it is projected again
+    candidate = measured if measured is stepped else project(measured)
+    if candidate is not measured and candidate.tolist() != measured.tolist():
         change = model.value_change(candidate)
     return SubproblemResult(
         candidate=candidate,

@@ -111,20 +111,32 @@ class TestFilterModifiers:
 
 def components(rng, n):
     """n signed components: magnitudes 10^-300..10^300, a quarter of them near
-    the largest float, where a difference may overflow, and a fifth +-0.0."""
+    the largest float, where a difference may overflow, a tenth subnormal,
+    and a fifth +-0.0."""
     x = 10.0 ** rng.uniform(-300.0, 300.0, n)
     x = np.where(rng.random(n) < 0.25, rng.uniform(0.5, 1.79, n) * 1e308, x)
+    x = np.where(rng.random(n) < 0.1, rng.uniform(0.0, 1.0, n) * 2.0**-1022, x)
     x = rng.choice([-1.0, 1.0], n) * x
     return np.where(rng.random(n) < 0.2, rng.choice([-0.0, 0.0], n), x)
 
 
+def gap_kinds(gap):
+    """The kinds of component in a gradient gap the repeat check covers."""
+    kinds = {"-0.0" if math.copysign(1.0, g) < 0.0 else "+0.0" for g in gap if g == 0.0}
+    kinds |= {"subnormal" for g in gap if 0.0 < abs(g) < 2.0**-1022}
+    return kinds | {"near overflow" for g in gap if abs(g) > 1e307}
+
+
 class TestUpdateBits:
     """``update`` gives the NumPy formula's bits, and its OracleError where
-    that formula overflows, without a RuntimeWarning."""
+    that formula overflows, without a RuntimeWarning.  At gain 1 a second
+    update on the same gradients returns the first one's bits, which lets
+    the run loop keep the modifiers of a rejected step."""
 
     def test_seeded_filters_match_the_numpy_formula(self):
         rng = np.random.default_rng(20)
         overflows = 0
+        repeated = set()
         for _ in range(1000):
             n = int(rng.integers(1, 5))
             alpha = 1.0 if rng.random() < 0.25 else 1.0 - rng.random()  # (0, 1]
@@ -145,7 +157,11 @@ class TestUpdateBits:
                         continue
                 assert got.tobytes() == want.tobytes()
                 assert filt.previous.tobytes() == want.tobytes()
+                if alpha == 1.0:
+                    assert filt.update(pg, mg).tobytes() == got.tobytes()
+                    repeated |= gap_kinds(pg - mg)
         assert overflows > 50
+        assert repeated == {"-0.0", "+0.0", "subnormal", "near overflow"}
 
 
 class TestCorrectedValue:
@@ -339,6 +355,18 @@ class TestAnchorTerms:
         assert measured[1:3] == given_terms[1:3]
         for a, b in zip(measured[:1] + measured[3:], given_terms[:1] + given_terms[3:]):
             assert a.tobytes() == b.tobytes()
+
+    def test_errstate_is_quiet_unless_a_run_holds_it(self):
+        p = get_problem("P1")
+        anchor = np.array([1.0, 1.0])
+        own = CorrectedModel(p.model, [0.0, 0.0], anchor=anchor)
+        with own.errstate():
+            assert (np.geterr()["over"], np.geterr()["invalid"]) == ("ignore", "ignore")
+        # a run's model is solved under the errstate the run already holds
+        run = CorrectedModel(p.model, np.zeros(2), anchor, _run=(None, p.model.gradient(anchor)))
+        outside = np.geterr()
+        with run.errstate():
+            assert np.geterr() == outside
 
     def test_own_anchor_terms_are_computed_once(self):
         p = get_problem("P2")

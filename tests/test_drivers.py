@@ -13,6 +13,7 @@ from rtopt import (
     DEGENERATE,
     ConfigError,
     CorrectedModel,
+    ModifierFilter,
     ProblemPair,
     RunConfig,
     ScalarOracle,
@@ -197,7 +198,57 @@ def box_steps(draw):
     return kind, h, g, anchor, halfwidth, nearest
 
 
+def reference_box_step(model, halfwidth):
+    """The closed-form whole-box step with its null-eigenvalue masks built
+    whatever the eigenvalues: the reference whose bits ``_box_minimize``
+    must return for a model with a declared Hessian."""
+    current = model.anchor
+    w, q, gt = model.anchor_terms()[3:]
+    tol = 10 * w.size * math.ulp(1.0)
+    scale = max(-w[0], w[-1])
+    null = np.abs(w) <= tol * scale
+    step = np.where(null, 0.0, gt) / np.where(null, 1.0, w)
+    off_range = null.any() and np.linalg.norm(gt[null]) > tol * (
+        np.linalg.norm(gt) + scale * (np.linalg.norm(step) + np.linalg.norm(current))
+    )
+    point = current - q @ step
+    if w[0] < -tol * scale or off_range:
+        return current, "unbounded-subproblem"
+    return point, None if np.all(np.abs(point) <= halfwidth) else "outside-box"
+
+
 class TestWholeBoxStep:
+    @settings(max_examples=150, deadline=None)
+    @given(box_steps())
+    def test_closed_form_has_the_bits_of_the_full_mask_form(self, problem):
+        _, h, g, anchor, halfwidth, _ = problem
+        model = CorrectedModel(quadratic(h), g - h @ anchor, anchor=anchor)
+        point, status = _box_minimize(model, halfwidth, rng=None)
+        want_point, want_status = reference_box_step(model, halfwidth)
+        assert status == want_status
+        assert point.tobytes() == want_point.tobytes()
+
+    def test_closed_form_of_fixed_models_has_the_bits_of_the_full_mask_form(self):
+        models = [
+            CorrectedModel(get_problem(pid).model, [lam] * n, anchor=[1.0] * n)
+            for pid, n in (("P1", 2), ("P2", 1), ("P4", 2))
+            for lam in (1.0, 1e300)
+        ]
+        # eigenvalues near 1e-300 overflow the step: the point is -inf, then NaN and inf
+        c = math.sqrt(0.5)
+        q = np.array([[c, -c], [c, c]])
+        tiny = q @ np.diag([1e-300, 2e-300]) @ q.T
+        models.append(CorrectedModel(quadratic([[1e-300]]), [1e10], anchor=[0.0]))
+        models.append(CorrectedModel(quadratic((tiny + tiny.T) / 2.0), [1e10, -3e10], [0.0, 0.0]))
+        statuses = set()
+        for model in models:
+            with np.errstate(over="ignore", invalid="ignore"):  # as in a run
+                point, status = _box_minimize(model, 1e6, rng=None)
+                want_point, want_status = reference_box_step(model, 1e6)
+            assert (status, point.tobytes()) == (want_status, want_point.tobytes())
+            statuses.add(status)
+        assert statuses == {None, "unbounded-subproblem", "outside-box"}
+
     @settings(max_examples=150, deadline=None)
     @given(box_steps())
     def test_closed_form_agrees_with_the_box_search(self, problem):
@@ -818,6 +869,34 @@ class TestModelReuse:
         ]
         assert all(moved) if alpha < 1.0 else not any(moved)
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    def test_filter_steps_per_reference_at_gain_1_and_per_solve_below(self, alpha, monkeypatch):
+        outputs, solved = [], []
+
+        class CountingFilter(ModifierFilter):
+            def update(self, plant_grad, model_grad):
+                outputs.append(super().update(plant_grad, model_grad))
+                return outputs[-1].copy()
+
+        def counted_solve(model, radius):
+            solved.append(model.anchor.tobytes())
+            return solve_subproblem(model, radius)
+
+        monkeypatch.setattr(drivers, "ModifierFilter", CountingFilter)
+        monkeypatch.setattr(drivers, "solve_subproblem", counted_solve)
+        problem = get_problem("P4", noise_level=0.02, seed=4)
+        trace = run_ma_tr(problem, [0.0, 0.0], alpha=alpha, max_iterations=100)
+        # the references the run solved from: the start and each accepted candidate
+        references = [k == 0 or solved[k - 1] != solved[k] for k in range(len(solved))]
+        assert 1 < sum(references) < len(solved)
+        if alpha == 1.0:
+            assert len(outputs) == sum(references) == 1 + trace.accepted_count
+            output_of = np.cumsum(references) - 1
+        else:
+            assert len(outputs) == len(solved)
+            output_of = range(len(solved))
+        for record, i in zip(trace.records, output_of):
+            assert record.modifiers.tobytes() == outputs[i].tobytes()
 
     def test_unmoved_anchor_is_measured_once_at_a_filter_gain_below_1(self, monkeypatch):
         def run():

@@ -1,8 +1,10 @@
 """Tests for the ball-constrained solver, Cauchy search, and decrease checks."""
 
+import inspect
 import math
 import re
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -420,6 +422,22 @@ class TestExactSubproblem:
         w = np.array([1.0, 2.0])
         assert _exact_step(w, q, np.array([1.0, 2.0]), 10.0).tolist() == [-1.0, -1.0]
 
+    def test_a_step_the_ball_scaled_is_projected_again(self):
+        # the ball scales this exact step, and projecting the scaled point
+        # again moves it by rounding: the candidate is the point projected
+        # twice, and its predicted change is measured there
+        p = get_problem("P4")
+        anchor, radius = np.array([-0.05, 1.03]), 0.125
+        cm = CorrectedModel(p.model, [-1.3, -4.5], anchor=anchor)
+        project = subproblem._ball_projection(anchor, radius)
+        once = project(anchor + _exact_step(*cm.anchor_terms()[3:], radius))
+        twice = project(once)
+        assert twice.tobytes() != once.tobytes()
+        result = solve_subproblem(cm, radius)
+        assert not result.cauchy_override_applied
+        assert result.candidate.tobytes() == twice.tobytes()
+        assert result.predicted_change == cm.value_change(twice)
+
     def test_solvers_read_curvature_only_from_the_anchor_terms(self, monkeypatch):
         p = get_problem("P4")
         cm = CorrectedModel(p.model, [3.0, -0.5], anchor=[0.5, -1.25])
@@ -619,17 +637,52 @@ def exact_step_case(rng, kind):
     return w, q, gt, 10.0 ** rng.uniform(-300.0, 300.0)
 
 
+def seeded_exact_step_cases(kind):
+    """The 500 cases of one kind that the comparison with the reference runs."""
+    rng = np.random.default_rng(KINDS.index(kind))
+    return [exact_step_case(rng, kind) for _ in range(500)]
+
+
 class TestExactStepBits:
     @pytest.mark.parametrize("kind", KINDS)
     def test_same_bits_as_the_step_without_the_fast_path(self, kind):
-        rng = np.random.default_rng(KINDS.index(kind))
-        for _ in range(500):
-            w, q, gt, radius = exact_step_case(rng, kind)
+        for w, q, gt, radius in seeded_exact_step_cases(kind):
             # the solver runs the step under this errstate: extreme radii overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 got = _exact_step(w, q, gt.copy(), radius)
                 want = _reference_exact_step(w, q, gt.copy(), radius)
             assert got.tobytes() == want.tobytes(), (w, q, gt, radius)
+
+    def test_the_comparison_reaches_every_exit(self):
+        # the interior and hard-case returns, each break of the Newton loop
+        # (inside the ball, zero slope, mu + step == mu), the step cap's
+        # return and the return after a break, found by a line tracer
+        lines, first = inspect.getsourcelines(_exact_step)
+        exits = {
+            first + i
+            for i, line in enumerate(lines)
+            if line.strip().startswith(("return", "break", "s[0] = "))
+        }
+        assert len(exits) == 7
+        code, ran = _exact_step.__code__, set()
+
+        def trace_lines(frame, event, arg):
+            ran.add(frame.f_lineno)
+            return trace_lines
+
+        def trace_calls(frame, event, arg):
+            return trace_lines if frame.f_code is code else None
+
+        cases = [case for kind in KINDS for case in seeded_exact_step_cases(kind)]
+        previous = sys.gettrace()
+        sys.settrace(trace_calls)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                for w, q, gt, radius in cases:
+                    _exact_step(w, q, gt.copy(), radius)
+        finally:
+            sys.settrace(previous)
+        assert exits - ran == set()
 
     def test_definite_cases_reach_the_interior_and_the_boundary(self):
         rng = np.random.default_rng(0)
