@@ -84,8 +84,9 @@ class CorrectedModel:
         and a constant is added so that ``value(anchor)`` equals it exactly.
 
     The base model's values at the last two points ``value_change``
-    measured are kept for the caller, whose next model may be anchored
-    there (``measured_base_value``).
+    measured are kept: ``value_change`` answers either point from them,
+    and the caller's next model may be anchored there
+    (``measured_base_value``).
 
     A run passes the private ``_run=(base_value, base_gradient)``, the
     base model's value (None: measured here) and gradient at the anchor.
@@ -118,9 +119,10 @@ class CorrectedModel:
             base_value = base_model.value(self.anchor)
         self._model_at_anchor = float(base_value)
         self._plant_value = plant
-        # (point bytes, base value) of the last two value_change calls, the later last
+        # (point bytes, base value) of the last two points measured, the later last
         self._measured = ((b"", None), (b"", None))
         self._anchor_terms = self._terms(base_gradient) if self._in_run else None
+        self._newton_start = None
 
     @property
     def dimension(self) -> int:
@@ -160,13 +162,25 @@ class CorrectedModel:
                 self._anchor_terms = self._terms()
         return self._anchor_terms
 
+    def newton_start(self) -> tuple:
+        """``(c, c.c, c.(c/w))`` for ``c = q^T g / w``, ``w`` and ``q^T g`` of
+        ``anchor_terms`` and a positive-definite Hessian: the exact step's
+        first Newton pass, which no radius changes.  Computed once."""
+        if self._newton_start is None:
+            _, _, _, w, _, gt = self.anchor_terms()
+            with self.errstate():
+                c = gt / w
+                self._newton_start = c, float(c.dot(c)), float(c.dot(c / w))
+        return self._newton_start
+
     def _terms(self, base=None) -> tuple:
         g = (self.base_model.gradient(self.anchor) if base is None else base) + self.modifiers
         gg = float(g.dot(g))
         if self.hessian is None:
             return g, gg, None, None, None, None
         w, q = self.base_model.hessian_eigh()
-        return g, gg, float(g @ (self.hessian @ g)), w, q, q.T @ g
+        # + 0.0: at n = 1 dot returns -0.0 where @ returns +0.0
+        return g, gg, float(g.dot(self.hessian @ g)) + 0.0, w, q, g @ q
 
     def errstate(self):
         """The context the solvers run this model's NumPy arithmetic in:
@@ -176,11 +190,17 @@ class CorrectedModel:
 
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference
-        form so it is bit-identical with or without the shift."""
-        base = self.base_model.value(u)
-        u = np.asarray(u, dtype=float)
-        self._measured = (self._measured[1], (u.tobytes(), base))
-        return base - self._model_at_anchor + float(self.modifiers @ (u - self.anchor))
+        form so it is bit-identical with or without the shift.  A float
+        vector with the bytes of one of the last two points measured is not
+        measured again; any other input goes to the oracle."""
+        vector = type(u) is np.ndarray and u.ndim == 1 and u.dtype == float
+        base = self.measured_base_value(u) if vector else None
+        if base is None:
+            base = self.base_model.value(u)
+            u = np.asarray(u, dtype=float)
+            self._measured = (self._measured[1], (u.tobytes(), base))
+        # + 0.0: at n = 1 dot returns -0.0 where @ returns +0.0
+        return base - self._model_at_anchor + (float(self.modifiers.dot(u - self.anchor)) + 0.0)
 
     def measured_base_value(self, u) -> float | None:
         """The base model's value at the array u if u, to the bit, is one of

@@ -117,7 +117,7 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     lo, hi = max(j - 1, 0) * ds, min(j + 1, _SCAN_POINTS) * ds
     best, change, _ = projected_descent(
         lambda s: model.value_change(ray(s[0])),
-        lambda s: np.array([-float(g @ model.gradient(ray(s[0]))) / gnorm]),
+        lambda s: np.array([-(float(g.dot(model.gradient(ray(s[0])))) + 0.0) / gnorm]),
         np.array([j * ds]),
         lambda s: np.clip(s, lo, hi),
         _SCAN_MAX_EVALS - _SCAN_POINTS,
@@ -192,9 +192,9 @@ def projected_descent(
         if x_prev is not None:
             s = x - x_prev
             y = g - g_prev
-            sy = float(s @ y)
+            sy = float(s.dot(y))  # a zero's sign fails the test either way
             if math.isfinite(sy) and sy > 0.0:
-                step = float(s @ s) / sy
+                step = float(s.dot(s)) / sy
             else:
                 step *= 2.0  # nonconvex stretch: grow until backtracking bites
         step = min(max(step, 1e-16), 1e16)
@@ -215,14 +215,14 @@ def projected_descent(
             # ties go to the later point: it is the more refined iterate
             if fc <= best_f:
                 best_x, best_f = cand.copy(), fc
-            slope = float(g @ d)
+            slope = float(g.dot(d))  # a zero's sign changes no comparison below
             if fc <= fx + _ARMIJO * slope:
                 moved = True
                 break
             if fc <= fx + _VALUE_RTOL * abs(fx) and evals < budget:
                 g_next = grad_fn(cand)
                 evals += 1
-                if float(g_next @ d) <= (2.0 * _ARMIJO - 1.0) * slope:
+                if float(g_next.dot(d)) <= (2.0 * _ARMIJO - 1.0) * slope:
                     if fc <= best_f + _VALUE_RTOL * abs(best_f):
                         best_x, best_f = cand.copy(), fc
                     moved = True
@@ -250,7 +250,7 @@ def projected_descent(
 _MAX_NEWTON_STEPS = 100
 
 
-def _exact_step(w, q, gt, radius: float) -> np.ndarray:
+def _exact_step(w, q, gt, radius: float, first=None) -> np.ndarray:
     """Global minimizer s of ``g.s + s.Hs / 2`` over ``||s|| <= radius``,
     where ``H = q diag(w) q^T`` with ``w`` ascending (Moré & Sorensen 1983;
     Conn, Gould & Toint, *Trust-Region Methods*, 2000, ch. 7), given
@@ -268,7 +268,10 @@ def _exact_step(w, q, gt, radius: float) -> np.ndarray:
     is the test for an interior minimizer.  In the hard case ``g`` has no
     component on the pole of a negative eigenvalue and ``||s||`` stays
     inside the ball there; the step is then filled up to the
-    boundary along the bottom eigenvector.
+    boundary along the bottom eigenvector.  ``first``, for a positive-
+    definite ``H`` only, is the radius-free first pass ``(c, c.c, c.(c/w))``
+    (``CorrectedModel.newton_start``).  No later pass changes the step at a
+    ``mu`` that overflows or turns NaN, so that step is returned at once.
     """
     if w[0] > 0.0:  # positive definite: no shift and no pole
         shifted, mu = w, 0.0
@@ -276,14 +279,17 @@ def _exact_step(w, q, gt, radius: float) -> np.ndarray:
         shifted = w + max(0.0, -w[0])
         pole = shifted == 0.0
         # from the pole 1/||s|| rises from 0 with slope 1/||gt[pole]||: Newton's first step
-        mu = math.sqrt(float(gt[pole] @ gt[pole])) / radius
+        mu = math.sqrt(float(gt[pole].dot(gt[pole]))) / radius
         if mu == 0.0:
             gt = np.where(pole, 0.0, gt)  # below the pole's resolution, if not already 0
             shifted = np.where(pole, 1.0, shifted)  # any positive value: nothing is divided there
     for _ in range(_MAX_NEWTON_STEPS):
         d = shifted + mu if mu else shifted  # + 0.0 would change no bit: shifted has no -0.0
-        c = gt / d
-        norm2 = float(c @ c)
+        if first is not None and not mu:  # the first pass, the same at every radius
+            c, norm2, cw = first
+        else:
+            c = gt / d
+            norm2, cw = float(c.dot(c)), None
         slack = radius * radius - norm2
         if mu == 0.0 and slack >= 0.0:  # mu is 0 on the first pass only: an interior step
             s = -c  # -gt / d to the bit: d is finite and positive
@@ -293,13 +299,15 @@ def _exact_step(w, q, gt, radius: float) -> np.ndarray:
         norm = math.sqrt(norm2)
         if norm <= radius:
             break
-        slope = radius * float(c @ (c / d))
+        slope = radius * (float(c.dot(c / d)) if cw is None else cw)
         if slope == 0.0:  # a subnormal radius: the step is below resolution
             break
         step = norm2 * (norm - radius) / slope
         if mu + step == mu:
             break
         mu += step
+        if not math.isfinite(mu):  # after an overflowing norm
+            return q @ (-gt / (shifted + mu))
     else:
         return q @ (-gt / (shifted + mu))
     return q @ -c  # -gt / d to the bit, at this pass's mu
@@ -340,7 +348,8 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     else:
         # eigenvalues tiny beside g overflow the step: the Cauchy point stands in
         with quiet:
-            stepped = anchor + _exact_step(w, q, gt, radius)
+            first = model.newton_start() if w[0] > 0.0 else None
+            stepped = anchor + _exact_step(w, q, gt, radius, first)
             best = project(stepped)
         finite = all(map(math.isfinite, best.tolist()))
         best_change = model.value_change(best) if finite else math.inf

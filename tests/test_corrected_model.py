@@ -295,6 +295,62 @@ class TestMeasuredBaseValue:
         assert oracle.value_calls == 4
 
 
+class TestValueMemo:
+    """``value_change`` answers a float vector with the bytes of one of the
+    last two points it measured from the memo; any other input reaches the
+    oracle."""
+
+    @staticmethod
+    def model():
+        oracle = sphere_oracle()
+        return oracle, CorrectedModel(oracle, [0.3, -1.1], anchor=[0.5, 0.25])
+
+    def test_a_hit_costs_no_oracle_call_and_returns_the_miss_bits(self):
+        oracle, cm = self.model()
+        points = [np.array([1.0, 2.0]), np.array([-0.7, 1e-310])]
+        misses = [struct.pack("<d", cm.value_change(u)) for u in points]
+        calls = oracle.value_calls
+        # copies and a strided view: the bytes decide, not the object
+        view = np.array([[-0.7, 9.0], [1e-310, 9.0]])[:, 0]
+        for u in (points[1].copy(), points[0].copy(), view, points[0]):
+            want = misses[0] if u.tobytes() == points[0].tobytes() else misses[1]
+            assert struct.pack("<d", cm.value_change(u)) == want
+        assert oracle.value_calls == calls
+
+    def test_inputs_other_than_float_vectors_reach_the_oracle(self):
+        oracle, cm = self.model()
+        u = np.array([1.0, 2.0])
+        cm.value_change(u)
+        # the same bytes as a (1, 2) array, or as integers: no longer a vector of floats
+        with pytest.raises(ValueError, match="1-D vector"):
+            cm.value_change(u.reshape(1, 2))
+        calls = oracle.value_calls
+        cm.value_change(u.view(np.int64))
+        assert oracle.value_calls == calls + 1
+        with pytest.raises(ValueError, match="non-finite"):
+            cm.value_change(np.array([math.nan, 2.0]))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cm.value_change(np.array([1.0, 2.0, 3.0]))
+
+    def test_signed_zeros_are_two_points(self):
+        oracle, cm = self.model()
+        cm.value_change(np.array([0.0, 1.0]))
+        calls = oracle.value_calls
+        cm.value_change(np.array([-0.0, 1.0]))
+        assert oracle.value_calls == calls + 1
+
+    def test_hits_keep_the_last_two_distinct_points(self):
+        oracle, cm = self.model()
+        a, b, c = np.array([1.0, 2.0]), np.array([3.0, 0.5]), np.array([-1.0, 0.0])
+        for u in (a, b, a, b, a):  # hits add no entry
+            cm.value_change(u)
+        assert cm.measured_base_value(a) == 5.0 and cm.measured_base_value(b) == 9.25
+        cm.value_change(c)  # a miss drops the older of the two
+        assert cm.measured_base_value(a) is None
+        assert cm.measured_base_value(b) == 9.25 and cm.measured_base_value(c) == 1.0
+        assert oracle.value_calls == 4  # the anchor, a, b and c
+
+
 class TestCorrectedGradient:
     def test_matches_plant_gradient_at_anchor(self):
         p = get_problem("P1")

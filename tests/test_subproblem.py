@@ -153,9 +153,13 @@ class TestCauchyPoint:
 
         monkeypatch.setattr(subproblem, "projected_descent", measured_again)
         again = run()
+        saved = []
         for (calls, point, change), (calls_again, point_again, change_again) in zip(reused, again):
-            assert calls == calls_again - 1
+            saved.append(calls_again - calls)
             assert (point, change) == (point_again, change_again)
+        # where the scan's best point is its last, which the model's value
+        # memo holds, measuring it again costs no call either
+        assert saved == [0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0]
 
     def test_change_is_the_models_change_at_the_point(self):
         # The returned change is the model's own value_change at the point,
@@ -503,12 +507,20 @@ class TestExactSubproblem:
             for result, cm in zip((exact, approx), models):
                 assert result.predicted_change == cm.value_change(result.candidate)
 
-    def test_one_model_gradient_and_two_values_per_solve(self):
-        p = get_problem("P3")
-        cm = CorrectedModel(p.model, [1.0, -3.0], anchor=[0.5, 0.5])
-        before = (p.model.value_calls, p.model.gradient_calls)
-        solve_subproblem(cm, 0.3)
-        assert (p.model.value_calls - before[0], p.model.gradient_calls - before[1]) == (2, 1)
+    def test_a_solve_measures_each_point_once(self):
+        # one model gradient, and one value at the Cauchy point and one at
+        # the exact step, which on P3's sphere is the Cauchy point to the bit
+        for model, on_the_cauchy_point in (
+            (get_problem("P3").model, True),
+            (quadratic_model([[4.0, 0.0], [0.0, 1.0]]), False),
+        ):
+            cm = CorrectedModel(model, [1.0, -3.0], anchor=[0.5, 0.5])
+            before = (model.value_calls, model.gradient_calls)
+            result = solve_subproblem(cm, 0.3)
+            calls = (model.value_calls - before[0], model.gradient_calls - before[1])
+            cp = cauchy_point(cm, 0.3)[0]
+            assert (result.candidate.tobytes() == cp.tobytes()) == on_the_cauchy_point
+            assert calls == (1 if on_the_cauchy_point else 2, 1)
 
     def test_a_new_radius_reuses_the_anchor_terms(self):
         p = get_problem("P4")
@@ -600,7 +612,7 @@ def _reference_exact_step(w, q, gt, radius):
             if w[0] < 0.0:
                 s[0] = math.sqrt(slack)
             return q @ s
-    for _ in range(100):
+    for _ in range(subproblem._MAX_NEWTON_STEPS):
         d = shifted + mu
         c = gt / d
         norm2 = float(c @ c)
@@ -614,6 +626,8 @@ def _reference_exact_step(w, q, gt, radius):
         if mu + step == mu:
             break
         mu += step
+        if not math.isfinite(mu):  # no later pass would change it
+            break
     return q @ (-gt / (shifted + mu))
 
 
@@ -643,27 +657,72 @@ def seeded_exact_step_cases(kind):
     return [exact_step_case(rng, kind) for _ in range(500)]
 
 
+def product_components(rng, n):
+    """n components for the scalar-product check: mostly normal numbers of
+    magnitude 10^-5..10^5, with +-0.0, subnormals and +-inf mixed in."""
+    x = rng.normal(size=n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
+    kind = rng.random(n)
+    x = np.where(kind < 0.15, rng.choice([-0.0, 0.0], n), x)
+    x = np.where((0.15 <= kind) & (kind < 0.25), rng.normal(size=n) * 2.0**-1030, x)
+    return np.where(kind > 0.98, rng.choice([-math.inf, math.inf], n), x)
+
+
+class TestScalarProducts:
+    """The solvers and the model take scalar products with ``dot`` instead
+    of ``@``, which costs the matmul ufunc's dispatch.  That is safe only
+    while the bits agree: ``x.dot(x)`` with ``x @ x``, and ``x.dot(y) + 0.0``
+    with ``x @ y`` (at n = 1 ``dot`` multiplies directly and keeps a -0.0
+    that ``@`` sums to +0.0)."""
+
+    def test_dot_has_the_bits_of_matmul(self):
+        rng = np.random.default_rng(22)
+        seen = set()
+        for n in range(1, 33):
+            for _ in range(300):
+                x, y = product_components(rng, n), product_components(rng, n)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want, got = float(x @ y), float(x.dot(y))
+                    assert struct.pack("d", got + 0.0) == struct.pack("d", want), (x, y)
+                    assert struct.pack("d", float(x.dot(x))) == struct.pack("d", float(x @ x))
+                if struct.pack("d", got) != struct.pack("d", want):
+                    seen.add("-0.0 without + 0.0")
+                seen.add("inf" if abs(want) == math.inf else "nan" if want != want else
+                         "subnormal" if 0.0 < abs(want) < 2.0**-1022 else "normal")
+        assert seen == {"-0.0 without + 0.0", "inf", "nan", "subnormal", "normal"}
+
+
 class TestExactStepBits:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_same_bits_as_the_step_without_the_fast_path(self, kind):
-        for w, q, gt, radius in seeded_exact_step_cases(kind):
+    @staticmethod
+    def compare(cases):
+        for w, q, gt, radius in cases:
             # the solver runs the step under this errstate: extreme radii overflow
             with np.errstate(over="ignore", invalid="ignore"):
                 got = _exact_step(w, q, gt.copy(), radius)
                 want = _reference_exact_step(w, q, gt.copy(), radius)
             assert got.tobytes() == want.tobytes(), (w, q, gt, radius)
 
-    def test_the_comparison_reaches_every_exit(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_same_bits_as_the_step_without_the_fast_path(self, kind):
+        self.compare(seeded_exact_step_cases(kind))
+
+    def test_same_bits_at_a_lowered_step_cap(self, monkeypatch):
+        # no seeded case takes more than a few Newton passes: at a cap of 2
+        # the cases that need more end at the cap's return
+        monkeypatch.setattr(subproblem, "_MAX_NEWTON_STEPS", 2)
+        self.compare([case for kind in KINDS[:2] for case in seeded_exact_step_cases(kind)])
+
+    def test_the_comparison_reaches_every_exit(self, monkeypatch):
         # the interior and hard-case returns, each break of the Newton loop
-        # (inside the ball, zero slope, mu + step == mu), the step cap's
-        # return and the return after a break, found by a line tracer
+        # (inside the ball, zero slope, mu + step == mu), the return at a mu
+        # that overflowed or turned NaN, the step cap's return (at the
+        # lowered cap) and the return after a break, found by a line tracer
         lines, first = inspect.getsourcelines(_exact_step)
         exits = {
             first + i
             for i, line in enumerate(lines)
             if line.strip().startswith(("return", "break", "s[0] = "))
         }
-        assert len(exits) == 7
+        assert len(exits) == 8
         code, ran = _exact_step.__code__, set()
 
         def trace_lines(frame, event, arg):
@@ -680,9 +739,38 @@ class TestExactStepBits:
             with np.errstate(over="ignore", invalid="ignore"):
                 for w, q, gt, radius in cases:
                     _exact_step(w, q, gt.copy(), radius)
+                monkeypatch.setattr(subproblem, "_MAX_NEWTON_STEPS", 2)
+                for w, q, gt, radius in cases[:1000]:
+                    _exact_step(w, q, gt.copy(), radius)
         finally:
             sys.settrace(previous)
         assert exits - ran == set()
+
+    def test_a_models_first_pass_gives_the_same_bits(self):
+        # the model's radius-free first pass against the one computed here,
+        # on positive-definite models, from the interior to the boundary
+        rng = np.random.default_rng(22)
+        inside = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            h = q @ np.diag(10.0 ** rng.uniform(-3.0, 3.0, n)) @ q.T
+            cm = CorrectedModel(quadratic_model((h + h.T) / 2.0), rng.normal(size=n),
+                                anchor=rng.normal(size=n))
+            w, q, gt = cm.anchor_terms()[3:]
+            first = cm.newton_start()
+            c = gt / w
+            assert cm.newton_start() is first
+            assert [x.tobytes() if isinstance(x, np.ndarray) else x for x in first] == [
+                c.tobytes(), float(c @ c), float(c @ (c / w))
+            ]
+            for radius in 10.0 ** rng.uniform(-4.0, 4.0, 3):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = _exact_step(w, q, gt, radius, first)
+                    want = _exact_step(w, q, gt, radius)
+                assert got.tobytes() == want.tobytes()
+                inside.add(bool(np.linalg.norm(got) < radius * (1.0 - 1e-9)))
+        assert inside == {True, False}
 
     def test_definite_cases_reach_the_interior_and_the_boundary(self):
         rng = np.random.default_rng(0)
