@@ -17,7 +17,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .errors import OracleError, require
-from .problems import ScalarOracle, as_input_vector
+from .problems import _FLOAT64, ScalarOracle, as_input_vector
 
 __all__ = [
     "check_alpha",
@@ -25,10 +25,19 @@ __all__ = [
     "CorrectedModel",
 ]
 
+_UNCHANGED = nullcontext()  # holds no state, so every in-run model shares it
+
 
 def check_alpha(alpha: float) -> None:
     """The correction filter gain must lie in (0, 1]."""
     require(0.0 < alpha <= 1.0, "alpha", f"must be in (0, 1], got {alpha}")
+
+
+def _floats(v) -> list:
+    """The entries of a vector as Python floats."""
+    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1:
+        return v.tolist()
+    return np.asarray(v, dtype=float).ravel().tolist()
 
 
 class ModifierFilter:
@@ -51,8 +60,7 @@ class ModifierFilter:
         there could flip the sign of a zero.  Python floats give NumPy's
         bits and overflow quietly: only a non-finite result has its inputs
         checked, and a gap that overflows raises OracleError."""
-        pg = np.asarray(plant_grad, dtype=float).ravel().tolist()
-        mg = np.asarray(model_grad, dtype=float).ravel().tolist()
+        pg, mg = _floats(plant_grad), _floats(model_grad)
         if len(pg) != len(mg):
             raise ValueError(f"gradient length mismatch: plant {len(pg)} vs model {len(mg)}")
         if len(pg) != self.previous.size:
@@ -83,9 +91,9 @@ class CorrectedModel:
         Measured plant value at the anchor.  When given, it must be finite,
         and a constant is added so that ``value(anchor)`` equals it exactly.
 
-    The base model's values at the last two points ``value_change``
-    measured are kept: ``value_change`` answers either point from them,
-    and the caller's next model may be anchored there
+    The base model's values and the changes at the last two points
+    ``value_change`` measured are kept: ``value_change`` answers either
+    point from them, and the caller's next model may be anchored there
     (``measured_base_value``).
 
     A run passes the private ``_run=(base_value, base_gradient)``, the
@@ -119,8 +127,8 @@ class CorrectedModel:
             base_value = base_model.value(self.anchor)
         self._model_at_anchor = float(base_value)
         self._plant_value = plant
-        # (point bytes, base value) of the last two points measured, the later last
-        self._measured = ((b"", None), (b"", None))
+        # (point bytes, base value, change) of the last two points measured, the later last
+        self._measured = ((b"none", None, None),) * 2  # 4 bytes: no float vector's, nor None
         self._anchor_terms = self._terms(base_gradient) if self._in_run else None
         self._newton_start = None
 
@@ -176,37 +184,43 @@ class CorrectedModel:
     def _terms(self, base=None) -> tuple:
         g = (self.base_model.gradient(self.anchor) if base is None else base) + self.modifiers
         gg = float(g.dot(g))
-        if self.hessian is None:
+        hessian = self.base_model.hessian
+        if hessian is None:
             return g, gg, None, None, None, None
         w, q = self.base_model.hessian_eigh()
         # + 0.0: at n = 1 dot returns -0.0 where @ returns +0.0
-        return g, gg, float(g.dot(self.hessian @ g)) + 0.0, w, q, g @ q
+        return g, gg, float(g.dot(hessian.dot(g))) + 0.0, w, q, g @ q
 
     def errstate(self):
         """The context the solvers run this model's NumPy arithmetic in:
         overflow and invalid results are quiet.  A run's model holds the
         run's own such errstate, so it gets a context that changes nothing."""
-        return nullcontext() if self._in_run else np.errstate(over="ignore", invalid="ignore")
+        return _UNCHANGED if self._in_run else np.errstate(over="ignore", invalid="ignore")
 
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference
         form so it is bit-identical with or without the shift.  A float
-        vector with the bytes of one of the last two points measured is not
-        measured again; any other input goes to the oracle."""
-        vector = type(u) is np.ndarray and u.ndim == 1 and u.dtype == float
-        base = self.measured_base_value(u) if vector else None
-        if base is None:
-            base = self.base_model.value(u)
+        vector with the bytes of one of the last two points measured gets
+        the change computed there; any other input goes to the oracle."""
+        vector = type(u) is np.ndarray and u.ndim == 1 and u.dtype is _FLOAT64
+        key = u.tobytes() if vector else None
+        for point, _, change in self._measured:
+            if point == key:
+                return change
+        base = self.base_model.value(u)
+        if not vector:
             u = np.asarray(u, dtype=float)
-            self._measured = (self._measured[1], (u.tobytes(), base))
+            key = u.tobytes()
         # + 0.0: at n = 1 dot returns -0.0 where @ returns +0.0
-        return base - self._model_at_anchor + (float(self.modifiers.dot(u - self.anchor)) + 0.0)
+        change = base - self._model_at_anchor + (float(self.modifiers.dot(u - self.anchor)) + 0.0)
+        self._measured = (self._measured[1], (key, base, change))
+        return change
 
     def measured_base_value(self, u) -> float | None:
         """The base model's value at the array u if u, to the bit, is one of
         the last two points ``value_change`` measured, else None."""
         key = u.tobytes()
-        for point, value in self._measured:
+        for point, base, _ in self._measured:
             if point == key:
-                return value
+                return base
         return None

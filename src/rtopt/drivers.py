@@ -304,7 +304,9 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     """
     ball = cfg.algorithm != "basic-ma"
     cfg.check()
+    # each vector is checked where it enters, then shared read-only: never copied
     u = as_input_vector(cfg.u0, problem.dimension)
+    u.setflags(write=False)
     config = {name: getattr(cfg, name) for name in _RECORDED[cfg.algorithm]}
     config["u0"] = u.tolist()
     v0, g0 = problem.plant_evaluations()
@@ -348,10 +350,11 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 lam = filt.update(ref_grad, model_grad)
                 if model is None or lam.tobytes() != model.modifiers.tobytes():
                     # the reference and both gradients are the oracles' checked vectors
+                    lam.setflags(write=False)
                     model = CorrectedModel(
                         problem.model, lam, state.reference, _run=(model_value, model_grad)
                     )
-            anchor = state.reference.copy()
+            anchor = state.reference
             anchor_value = state.reference_plant_value
             radius = state.radius
             if ball:
@@ -363,6 +366,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 candidate, status = _box_minimize(model, cfg.box_halfwidth, rng)
             if status is not None:
                 break
+            candidate.setflags(write=False)
             cand_value = problem.evaluate_plant(candidate)
             if ball:
                 # The model enters the ratio as its change from the anchor,
@@ -375,20 +379,9 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             else:
                 rho, radius, accepted, override = None, None, True, False
                 state.reference, state.reference_plant_value = candidate, cand_value
-            records.append(
-                IterationRecord(
-                    k=k,
-                    applied_input=candidate.copy(),
-                    reference=anchor,
-                    plant_value_at_reference=anchor_value,
-                    plant_gradient_norm_at_reference=gnorm,
-                    rho=rho,
-                    radius=radius,
-                    accepted=accepted,
-                    cauchy_override=override,
-                    modifiers=lam.copy(),
-                )
-            )
+            # the record's fields in order; the modifiers have the bytes of this iteration's update
+            records.append(IterationRecord(k, candidate, anchor, anchor_value, gnorm, rho, radius,
+                                           accepted, override, model.modifiers))
             if accepted:  # NaN if the probe fails: the old gradient is not the new one's
                 model_value = model.measured_base_value(state.reference)
                 ref_grad, model, model_grad = unmeasured, None, None
@@ -398,9 +391,9 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
         status = "oracle-failure"
 
     if state is None:  # initial measurement failed
-        final_ref, final_val = u.copy(), float("nan")
+        final_ref, final_val = u, float("nan")
     else:
-        final_ref, final_val = state.reference.copy(), state.reference_plant_value
+        final_ref, final_val = state.reference, state.reference_plant_value
     v1, g1 = problem.plant_evaluations()
     return RunTrace(
         problem_id=problem.identifier,

@@ -138,7 +138,9 @@ class ScalarOracle:
         u = as_input_vector(u, self.dimension)
         self.gradient_calls += 1
         try:
-            out = np.asarray(self._grad_fn(u), dtype=float).reshape(-1)
+            out = self._grad_fn(u)
+            if not (type(out) is np.ndarray and out.dtype is _FLOAT64 and out.ndim == 1):
+                out = np.asarray(out, dtype=float).reshape(-1)
         except ArithmeticError as exc:
             raise OracleError(f"oracle gradient failed at u={u!r}: {exc!r}") from exc
         if out.size != self.dimension:
@@ -349,7 +351,7 @@ def _sphere(u):
 
 
 def _sphere_grad(u):
-    return 2.0 * u
+    return u + u  # 2u to the bit, without converting a scalar
 
 
 def _p2_plant(u):

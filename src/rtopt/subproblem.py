@@ -87,10 +87,10 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     every scanned one, overflows, the ray leaves the floating-point range
     and ``OracleError`` is raised.
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not radius > 0:  # NaN fails too
+        raise ValueError(f"radius must be > 0, got {radius}")
     anchor = model.anchor
-    g, gg, curvature, *_ = model.anchor_terms()
+    g, gg, curvature = model.anchor_terms()[:3]
     if not 0.0 < gg < math.inf:
         return anchor.copy(), 0.0
     gnorm = math.sqrt(gg)
@@ -102,7 +102,7 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     if t * gnorm + max(map(abs, anchor.tolist())) == math.inf:
         raise OracleError(f"the Cauchy ray leaves the floating-point range at radius {radius}")
     if curvature is not None:
-        point = anchor - t * g
+        point = anchor - g * t  # t * g's bits, dispatched faster
         return point, model.value_change(point)
 
     # The search runs on the distance s = t |g| along the ray, in the
@@ -325,8 +325,8 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     recorded.  The candidate is returned whether or not it decreases the
     model; its ``predicted_change`` says which.
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not radius > 0:  # NaN fails too
+        raise ValueError(f"radius must be > 0, got {radius}")
     anchor = model.anchor
     project = _ball_projection(anchor, radius)
 
@@ -362,12 +362,7 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     candidate = measured if measured is stepped else project(measured)
     if candidate is not measured and candidate.tolist() != measured.tolist():
         change = model.value_change(candidate)
-    return SubproblemResult(
-        candidate=candidate,
-        predicted_change=change,
-        cauchy_override_applied=override,
-        descent_evaluations=evals,
-    )
+    return SubproblemResult(candidate, change, override, evals)
 
 
 def check_sufficient_decrease(
@@ -409,8 +404,8 @@ def estimate_beta(model: CorrectedModel, radius: float) -> float:
     model at a few points along the ray; it is advisory (a sample, not a
     proof) and falls back to ``1 + _BETA_FLOOR_EPS`` on flat models.
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be > 0 and finite, got {radius}")
     anchor = model.anchor
     g, gg, *_ = model.anchor_terms()
     gnorm = math.sqrt(gg)

@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problems import as_input_vector
+from .problems import _FLOAT64, as_input_vector
 
 if TYPE_CHECKING:  # drivers imports this module
     from .drivers import RunConfig
@@ -30,6 +30,15 @@ __all__ = [
 DEGENERACY_EPS_FACTOR = 4.0
 
 
+def _kept(u, dimension: int | None = None) -> np.ndarray:
+    """``u`` itself if it is a read-only 1-D float vector of finite entries (and
+    the given length), which nothing can change; else ``as_input_vector``'s copy."""
+    if type(u) is np.ndarray and not u.flags.writeable and u.dtype is _FLOAT64 and u.ndim == 1:
+        if (dimension is None or u.size == dimension) and all(map(math.isfinite, u.tolist())):
+            return u
+    return as_input_vector(u, dimension)
+
+
 @dataclass
 class TrustRegionState:
     """Reference iterate, its measured plant value, and the current radius."""
@@ -39,9 +48,9 @@ class TrustRegionState:
     reference_plant_value: float
 
     def __post_init__(self):
-        self.reference = as_input_vector(self.reference)
-        if self.radius <= 0:
-            raise ValueError("radius must be > 0")
+        self.reference = _kept(self.reference)
+        if not self.radius > 0:  # NaN fails too
+            raise ValueError(f"radius must be > 0, got {self.radius}")
         value = self.reference_plant_value
         if not math.isfinite(value):
             raise ValueError(f"reference_plant_value must be finite, got {value}")
@@ -56,13 +65,11 @@ def compute_rho(plant_ref: float, plant_cand: float, predicted_change: float) ->
     ``DEGENERACY_EPS_FACTOR`` machine epsilons times ``|plant_ref|``;
     callers treat that as a failed iteration.
     """
-    for name, v in (
-        ("plant_ref", plant_ref),
-        ("plant_cand", plant_cand),
-        ("predicted_change", predicted_change),
-    ):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
+    values = (plant_ref, plant_cand, predicted_change)
+    if not all(map(math.isfinite, values)):
+        for name, v in zip(("plant_ref", "plant_cand", "predicted_change"), values):
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
     predicted = -predicted_change
     if predicted <= DEGENERACY_EPS_FACTOR * sys.float_info.epsilon * abs(plant_ref):
         return None
@@ -80,12 +87,13 @@ def accept_candidate(
 
     A degenerate (None) rho never moves the reference.  Returns whether the
     reference moved; on a move the stored plant value is updated to the
-    candidate's measured value, which must be finite.
+    candidate's measured value, which must be finite.  A read-only float
+    candidate becomes the reference as it is; any other is copied.
     """
     if not math.isfinite(candidate_plant_value):
         raise ValueError(f"candidate_plant_value must be finite, got {candidate_plant_value}")
     if rho is not None and rho >= cfg.eta1:
-        state.reference = as_input_vector(candidate, state.reference.size)
+        state.reference = _kept(candidate, state.reference.size)
         state.reference_plant_value = float(candidate_plant_value)
         return True
     return False
@@ -99,8 +107,8 @@ def update_radius(radius: float, rho: float | None, cfg: RunConfig) -> float:
     old one (Conn, Gould & Toint, Alg. 6.1.1); this loop always takes the
     one factor ``shrink_factor``.
     """
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
+    if not radius > 0:  # NaN fails too
+        raise ValueError(f"radius must be > 0, got {radius}")
     if rho is not None and rho >= cfg.eta2:
         expanded = cfg.expansion_factor * radius
         return expanded if cfg.radius_max is None else min(expanded, cfg.radius_max)

@@ -29,8 +29,9 @@ from rtopt import (
     solve_subproblem,
     trace_to_dict,
 )
-from rtopt import drivers
+from rtopt import corrected_model, drivers, problems, subproblem, trust_region
 from rtopt.config import config_from_dict, run_config
+from rtopt.problems import as_input_vector
 from rtopt.drivers import SETTINGS, TERMINATION_STATUSES, _box_minimize
 
 STARTS = {"P1": [0.0, 0.0], "P2": [3.0], "P3": [-1.2, 1.0], "P4": [0.0, 0.0]}
@@ -940,6 +941,80 @@ class TestModelReuse:
         remeasured_calls, remeasured = run()
         assert remeasured_calls == 1006
         assert remeasured == trace
+
+    def test_validation_per_iteration_is_pinned(self, monkeypatch):
+        # the README's P3 baseline run: each vector is checked where it enters
+        # an oracle (the Cauchy point, the plant value and both gradients at an
+        # accepted reference) and once as the start; a re-check anywhere else
+        # in the loop, such as accepting a candidate, adds to the count
+        problem = get_problem("P3")
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return as_input_vector(*args, **kwargs)
+
+        for module in (problems, corrected_model, subproblem, trust_region, drivers):
+            monkeypatch.setattr(module, "as_input_vector", counted)
+        trace = run_ma_tr(problem, [-1.2, 1.0])
+        assert (trace.iterations, trace.accepted_count) == (500, 479)
+        assert len(calls) == 1988
+
+
+class TestSharedVectors:
+    """A run checks each vector once and then shares it read-only: the
+    state, the next model, the records and the trace hold the same arrays,
+    and none of them can change another's."""
+
+    @staticmethod
+    def root(a):
+        while a.base is not None:
+            a = a.base
+        return id(a)
+
+    @pytest.mark.parametrize("pid", ["P1", "P2", "P3", "P4"])
+    def test_no_writable_array_is_held_twice(self, pid, monkeypatch):
+        models, states = [], []
+
+        class Model(CorrectedModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self)
+
+        class State(drivers.TrustRegionState):
+            def __post_init__(self):
+                super().__post_init__()
+                states.append(self)
+
+        monkeypatch.setattr(drivers, "CorrectedModel", Model)
+        monkeypatch.setattr(drivers, "TrustRegionState", State)
+        for run in (run_basic_ma, run_trust_region, run_ma_tr):
+            models.clear()
+            states.clear()
+            trace = run(get_problem(pid), STARTS[pid])
+            held = [(("model", i), a) for i, m in enumerate(models) for a in (m.anchor, m.modifiers)]
+            held += [(("state", i), state.reference) for i, state in enumerate(states)]
+            held += [(("record", k), getattr(r, name)) for k, r in enumerate(trace.records)
+                     for name in ("applied_input", "reference", "modifiers")]
+            held.append((("final",), trace.final_reference))
+            holders = {}
+            for owner, a in held:
+                holders.setdefault(self.root(a), []).append((owner, a))
+            shared = [group for group in holders.values() if len({o for o, _ in group}) > 1]
+            assert shared
+            for group in shared:
+                assert not any(a.flags.writeable for _, a in group), group
+
+    def test_a_record_cannot_change_the_next_one(self):
+        trace = run_ma_tr(get_problem("P3"), STARTS["P3"])
+        k = next(k for k, r in enumerate(trace.records) if r.accepted)
+        applied, following = trace.records[k].applied_input, trace.records[k + 1].reference
+        assert following is applied
+        before = following.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            applied[0] = 0.0
+        assert following.tobytes() == before
+        assert not trace.final_reference.flags.writeable
 
 
 class TestLoopPath:

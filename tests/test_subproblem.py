@@ -690,6 +690,20 @@ class TestScalarProducts:
                          "subnormal" if 0.0 < abs(want) < 2.0**-1022 else "normal")
         assert seen == {"-0.0 without + 0.0", "inf", "nan", "subnormal", "normal"}
 
+    def test_curvature_has_the_bits_of_matmul(self):
+        # the model's g.Hg takes H.dot(g) inside: where it differs from H @ g
+        # (a -0.0 at n = 1), the + 0.0 on the product clears it
+        rng = np.random.default_rng(23)
+        for n in range(1, 9):
+            for _ in range(300):
+                h = np.array([product_components(rng, n) for _ in range(n)])
+                h = np.triu(h) + np.triu(h, 1).T  # symmetric, as a declared Hessian
+                g = product_components(rng, n)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = float(g.dot(h @ g)) + 0.0
+                    got = float(g.dot(h.dot(g))) + 0.0
+                assert struct.pack("d", got) == struct.pack("d", want), (h, g)
+
 
 class TestExactStepBits:
     @staticmethod

@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 
 from rtopt import (
     ConfigError,
+    CorrectedModel,
     RunConfig,
     TrustRegionState,
     accept_candidate,
+    cauchy_point,
     compute_rho,
+    estimate_beta,
     get_problem,
     run_ma_tr,
+    solve_subproblem,
     update_radius,
 )
 from rtopt.config import config_from_dict
@@ -127,6 +131,31 @@ class TestAcceptCandidate:
         assert np.array_equal(state.reference, [0.0, 0.0])
         assert state.reference_plant_value == 5.0
 
+    def test_a_writable_candidate_is_copied_and_a_read_only_one_kept(self):
+        state = self._state()
+        candidate = np.array([1.0, 0.0])
+        assert accept_candidate(state, candidate, 4.0, 0.5, DEFAULTS)
+        assert state.reference is not candidate
+        candidate[0] = 7.0  # the caller's array stays the caller's
+        assert state.reference.tolist() == [1.0, 0.0]
+        kept = np.array([0.5, 0.25])
+        kept.setflags(write=False)
+        assert accept_candidate(state, kept, 3.0, 0.5, DEFAULTS)
+        assert state.reference is kept
+
+    @pytest.mark.parametrize(
+        "candidate, message",
+        [([math.nan, 0.0], "non-finite"), ([1.0, math.inf], "non-finite"),
+         ([1.0, 0.0, 0.0], "dimension mismatch"), ([[1.0, 0.0]], "1-D vector")],
+    )
+    def test_a_read_only_candidate_is_checked_too(self, candidate, message):
+        state = self._state()
+        candidate = np.array(candidate)
+        candidate.setflags(write=False)
+        with pytest.raises(ValueError, match=message):
+            accept_candidate(state, candidate, 4.0, 0.5, DEFAULTS)
+        assert state.reference.tolist() == [0.0, 0.0]
+
 
 class TestUpdateRadius:
     def test_very_successful_expands(self):
@@ -173,6 +202,42 @@ class TestUpdateRadius:
         else:
             assert out == shrink * radius
         assert out > 0.0
+
+
+def _model():
+    p = get_problem("P1")
+    return CorrectedModel(p.model, [-2.0, -2.0], anchor=[0.0, 0.0])
+
+
+class TestRadiusArgument:
+    """Every entry point that takes a radius rejects NaN, which compares
+    false with everything, and names it; ``estimate_beta`` samples along
+    the radius and needs it finite.  An infinite radius, which ``basic-ma``
+    gives its state, stays valid elsewhere."""
+
+    @pytest.mark.parametrize(
+        "call, radius",
+        [
+            (lambda r: TrustRegionState(reference=np.zeros(2), radius=r,
+                                        reference_plant_value=0.0), math.nan),
+            (lambda r: update_radius(r, 0.5, DEFAULTS), math.nan),
+            (lambda r: cauchy_point(_model(), r), math.nan),
+            (lambda r: solve_subproblem(_model(), r), math.nan),
+            (lambda r: estimate_beta(_model(), r), math.nan),
+            (lambda r: estimate_beta(_model(), r), math.inf),
+        ],
+        ids=["state", "update_radius", "cauchy_point", "solve_subproblem", "estimate_beta",
+             "estimate_beta-inf"],
+    )
+    def test_bad_radius_rejected_by_name(self, call, radius):
+        with pytest.raises(ValueError, match=f"radius must be > 0.*got {radius}"):
+            call(radius)
+
+    def test_infinite_radius_accepted(self):
+        state = TrustRegionState(reference=np.zeros(2), radius=math.inf, reference_plant_value=0.0)
+        assert state.radius == math.inf
+        assert cauchy_point(_model(), math.inf)[0].tolist() == [1.0, 1.0]
+        assert solve_subproblem(_model(), math.inf).candidate.tolist() == [1.0, 1.0]
 
 
 class TestState:
