@@ -1,18 +1,19 @@
 """Ball-constrained minimization of a corrected model.
 
-Both paths start from the Cauchy point, the model's minimizer along the
-steepest-descent ray from the anchor inside the ball.  When the model
-declares a constant Hessian (every catalog model is a quadratic, and the
-linear correction leaves its Hessian unchanged) the Cauchy point has a
-closed form and the subproblem is solved exactly by the Moré-Sorensen
-method.  Otherwise the ray is scanned, projected gradient descent on the
-ray refines the scan's best point, and the same descent inside the ball
-continues from the Cauchy point.  If either path returns a candidate
-worse than the Cauchy point, the Cauchy point is used instead; the
-safeguard makes the decrease certifiable regardless of how the second
-phase behaves.  Either path reports the model change at its candidate;
-a change >= 0 predicts no decrease, and the trust-region loop then stops
-``stalled``.
+When the model declares a constant Hessian (every catalog model is a
+quadratic, and the linear correction leaves its Hessian unchanged) the
+subproblem is solved exactly by the Moré-Sorensen method.  The ball's
+global minimizer decreases the model at least as much as the Cauchy
+point, the minimizer along the steepest-descent ray from the anchor
+inside the ball, which is all trust-region convergence asks of a step
+(Conn, Gould & Toint 2000, §6.3), so the Cauchy point stands in only for
+an exact step that overflows.  Otherwise the ray is scanned, projected
+gradient descent on the ray refines the scan's best point, the same
+descent inside the ball continues from the Cauchy point, and the Cauchy
+point replaces a worse candidate, so the decrease is certifiable however
+the descent behaves.  Either path reports the model change at its
+candidate; a change >= 0 predicts no decrease, and the trust-region loop
+then stops ``stalled``.
 
 All model queries go through ``CorrectedModel.value_change`` (value
 relative to the anchor), so the computed candidate is bit-identical
@@ -317,13 +318,14 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     """Minimize the corrected model over the closed ball of the given
     radius around its anchor.
 
-    A model with a constant Hessian is minimized exactly.  Otherwise the
-    minimum is approximated by projected descent, which starts from the
-    Cauchy point and spends at most ``_DESCENT_BUDGET`` model values and
-    gradients.  The returned candidate never has a larger model value than
-    the Cauchy point: a worse candidate is overridden and the override
-    recorded.  The candidate is returned whether or not it decreases the
-    model; its ``predicted_change`` says which.
+    A model with a constant Hessian is minimized exactly, its step
+    projected onto the ball and measured once; the Cauchy point overrides
+    a step that is not finite, and the anchor replaces one whose change
+    rounds above 0.  Otherwise projected descent starts from the Cauchy
+    point, spends at most ``_DESCENT_BUDGET`` model values and gradients,
+    and a worse candidate is overridden by the Cauchy point.  The
+    candidate is returned whether or not it decreases the model; its
+    ``predicted_change`` says which.
     """
     if not radius > 0:  # NaN fails too
         raise ValueError(f"radius must be > 0, got {radius}")
@@ -331,35 +333,32 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     project = _ball_projection(anchor, radius)
 
     _, gg, _, w, q, gt = model.anchor_terms()
-    cp, cp_change = cauchy_point(model, radius)
-    quiet = model.errstate()
+    if gt is not None:
+        with model.errstate():
+            first = model.newton_start() if w[0] > 0.0 else None
+            step = project(anchor + _exact_step(w, q, gt, radius, first))
+        if all(map(math.isfinite, step.tolist())):
+            change = model.value_change(step)
+            if change > 0.0:  # the anchor is in the ball: a minimizer's increase is rounding
+                step, change = anchor.copy(), 0.0
+            return SubproblemResult(step, change, False, 0)
 
-    stepped = None  # the exact step's point before projection
+    cp, cp_change = cauchy_point(model, radius)
+    override, evals = True, 0  # for an exact step that overflowed: eigenvalues tiny beside g
     if gt is None:
         initial_step = radius / math.sqrt(gg) if gg > 0 else 1.0
         # the descent projects its start: cp_change holds if that leaves cp in place
         known = cp_change if project(cp).tobytes() == cp.tobytes() else None
         # a g.g that overflows overflows the ball's norms too; they then scale steps to 0
-        with quiet:
+        with model.errstate():
             best, best_change, evals = projected_descent(
                 model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step,
                 start_value=known,
             )
-    else:
-        # eigenvalues tiny beside g overflow the step: the Cauchy point stands in
-        with quiet:
-            first = model.newton_start() if w[0] > 0.0 else None
-            stepped = anchor + _exact_step(w, q, gt, radius, first)
-            best = project(stepped)
-        finite = all(map(math.isfinite, best.tolist()))
-        best_change = model.value_change(best) if finite else math.inf
-        evals = 0
-
-    override = best_change > cp_change
+        override = best_change > cp_change
     measured, change = (cp, cp_change) if override else (best, best_change)
-    # a point the ball held is its own projection; rounding at the boundary may
-    # move a scaled one when it is projected again
-    candidate = measured if measured is stepped else project(measured)
+    # rounding at the boundary may move a point the ball scaled when it is projected again
+    candidate = project(measured)
     if candidate is not measured and candidate.tolist() != measured.tolist():
         change = model.value_change(candidate)
     return SubproblemResult(candidate, change, override, evals)

@@ -906,7 +906,7 @@ class TestModelReuse:
             return problem.model.value_calls, json.dumps(trace_to_dict(trace))
 
         calls, trace = run()
-        assert calls == 79
+        assert calls == 75
 
         class Remeasuring(CorrectedModel):
             """Every rebuilt model measures the base value at its anchor."""
@@ -921,15 +921,14 @@ class TestModelReuse:
 
     def test_accepted_candidate_is_measured_once(self, monkeypatch):
         # the README's P3 baseline run: an accepted candidate's base value
-        # comes from the solve, which measured the Cauchy point and the
-        # exact step last, so an accepted Cauchy override's too
+        # comes from the solve, which measured the exact step last
         def run():
             problem = get_problem("P3")
             trace = run_ma_tr(problem, [-1.2, 1.0])
             return problem.model.value_calls, json.dumps(trace_to_dict(trace))
 
         calls, trace = run()
-        assert calls == 527
+        assert calls == 501
 
         class Remeasuring(CorrectedModel):
             """Every new reference's base value is measured again."""
@@ -939,12 +938,12 @@ class TestModelReuse:
 
         monkeypatch.setattr(drivers, "CorrectedModel", Remeasuring)
         remeasured_calls, remeasured = run()
-        assert remeasured_calls == 1006
+        assert remeasured_calls == 980
         assert remeasured == trace
 
     def test_validation_per_iteration_is_pinned(self, monkeypatch):
         # the README's P3 baseline run: each vector is checked where it enters
-        # an oracle (the Cauchy point, the plant value and both gradients at an
+        # an oracle (the exact step, the plant value and both gradients at an
         # accepted reference) and once as the start; a re-check anywhere else
         # in the loop, such as accepting a candidate, adds to the count
         problem = get_problem("P3")
@@ -958,7 +957,7 @@ class TestModelReuse:
             monkeypatch.setattr(module, "as_input_vector", counted)
         trace = run_ma_tr(problem, [-1.2, 1.0])
         assert (trace.iterations, trace.accepted_count) == (500, 479)
-        assert len(calls) == 1988
+        assert len(calls) == 1962
 
 
 class TestSharedVectors:

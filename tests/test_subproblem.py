@@ -398,12 +398,9 @@ class TestExactSubproblem:
         ss = float(s @ s)
         lam = -float(s @ (g + h @ s)) / ss if ss > 0.0 else 0.0
         residual = h @ s + lam * s + g
-        # The Cauchy point replaces the exact step when its measured model
-        # value is lower.  They tie only to rounding, and near a boundary
-        # minimizer the model is flat to second order along the sphere, so
-        # the Cauchy point then meets the conditions to about sqrt(eps).
-        rel = 1e-6 if result.cauchy_override_applied else 1e-12
-        assert math.sqrt(float(residual @ residual)) <= rel * (
+        # a finite exact step is never overridden: it is the candidate
+        assert not result.cauchy_override_applied
+        assert math.sqrt(float(residual @ residual)) <= 1e-12 * (
             g_norm + (h_norm + abs(lam)) * radius
         )
         tol = 1e-9 * lam_scale
@@ -426,21 +423,20 @@ class TestExactSubproblem:
         w = np.array([1.0, 2.0])
         assert _exact_step(w, q, np.array([1.0, 2.0]), 10.0).tolist() == [-1.0, -1.0]
 
-    def test_a_step_the_ball_scaled_is_projected_again(self):
+    def test_a_step_the_ball_scaled_is_projected_once(self):
         # the ball scales this exact step, and projecting the scaled point
-        # again moves it by rounding: the candidate is the point projected
-        # twice, and its predicted change is measured there
+        # again would move it by rounding: the candidate is the point
+        # projected once, and its predicted change is measured there
         p = get_problem("P4")
         anchor, radius = np.array([-0.05, 1.03]), 0.125
         cm = CorrectedModel(p.model, [-1.3, -4.5], anchor=anchor)
         project = subproblem._ball_projection(anchor, radius)
         once = project(anchor + _exact_step(*cm.anchor_terms()[3:], radius))
-        twice = project(once)
-        assert twice.tobytes() != once.tobytes()
+        assert project(once).tobytes() != once.tobytes()
         result = solve_subproblem(cm, radius)
         assert not result.cauchy_override_applied
-        assert result.candidate.tobytes() == twice.tobytes()
-        assert result.predicted_change == cm.value_change(twice)
+        assert result.candidate.tobytes() == once.tobytes()
+        assert result.predicted_change == cm.value_change(once)
 
     def test_solvers_read_curvature_only_from_the_anchor_terms(self, monkeypatch):
         p = get_problem("P4")
@@ -463,6 +459,23 @@ class TestExactSubproblem:
         result = solve_subproblem(cm, 2.0)
         expected = [math.sqrt(4.0 - 4.0 / 9.0), -2.0 / 3.0]
         assert result.candidate == pytest.approx(expected, abs=1e-12)
+
+    def test_a_rise_by_rounding_returns_the_anchor(self):
+        # A rotated singular H can have a computed lowest eigenvalue just below
+        # 0.  At a zero gradient the exact step then fills to the boundary
+        # along that eigenvector, where the model may rise by rounding; the
+        # anchor, which changes nothing, is returned instead.
+        rises = 0
+        for seed in range(200):
+            q = np.linalg.qr(np.random.default_rng(seed).normal(size=(2, 2)))[0]
+            h = q @ np.diag([0.0, 3.0]) @ q.T
+            cm = CorrectedModel(quadratic_model((h + h.T) / 2.0), [0.0, 0.0], anchor=[0.0, 0.0])
+            result = solve_subproblem(cm, 1.0)
+            assert result.predicted_change <= 0.0 and not result.cauchy_override_applied
+            if cm.value_change(_exact_step(*cm.anchor_terms()[3:], 1.0)) > 0.0:
+                rises += 1
+                assert result.candidate.tolist() == [0.0, 0.0] and result.predicted_change == 0.0
+        assert rises > 0
 
     def test_overflowing_step_falls_back_to_the_cauchy_point(self):
         # -g / w overflows the Newton iteration on a tiny eigenvalue; the
@@ -508,8 +521,8 @@ class TestExactSubproblem:
                 assert result.predicted_change == cm.value_change(result.candidate)
 
     def test_a_solve_measures_each_point_once(self):
-        # one model gradient, and one value at the Cauchy point and one at
-        # the exact step, which on P3's sphere is the Cauchy point to the bit
+        # one model gradient and one value, at the exact step, whether or not
+        # that step is the Cauchy point to the bit (it is on P3's sphere)
         for model, on_the_cauchy_point in (
             (get_problem("P3").model, True),
             (quadratic_model([[4.0, 0.0], [0.0, 1.0]]), False),
@@ -520,7 +533,29 @@ class TestExactSubproblem:
             calls = (model.value_calls - before[0], model.gradient_calls - before[1])
             cp = cauchy_point(cm, 0.3)[0]
             assert (result.candidate.tobytes() == cp.tobytes()) == on_the_cauchy_point
-            assert calls == (1 if on_the_cauchy_point else 2, 1)
+            assert calls == (1, 1)
+
+    def test_the_cauchy_point_is_built_only_for_an_overflowing_step(self, monkeypatch):
+        def unreachable(model, radius):
+            raise AssertionError("the exact path built the Cauchy point")
+
+        monkeypatch.setattr(subproblem, "cauchy_point", unreachable)
+        rng = np.random.default_rng(37)
+        for pid in PROBLEM_IDS:  # convex (P1, P3, P4) and concave (P2) models
+            p = get_problem(pid)
+            for _ in range(20):
+                anchor = rng.uniform(-3.0, 3.0, size=p.dimension)
+                lam = p.plant_gradient(anchor) - p.model_gradient(anchor)
+                cm = CorrectedModel(p.model, lam, anchor=anchor)
+                assert not solve_subproblem(cm, rng.uniform(0.05, 4.0)).cauchy_override_applied
+        # indefinite, and the hard case
+        for g in ([1.0, 1.0], [0.0, 2.0]):
+            cm = CorrectedModel(quadratic_model([[-1.0, 0.0], [0.0, 2.0]]), g, anchor=[0.0, 0.0])
+            assert not solve_subproblem(cm, 2.0).cauchy_override_applied
+        # the overflowing step of test_overflowing_step_falls_back_to_the_cauchy_point
+        cm = CorrectedModel(quadratic_model([[4e-285]]), [1.0], anchor=[0.0])
+        with pytest.raises(AssertionError, match="built the Cauchy point"):
+            solve_subproblem(cm, 1.0)
 
     def test_a_new_radius_reuses_the_anchor_terms(self):
         p = get_problem("P4")
