@@ -91,8 +91,8 @@ class CorrectedModel:
         Measured plant value at the anchor.  When given, it must be finite,
         and a constant is added so that ``value(anchor)`` equals it exactly.
 
-    The base model's values and the changes at the last two points
-    ``value_change`` measured are kept: ``value_change`` answers either
+    The base model's value and the change at the last point
+    ``value_change`` measured are kept: ``value_change`` answers that
     point from them, and the caller's next model may be anchored there
     (``measured_base_value``).
 
@@ -127,8 +127,8 @@ class CorrectedModel:
             base_value = base_model.value(self.anchor)
         self._model_at_anchor = float(base_value)
         self._plant_value = plant
-        # (point bytes, base value, change) of the last two points measured, the later last
-        self._measured = ((b"none", None, None),) * 2  # 4 bytes: no float vector's, nor None
+        # (point bytes, base value, change) of the last point measured
+        self._measured = (b"none", None, None)  # 4 bytes: no float vector's, nor None
         self._anchor_terms = self._terms(base_gradient) if self._in_run else None
         self._newton_start = None
 
@@ -161,10 +161,10 @@ class CorrectedModel:
         return self.base_model.gradient(u) + self.modifiers
 
     def anchor_terms(self) -> tuple:
-        """``(g, g.g, g.Hg, w, q, q^T g)`` for the corrected gradient g at
-        the anchor and the Hessian ``H = q diag(w) q^T``, ``w`` ascending
-        (the last four None without one): the solvers' one source of
-        curvature, computed once.  A g.g that overflows is inf."""
+        """``(g, g.g, w, q, q^T g)`` for the corrected gradient g at the
+        anchor and the Hessian ``H = q diag(w) q^T``, ``w`` ascending (the
+        last three None without one): the radius-free terms of the exact
+        and whole-box steps, computed once.  A g.g that overflows is inf."""
         if self._anchor_terms is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 self._anchor_terms = self._terms()
@@ -175,7 +175,7 @@ class CorrectedModel:
         ``anchor_terms`` and a positive-definite Hessian: the exact step's
         first Newton pass, which no radius changes.  Computed once."""
         if self._newton_start is None:
-            _, _, _, w, _, gt = self.anchor_terms()
+            _, _, w, _, gt = self.anchor_terms()
             with self.errstate():
                 c = gt / w
                 self._newton_start = c, float(c.dot(c)), float(c.dot(c / w))
@@ -184,12 +184,10 @@ class CorrectedModel:
     def _terms(self, base=None) -> tuple:
         g = (self.base_model.gradient(self.anchor) if base is None else base) + self.modifiers
         gg = float(g.dot(g))
-        hessian = self.base_model.hessian
-        if hessian is None:
-            return g, gg, None, None, None, None
+        if self.base_model.hessian is None:
+            return g, gg, None, None, None
         w, q = self.base_model.hessian_eigh()
-        # + 0.0: at n = 1 dot returns -0.0 where @ returns +0.0
-        return g, gg, float(g.dot(hessian.dot(g))) + 0.0, w, q, g @ q
+        return g, gg, w, q, g @ q
 
     def errstate(self):
         """The context the solvers run this model's NumPy arithmetic in:
@@ -200,27 +198,24 @@ class CorrectedModel:
     def value_change(self, u) -> float:
         """value(u) - value(anchor), computed in the shift-free difference
         form so it is bit-identical with or without the shift.  A float
-        vector with the bytes of one of the last two points measured gets
-        the change computed there; any other input goes to the oracle."""
+        vector with the bytes of the last point measured gets the change
+        computed there; any other input goes to the oracle."""
         vector = type(u) is np.ndarray and u.ndim == 1 and u.dtype is _FLOAT64
         key = u.tobytes() if vector else None
-        for point, _, change in self._measured:
-            if point == key:
-                return change
+        point, _, change = self._measured
+        if point == key:
+            return change
         base = self.base_model.value(u)
         if not vector:
             u = np.asarray(u, dtype=float)
             key = u.tobytes()
         # + 0.0: at n = 1 dot returns -0.0 where @ returns +0.0
         change = base - self._model_at_anchor + (float(self.modifiers.dot(u - self.anchor)) + 0.0)
-        self._measured = (self._measured[1], (key, base, change))
+        self._measured = (key, base, change)
         return change
 
     def measured_base_value(self, u) -> float | None:
-        """The base model's value at the array u if u, to the bit, is one of
-        the last two points ``value_change`` measured, else None."""
-        key = u.tobytes()
-        for point, base, _ in self._measured:
-            if point == key:
-                return base
-        return None
+        """The base model's value at the array u if u, to the bit, is the
+        last point ``value_change`` measured, else None."""
+        point, base, _ = self._measured
+        return base if point == u.tobytes() else None

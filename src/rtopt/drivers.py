@@ -116,6 +116,9 @@ class RunConfig:
         returns ``self``.  A violation raises ``ConfigError`` naming the
         field."""
         _check_tolerance(self.tolerance)
+        for name in ("max_iterations", "max_plant_evaluations"):
+            cap = getattr(self, name)
+            require(type(cap) is int, name, f"expected an integer, got {cap!r}")  # not a bool
         require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
         probes = self.max_plant_evaluations
         require(probes >= 2, "max_plant_evaluations", "must be >= 2: the start probes twice")
@@ -249,7 +252,7 @@ def _box_minimize(model: CorrectedModel, halfwidth: float, rng: np.random.Genera
     """
     current = model.anchor
     if model.hessian is not None:
-        w, q, gt = model.anchor_terms()[3:]
+        w, q, gt = model.anchor_terms()[2:]
         tol = 10 * w.size * math.ulp(1.0)  # 10 n eps
         scale = max(-w[0], w[-1])  # max |w|
         if w[0] < -tol * scale:

@@ -11,9 +11,9 @@ an exact step that overflows.  Otherwise the ray is scanned, projected
 gradient descent on the ray refines the scan's best point, the same
 descent inside the ball continues from the Cauchy point, and the Cauchy
 point replaces a worse candidate, so the decrease is certifiable however
-the descent behaves.  Either path reports the model change at its
-candidate; a change >= 0 predicts no decrease, and the trust-region loop
-then stops ``stalled``.
+the descent behaves.  Each point is projected once, where it is built,
+and its model change, measured there, is reported; a change >= 0
+predicts no decrease, and the trust-region loop then stops ``stalled``.
 
 All model queries go through ``CorrectedModel.value_change`` (value
 relative to the anchor), so the computed candidate is bit-identical
@@ -80,7 +80,7 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     The descent keeps the best point it evaluates, starting with the
     scan's, so the result never does worse than any scanned point, and
     it improves on the anchor unless the model is flat along the ray to
-    rounding.
+    rounding.  Each point is projected onto the ball before it is measured.
     Returns ``(point, change)``, ``change`` the model change from the
     anchor at ``point``.  A zero gradient, or one whose g.g overflows so
     that every step along the ray rounds to 0, returns ``(anchor, 0.0)``.
@@ -91,25 +91,30 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     if not radius > 0:  # NaN fails too
         raise ValueError(f"radius must be > 0, got {radius}")
     anchor = model.anchor
-    g, gg, curvature = model.anchor_terms()[:3]
+    g, gg = model.anchor_terms()[:2]
     if not 0.0 < gg < math.inf:
         return anchor.copy(), 0.0
     gnorm = math.sqrt(gg)
+    hessian = model.hessian
 
     t = radius / gnorm  # the ball's boundary
-    if curvature is not None and curvature > 0.0:
-        t = min(gg / curvature, t)
+    if hessian is not None:
+        with model.errstate():  # g.Hg may overflow, and then fails the test below
+            curvature = float(g.dot(hessian.dot(g)))
+        if curvature > 0.0:
+            t = min(gg / curvature, t)
     # |anchor - t g| <= this componentwise, rounding included; it never warns
     if t * gnorm + max(map(abs, anchor.tolist())) == math.inf:
         raise OracleError(f"the Cauchy ray leaves the floating-point range at radius {radius}")
-    if curvature is not None:
-        point = anchor - g * t  # t * g's bits, dispatched faster
+    project = _ball_projection(anchor, radius)
+    if hessian is not None:
+        point = project(anchor - g * t)  # t * g's bits, dispatched faster
         return point, model.value_change(point)
 
     # The search runs on the distance s = t |g| along the ray, in the
     # ball's units, so its stopping rule does not depend on |g|.
     def ray(s: float) -> np.ndarray:
-        return anchor - (s / gnorm) * g
+        return project(anchor - (s / gnorm) * g)
 
     ds = radius / _SCAN_POINTS
     # s = 0 is the anchor: change is 0 by definition, no evaluation needed.
@@ -159,9 +164,10 @@ def projected_descent(
     base; only differences matter.  ``budget`` caps the combined number of
     value and gradient evaluations.  Returns ``(best_point, best_change,
     evaluations_used)`` where best is over every point evaluated.
-    ``start`` is validated and copied; a non-finite one, or a budget below
-    1, raises ValueError.  A known ``start_value`` is not measured again but
-    counts as an evaluation.
+    ``start`` is validated, copied and projected, unless a known
+    ``start_value``, measured at ``start`` itself, counts as its
+    evaluation.  A non-finite start, a NaN ``initial_step`` or a budget
+    below 1 raises ValueError; other steps are clamped to [1e-16, 1e16].
 
     Near a minimizer the decrease a step makes sinks below the rounding of
     the values, which would stop the descent short of it by about
@@ -173,7 +179,10 @@ def projected_descent(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    x = project(as_input_vector(start))
+    step = float(initial_step)
+    if math.isnan(step):  # the clamp below would keep it, and no step would move
+        raise ValueError(f"initial_step must not be NaN, got {initial_step}")
+    x = as_input_vector(start) if start_value is not None else project(as_input_vector(start))
     fx = change_fn(x) if start_value is None else start_value
     evals = 1
     best_x, best_f = x.copy(), fx
@@ -181,7 +190,6 @@ def projected_descent(
         return best_x, best_f, evals
     g = grad_fn(x)
     evals += 1
-    step = float(initial_step)
     x_prev = None
     g_prev = None
     g_next = None  # the gradient at an accepted step, when the test took it
@@ -322,46 +330,39 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     projected onto the ball and measured once; the Cauchy point overrides
     a step that is not finite, and the anchor replaces one whose change
     rounds above 0.  Otherwise projected descent starts from the Cauchy
-    point, spends at most ``_DESCENT_BUDGET`` model values and gradients,
-    and a worse candidate is overridden by the Cauchy point.  The
-    candidate is returned whether or not it decreases the model; its
-    ``predicted_change`` says which.
+    point with its measured change, spends at most ``_DESCENT_BUDGET``
+    model values and gradients, and a worse candidate is overridden by the
+    Cauchy point.  The candidate is returned whether or not it decreases
+    the model; its ``predicted_change`` says which.
     """
     if not radius > 0:  # NaN fails too
         raise ValueError(f"radius must be > 0, got {radius}")
     anchor = model.anchor
     project = _ball_projection(anchor, radius)
 
-    _, gg, _, w, q, gt = model.anchor_terms()
+    _, gg, w, q, gt = model.anchor_terms()
     if gt is not None:
         with model.errstate():
             first = model.newton_start() if w[0] > 0.0 else None
             step = project(anchor + _exact_step(w, q, gt, radius, first))
-        if all(map(math.isfinite, step.tolist())):
-            change = model.value_change(step)
-            if change > 0.0:  # the anchor is in the ball: a minimizer's increase is rounding
-                step, change = anchor.copy(), 0.0
-            return SubproblemResult(step, change, False, 0)
+        if not all(map(math.isfinite, step.tolist())):  # eigenvalues tiny beside g
+            return SubproblemResult(*cauchy_point(model, radius), True, 0)
+        change = model.value_change(step)
+        if change > 0.0:  # the anchor is in the ball: a minimizer's increase is rounding
+            step, change = anchor.copy(), 0.0
+        return SubproblemResult(step, change, False, 0)
 
     cp, cp_change = cauchy_point(model, radius)
-    override, evals = True, 0  # for an exact step that overflowed: eigenvalues tiny beside g
-    if gt is None:
-        initial_step = radius / math.sqrt(gg) if gg > 0 else 1.0
-        # the descent projects its start: cp_change holds if that leaves cp in place
-        known = cp_change if project(cp).tobytes() == cp.tobytes() else None
-        # a g.g that overflows overflows the ball's norms too; they then scale steps to 0
-        with model.errstate():
-            best, best_change, evals = projected_descent(
-                model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step,
-                start_value=known,
-            )
-        override = best_change > cp_change
-    measured, change = (cp, cp_change) if override else (best, best_change)
-    # rounding at the boundary may move a point the ball scaled when it is projected again
-    candidate = project(measured)
-    if candidate is not measured and candidate.tolist() != measured.tolist():
-        change = model.value_change(candidate)
-    return SubproblemResult(candidate, change, override, evals)
+    initial_step = radius / math.sqrt(gg) if gg > 0 else 1.0
+    # a g.g that overflows overflows the ball's norms too; they then scale steps to 0
+    with model.errstate():
+        best, best_change, evals = projected_descent(
+            model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step,
+            start_value=cp_change,
+        )
+    if best_change > cp_change:
+        return SubproblemResult(cp, cp_change, True, evals)
+    return SubproblemResult(best, best_change, False, evals)
 
 
 def check_sufficient_decrease(

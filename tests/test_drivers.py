@@ -204,7 +204,7 @@ def reference_box_step(model, halfwidth):
     whatever the eigenvalues: the reference whose bits ``_box_minimize``
     must return for a model with a declared Hessian."""
     current = model.anchor
-    w, q, gt = model.anchor_terms()[3:]
+    w, q, gt = model.anchor_terms()[2:]
     tol = 10 * w.size * math.ulp(1.0)
     scale = max(-w[0], w[-1])
     null = np.abs(w) <= tol * scale
@@ -804,6 +804,43 @@ class TestMaTrDriver:
             assert problem.plant_evaluations() == (0, 0)
 
 
+class TestRunsWithoutAHessian:
+    """Catalog models wrapped without their Hessian take the descent path
+    of the subproblem and the box search of ``basic-ma``; no benchmark
+    workload runs them.  Status, iterations and plant probes are pinned."""
+
+    @staticmethod
+    def without_hessian(pid):
+        p = get_problem(pid)
+        model = ScalarOracle(p.model.value, p.model.gradient, p.dimension)
+        return ProblemPair(pid, p.plant, model, p.known_optimum)
+
+    @pytest.mark.parametrize(
+        "pid, u0, pinned",
+        [
+            ("P1", [-2.0, 1.5], ("converged", 3, 8)),
+            ("P1", [0.5, -2.5], ("converged", 3, 8)),
+            ("P2", [2.5], ("converged", 4, 9)),
+            ("P2", [-1.0], ("converged", 1, 4)),
+            ("P3", [-1.2, 1.0], ("max-iterations", 500, 981)),
+            ("P3", [0.5, -1.5], ("max-iterations", 500, 979)),
+            ("P4", [-2.0, -2.5], ("converged", 46, 67)),
+            ("P4", [1.0, 2.5], ("converged", 48, 73)),
+        ],
+    )
+    def test_trust_region_loops_are_pinned(self, pid, u0, pinned):
+        for run in (run_ma_tr, run_trust_region):
+            trace = run(self.without_hessian(pid), u0)
+            assert (trace.termination_status, trace.iterations,
+                    trace.plant_evaluation_count) == pinned
+
+    def test_capped_basic_ma_is_pinned(self):
+        trace = run_basic_ma(self.without_hessian("P1"), [-2.0, 1.5], alpha=0.3,
+                             max_iterations=5)
+        assert (trace.termination_status, trace.iterations,
+                trace.plant_evaluation_count) == ("max-iterations", 5, 12)
+
+
 class TestModelReuse:
     """A rejected step keeps the reference, its measured gradients and the
     corrected model; only the modifier filter may move the model."""
@@ -1076,6 +1113,10 @@ class TestArgumentRules:
                                radius_max=math.inf).check(), "radius_max"),
             (lambda: get_problem("P1", noise_level=float("nan")), "noise_level"),
             (lambda: get_problem("P1", seed=-1), "seed"),
+            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], max_iterations=100.0),
+             "max_iterations"),
+            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], max_plant_evaluations=50.0),
+             "max_plant_evaluations"),
         ],
         ids=[
             "tolerance-nan",
@@ -1089,6 +1130,8 @@ class TestArgumentRules:
             "run-config-radius-max-inf",
             "noise-level-nan",
             "seed-negative",
+            "max-iterations-float",
+            "max-plant-evaluations-float",
         ],
     )
     def test_library_arguments_rejected_naming_the_argument(self, call, name):

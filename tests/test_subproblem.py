@@ -183,6 +183,40 @@ class TestCauchyPoint:
                         assert point.tolist() == anchor.tolist() and change == 0.0
 
 
+    def test_the_point_is_projected_where_it_is_built(self):
+        # On linear models the Cauchy point is the ray's boundary point.  On
+        # both paths it is that point projected onto the ball once, and its
+        # change is measured there.  A point the ball scaled may move again
+        # by rounding when projected a second time, so the test pins one
+        # projection, not a fixed point of the projection.
+        rng = np.random.default_rng(41)
+        scaled = 0
+        for _ in range(50):
+            anchor, c = rng.uniform(-3.0, 3.0, size=2), rng.normal(size=2)
+            radius = rng.uniform(0.05, 4.0)
+            project = subproblem._ball_projection(anchor, radius)
+            raw = anchor - c * (radius / math.sqrt(float(c @ c)))
+            scaled += project(raw).tobytes() != raw.tobytes()
+            for hessian in (None, np.zeros((2, 2))):  # the ray search, the closed form
+                model = ScalarOracle(lambda u: float(c @ u), lambda u: c.copy(), 2, hessian)
+                point, change = cauchy_point(CorrectedModel(model, [0.0, 0.0], anchor), radius)
+                assert point.tobytes() == project(raw).tobytes()
+                fresh = CorrectedModel(model, [0.0, 0.0], anchor).value_change(point)
+                assert struct.pack("d", change) == struct.pack("d", fresh)
+        assert scaled > 0
+
+    @pytest.mark.parametrize("curvature, point", [(2.0, [0.0, 0.0]), (-2.0, [-1.0, 0.0])])
+    def test_overflowing_curvature_is_quiet(self, curvature, point):
+        # g.g = 1e308 is finite and g.Hg overflows: an infinite curvature
+        # takes no step, a negative one runs to the boundary
+        model = quadratic_model([[curvature, 0.0], [0.0, 1.0]])
+        cm = CorrectedModel(model, [1e154, 0.0], anchor=[0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, change = cauchy_point(cm, 1.0)
+        assert got.tolist() == point and change == cm.value_change(got)
+
+
 class TestSolveSubproblem:
     def test_interior_minimizer_found(self):
         # corrected sphere with unconstrained minimizer (1, 1) inside the ball
@@ -240,8 +274,8 @@ class TestSolveSubproblem:
 
     def test_cauchy_value_measured_once_without_a_hessian(self, monkeypatch):
         # The ray search measures the Cauchy point once and returns its
-        # change; where the ball projection leaves the point in place, the
-        # descent starting there takes that change instead of a second.
+        # change; the descent starting there takes that change instead of a
+        # second, and starts from the point itself.
         points = []
 
         def value(u):
@@ -270,15 +304,17 @@ class TestSolveSubproblem:
             return out
 
         reused = run()
-        inside = [calls for kept, calls, _ in reused if kept]
-        assert len(inside) >= 25
-        assert inside == [1] * len(inside)
+        assert [calls for _, calls, _ in reused] == [1] * len(cases)
 
         def measured_again(*args, start_value=None, **kwargs):
             return projected_descent(*args, **kwargs)
 
+        # measured again, the start is projected again: where that leaves it
+        # in place, the solve is the same
         monkeypatch.setattr(subproblem, "projected_descent", measured_again)
-        assert [result for *_, result in run()] == [result for *_, result in reused]
+        again = run()
+        assert sum(kept for kept, *_ in reused) >= 25
+        assert [r for kept, _, r in again if kept] == [r for kept, _, r in reused if kept]
 
 
 class TestProjectedDescent:
@@ -331,6 +367,31 @@ class TestProjectedDescent:
 
         with pytest.raises(ValueError, match="non-finite"):
             projected_descent(unreachable, unreachable, start, unreachable, 10)
+
+    def test_a_start_with_a_known_value_is_taken_as_given(self):
+        # the value was measured at the start itself: it is not projected
+        def unreachable(u):
+            raise AssertionError("projected or measured the start")
+
+        result = projected_descent(unreachable, unreachable, [2.0], unreachable, 1,
+                                   start_value=4.0)
+        assert (result[0].tolist(), result[1], result[2]) == ([2.0], 4.0, 1)
+
+    def test_nan_initial_step_rejected_before_any_evaluation(self):
+        def unreachable(u):
+            raise AssertionError("evaluated with a NaN step")
+
+        with pytest.raises(ValueError, match="initial_step"):
+            projected_descent(unreachable, unreachable, [1.0], unreachable, 50, math.nan)
+
+    @pytest.mark.parametrize("initial_step", [0.0, -1.0, math.inf])
+    def test_other_initial_steps_are_clamped(self, initial_step):
+        # x^2 from 1: a first step clamped to [1e-16, 1e16] still moves the
+        # descent, after up to 60 halvings of the largest
+        x, change, _ = projected_descent(
+            lambda u: float(u @ u), lambda u: 2.0 * u, [1.0], lambda u: u, 200, initial_step
+        )
+        assert abs(x[0]) < 1e-6 and change < 1e-12
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_1_rejected_before_any_evaluation(self, budget):
@@ -431,7 +492,7 @@ class TestExactSubproblem:
         anchor, radius = np.array([-0.05, 1.03]), 0.125
         cm = CorrectedModel(p.model, [-1.3, -4.5], anchor=anchor)
         project = subproblem._ball_projection(anchor, radius)
-        once = project(anchor + _exact_step(*cm.anchor_terms()[3:], radius))
+        once = project(anchor + _exact_step(*cm.anchor_terms()[2:], radius))
         assert project(once).tobytes() != once.tobytes()
         result = solve_subproblem(cm, radius)
         assert not result.cauchy_override_applied
@@ -472,7 +533,7 @@ class TestExactSubproblem:
             cm = CorrectedModel(quadratic_model((h + h.T) / 2.0), [0.0, 0.0], anchor=[0.0, 0.0])
             result = solve_subproblem(cm, 1.0)
             assert result.predicted_change <= 0.0 and not result.cauchy_override_applied
-            if cm.value_change(_exact_step(*cm.anchor_terms()[3:], 1.0)) > 0.0:
+            if cm.value_change(_exact_step(*cm.anchor_terms()[2:], 1.0)) > 0.0:
                 rises += 1
                 assert result.candidate.tolist() == [0.0, 0.0] and result.predicted_change == 0.0
         assert rises > 0
@@ -726,8 +787,9 @@ class TestScalarProducts:
         assert seen == {"-0.0 without + 0.0", "inf", "nan", "subnormal", "normal"}
 
     def test_curvature_has_the_bits_of_matmul(self):
-        # the model's g.Hg takes H.dot(g) inside: where it differs from H @ g
-        # (a -0.0 at n = 1), the + 0.0 on the product clears it
+        # cauchy_point's g.Hg takes H.dot(g) inside: where it differs from
+        # H @ g (a -0.0 at n = 1), the + 0.0 on the product clears it, and
+        # cauchy_point's test g.Hg > 0 reads either sign of zero alike
         rng = np.random.default_rng(23)
         for n in range(1, 9):
             for _ in range(300):
@@ -806,7 +868,7 @@ class TestExactStepBits:
             h = q @ np.diag(10.0 ** rng.uniform(-3.0, 3.0, n)) @ q.T
             cm = CorrectedModel(quadratic_model((h + h.T) / 2.0), rng.normal(size=n),
                                 anchor=rng.normal(size=n))
-            w, q, gt = cm.anchor_terms()[3:]
+            w, q, gt = cm.anchor_terms()[2:]
             first = cm.newton_start()
             c = gt / w
             assert cm.newton_start() is first
