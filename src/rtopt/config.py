@@ -1,17 +1,17 @@
 """Run configuration: a flat, diffable JSON document per experiment.
 
 A config file holds either a single object or an array of objects.  The
-schema is :class:`RunConfig`: its field types drive parsing here, its
-field metadata says which algorithms take each field, and unspecified
-fields take its defaults.  Range rules are not repeated here: a parsed
-config is checked by building its problem and by ``RunConfig.check``,
-which raise a :class:`ConfigError` naming the field.
+schema is :class:`RunConfig`: its field metadata says which algorithms
+take each field, and unspecified fields take its defaults.  Only the keys
+are checked here.  Every type and range rule of a value is
+``RunConfig.check``'s, or its problem's, which ``check_config`` applies
+by building the problem; a violation raises a :class:`ConfigError`
+naming the field.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, fields
 
 from .drivers import (
@@ -20,6 +20,7 @@ from .drivers import (
     SETTINGS,
     RunConfig,
     RunTrace,
+    _check_length,
     run_basic_ma,
     run_ma_tr,
     run_trust_region,
@@ -38,118 +39,40 @@ __all__ = [
 ]
 
 
-def _is_finite(v) -> bool:
-    """math.isfinite, false also for an integer too large for a float."""
-    try:
-        return math.isfinite(v)
-    except OverflowError:
-        return False
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _as_float(name, v):
-    require(_is_number(v), name, f"expected a number, got {v!r}")
-    require(_is_finite(v), name, f"must be finite, got {v!r}")
-    return float(v)
-
-
-def _as_int(name, v):
-    ok = isinstance(v, int) and not isinstance(v, bool)
-    require(ok, name, f"expected an integer, got {v!r}")
-    return v
-
-
-def _as_str(name, v):
-    require(isinstance(v, str), name, f"expected a string, got {v!r}")
-    return v
-
-
-def _as_vector(name, v):
-    if _is_number(v):
-        v = [v]
-    require(isinstance(v, list) and len(v) > 0, name, "expected a non-empty array")
-    for x in v:
-        require(
-            _is_number(x) and _is_finite(x), name, f"components must be finite numbers, got {x!r}"
-        )
-    return [float(x) for x in v]
-
-
-def _or_none(parse):
-    return lambda name, v: None if v is None else parse(name, v)
-
-
-# RunConfig field annotation -> parser
-_PARSERS = {
-    "str": _as_str,
-    "list": _as_vector,
-    "float": _as_float,
-    "int": _as_int,
-    "float | None": _or_none(_as_float),
-    "str | None": _or_none(_as_str),
-}
-
-# (name, parser, default, algorithms that take it or None for all, choices)
-_SCHEMA = tuple(
-    (
-        f.name,
-        _PARSERS[f.type],
-        f.default,
-        None if f.metadata["algorithms"] == ALGORITHMS else f.metadata["algorithms"],
-        f.metadata["choices"],
-    )
-    for f in fields(RunConfig)
-)
-_KNOWN = frozenset(name for name, *_ in _SCHEMA)
-_REQUIRED = tuple(name for name, _, default, *_ in _SCHEMA if default is MISSING)
+# each field's algorithms, and the fields a config must give
+_TAKES = {f.name: f.metadata["algorithms"] for f in fields(RunConfig)}
+_REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
-    """Parse a raw mapping into a RunConfig and check it, naming bad fields."""
+    """A raw mapping as a checked RunConfig.  The keys are checked here:
+    unknown, missing and inapplicable ones; ``check_config`` checks the
+    values."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object, got {type(raw).__name__}")
     for key in raw:
-        require(key in _KNOWN, key, "unknown configuration key")
+        require(key in _TAKES, key, "unknown configuration key")
     for key in _REQUIRED:
         require(key in raw, key, "required field is missing")
-
-    values = {}
-    for name, parse, default, algorithms, choices in _SCHEMA:
-        if name not in raw:
-            values[name] = default
-            continue
-        # fields come in RunConfig order, so 'algorithm' is checked first
-        if algorithms is not None:
-            algorithm = values["algorithm"]
-            require(
-                algorithm in algorithms,
-                name,
-                f"not applicable to algorithm {algorithm!r} "
-                f"(valid for {', '.join(algorithms)})",
-            )
-        value = parse(name, raw[name])
-        if choices is not None:
-            require(value in choices, name, f"must be one of {', '.join(choices)}; got {value!r}")
-        values[name] = value
-    return check_config(RunConfig(**values))
+    algorithm = raw["algorithm"]
+    if algorithm in ALGORITHMS:  # any other value fails RunConfig.check, naming 'algorithm'
+        for key in raw:
+            takes = _TAKES[key]
+            require(algorithm in takes, key, "not applicable to algorithm {!r} (valid for {})",
+                    algorithm, ", ".join(takes))
+    return check_config(RunConfig(**raw))
 
 
 def check_config(cfg: RunConfig) -> RunConfig:
-    """Check the ranges of a typed RunConfig: its problem's rules, by
-    building the problem, and ``RunConfig.check``; returns ``cfg``."""
+    """Check a RunConfig: ``RunConfig.check``, then its problem's rules, by
+    building the problem, and the length of ``u0``; returns ``cfg``."""
+    cfg.check()
     try:
         problem = get_problem(cfg.problem, noise_level=cfg.noise_level, seed=cfg.seed)
     except KeyError as exc:
         raise ConfigError(f"field 'problem': {exc.args[0]}") from None
-    require(
-        len(cfg.u0) == problem.dimension,
-        "u0",
-        f"length {len(cfg.u0)} does not match problem dimension {problem.dimension}",
-    )
-    return cfg.check()
+    _check_length(cfg, problem.dimension)
+    return cfg
 
 
 def load_config(path) -> RunConfig | list[RunConfig]:

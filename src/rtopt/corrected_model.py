@@ -16,7 +16,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .errors import OracleError, require
+from .errors import OracleError, as_float, require
 from .problems import _FLOAT64, ScalarOracle, as_input_vector
 
 __all__ = [
@@ -28,9 +28,11 @@ __all__ = [
 _UNCHANGED = nullcontext()  # holds no state, so every in-run model shares it
 
 
-def check_alpha(alpha: float) -> None:
-    """The correction filter gain must lie in (0, 1]."""
-    require(0.0 < alpha <= 1.0, "alpha", f"must be in (0, 1], got {alpha}")
+def check_alpha(alpha: float) -> float:
+    """The correction filter gain, a number in (0, 1], as a float."""
+    alpha = as_float("alpha", alpha)
+    require(0.0 < alpha <= 1.0, "alpha", "must be in (0, 1], got {}", alpha)
+    return alpha
 
 
 def _floats(v) -> list:
@@ -50,8 +52,7 @@ class ModifierFilter:
     """
 
     def __init__(self, alpha: float, dimension: int):
-        check_alpha(alpha)
-        self.alpha = float(alpha)
+        self.alpha = check_alpha(alpha)
         self.previous = np.zeros(dimension)
 
     def update(self, plant_grad, model_grad) -> np.ndarray:

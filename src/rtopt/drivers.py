@@ -26,7 +26,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .corrected_model import CorrectedModel, ModifierFilter, check_alpha
-from .errors import OracleError, require
+from .errors import OracleError, as_float, as_int, as_str, as_vector, or_none, require
 from .problems import ProblemPair, as_input_vector
 from .subproblem import projected_descent, solve_subproblem
 from .trust_region import TrustRegionState, accept_candidate, compute_rho, update_radius
@@ -65,8 +65,11 @@ _LOOPS = ("trust-region", "ma-tr")
 FORMATS = ("csv", "json")
 
 
-def _check_tolerance(tolerance: float) -> None:
-    require(0.0 < tolerance < math.inf, "tolerance", f"must be finite and > 0, got {tolerance}")
+def _check_tolerance(tolerance: float) -> float:
+    """The stopping tolerance, a finite number > 0, as a float."""
+    tolerance = as_float("tolerance", tolerance)
+    require(tolerance > 0.0, "tolerance", "must be finite and > 0, got {}", tolerance)
+    return tolerance
 
 
 def _setting(default=MISSING, algorithms=ALGORITHMS, recorded=True, choices=None):
@@ -85,11 +88,13 @@ class RunConfig:
     and, for the fields each algorithm records, the key order of
     ``trace.config``.
 
-    Field types and metadata drive config parsing.  ``check`` holds the
-    range rules of every setting but ``noise_level`` and ``seed``, which
-    ``ProblemPair`` checks; the trust-region helpers read the same fields,
-    ``radius_max`` None being unbounded.  The stopping rules are among
-    them: the schemes iterate forever, and stopping is the run's setting.
+    ``check`` holds every type rule, the one each field's annotation
+    names, and the range rule of every setting but ``noise_level`` and
+    ``seed``, which ``ProblemPair`` checks; config files, driver keywords
+    and hand-built configs all pass through it.  The trust-region helpers
+    read the same fields, ``radius_max`` None being unbounded.  The
+    stopping rules are among them: the schemes iterate forever, and
+    stopping is the run's setting.
     """
 
     problem: str = _setting()
@@ -112,43 +117,53 @@ class RunConfig:
     format: str = _setting("csv", recorded=False, choices=FORMATS)
 
     def check(self) -> RunConfig:
-        """Apply the range rules of every setting but the problem's;
-        returns ``self``.  A violation raises ``ConfigError`` naming the
-        field."""
+        """Read every field through the type rule its annotation names,
+        apply its ``choices`` and store it as its Python type, then apply
+        the range rules of every setting but the problem's; returns
+        ``self``.  A violation raises ``ConfigError`` naming the field."""
+        for name, rule, default, choices in _TYPED:
+            value = getattr(self, name)
+            if value is default:  # a default is already of its type
+                continue
+            value = rule(name, value)
+            if choices is not None:
+                require(value in choices, name, "must be one of {}; got {!r}",
+                        ", ".join(choices), value)
+            setattr(self, name, value)
         _check_tolerance(self.tolerance)
-        for name in ("max_iterations", "max_plant_evaluations"):
-            cap = getattr(self, name)
-            require(type(cap) is int, name, f"expected an integer, got {cap!r}")  # not a bool
         require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
         probes = self.max_plant_evaluations
         require(probes >= 2, "max_plant_evaluations", "must be >= 2: the start probes twice")
         eta1, eta2, radius_max = self.eta1, self.eta2, self.radius_max
-        require(
-            0.0 < eta1 <= eta2 < 1.0,
-            "eta1",
-            f"require 0 < eta1 <= eta2 < 1, got eta1={eta1}, eta2={eta2}",
-        )
+        require(0.0 < eta1 <= eta2 < 1.0, "eta1",
+                "require 0 < eta1 <= eta2 < 1, got eta1={}, eta2={}", eta1, eta2)
         shrink, expansion = self.shrink_factor, self.expansion_factor
-        require(0.0 < shrink < 1.0, "shrink_factor", f"must lie in (0, 1), got {shrink}")
-        require(
-            1.0 < expansion < math.inf,
-            "expansion_factor",
-            f"must be finite and > 1, got {expansion}",
-        )
+        require(0.0 < shrink < 1.0, "shrink_factor", "must lie in (0, 1), got {}", shrink)
+        require(expansion > 1.0, "expansion_factor", "must be finite and > 1, got {}", expansion)
         if radius_max is not None:  # None: unbounded
-            require(radius_max > 0.0, "radius_max", f"must be > 0, got {radius_max}")
-            require(radius_max < math.inf, "radius_max", "must be finite")
+            require(radius_max > 0.0, "radius_max", "must be > 0, got {}", radius_max)
         check_alpha(self.alpha)
         delta0 = self.delta0
-        require(0.0 < delta0 < math.inf, "delta0", f"must be finite and > 0, got {delta0}")
+        require(delta0 > 0.0, "delta0", "must be finite and > 0, got {}", delta0)
         require(radius_max is None or delta0 <= radius_max, "delta0", "must not exceed radius_max")
-        require(
-            0.0 < self.box_halfwidth < math.inf,
-            "box_halfwidth",
-            f"must be finite and > 0, got {self.box_halfwidth}",
-        )
+        halfwidth = self.box_halfwidth
+        require(halfwidth > 0.0, "box_halfwidth", "must be finite and > 0, got {}", halfwidth)
         return self
 
+
+# RunConfig field annotation -> type rule
+_RULES = {
+    "str": as_str,
+    "list": as_vector,
+    "float": as_float,
+    "int": as_int,
+    "float | None": or_none(as_float),
+    "str | None": or_none(as_str),
+}
+# (name, type rule, default, choices) of each RunConfig field, in field order
+_TYPED = tuple(
+    (f.name, _RULES[f.type], f.default, f.metadata["choices"]) for f in fields(RunConfig)
+)
 
 # trace.config keys per algorithm, in RunConfig field order
 _RECORDED = {
@@ -218,7 +233,7 @@ class RunTrace:
 def check_convergence(trace: RunTrace, tolerance: float) -> bool:
     """Whether the trace's final reference is first-order critical to the
     given tolerance (measured plant gradient norm)."""
-    _check_tolerance(tolerance)
+    tolerance = _check_tolerance(tolerance)
     if not np.isfinite(trace.final_gradient_norm):
         raise ValueError("trace has no finite final gradient norm")
     return trace.final_gradient_norm <= tolerance
@@ -305,8 +320,9 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     an infinite radius and no acceptance test: it steps by
     ``_box_minimize`` and applies every candidate.
     """
-    ball = cfg.algorithm != "basic-ma"
     cfg.check()
+    _check_length(cfg, problem.dimension)
+    ball = cfg.algorithm != "basic-ma"
     # each vector is checked where it enters, then shared read-only: never copied
     u = as_input_vector(cfg.u0, problem.dimension)
     u.setflags(write=False)
@@ -413,13 +429,19 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     )
 
 
+def _check_length(cfg: RunConfig, dimension: int) -> None:
+    """Reject a checked ``cfg`` whose ``u0`` does not have ``dimension`` entries."""
+    n = len(cfg.u0)
+    require(n == dimension, "u0", "length {} does not match problem dimension {}", n, dimension)
+
+
 def _drive(algorithm, problem, u0, settings) -> RunTrace:
     """A driver call as the RunConfig it describes, run on ``problem``.
     ``settings`` are the call's keywords, each a field of
     ``SETTINGS[algorithm]``; the rest take RunConfig's defaults."""
     takes = SETTINGS[algorithm]
     for name in settings:
-        require(name in takes, name, f"not a setting of {algorithm} (takes {', '.join(takes)})")
+        require(name in takes, name, "not a setting of {} (takes {})", algorithm, ", ".join(takes))
     cfg = RunConfig(
         problem=problem.identifier,
         algorithm=algorithm,

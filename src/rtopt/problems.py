@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OracleError, require
+from .errors import OracleError, as_float, as_int, require
 
 __all__ = [
     "ScalarOracle",
@@ -178,12 +178,10 @@ class ProblemPair:
     ):
         if plant.dimension != model.dimension:
             raise ValueError("plant and model dimensions differ")
-        require(
-            0.0 <= noise_level < math.inf,
-            "noise_level",
-            f"must be finite and >= 0, got {noise_level}",
-        )
-        require(seed >= 0, "seed", f"must be >= 0, got {seed}")
+        self.noise_level = noise = as_float("noise_level", noise_level)
+        require(noise >= 0.0, "noise_level", "must be finite and >= 0, got {}", noise)
+        self.seed = as_int("seed", seed)
+        require(self.seed >= 0, "seed", "must be >= 0, got {}", self.seed)
         self.identifier = identifier
         self.dimension = plant.dimension
         self.plant = plant
@@ -191,8 +189,6 @@ class ProblemPair:
         self.known_optimum = (
             None if known_optimum is None else as_input_vector(known_optimum, self.dimension)
         )
-        self.noise_level = float(noise_level)
-        self.seed = int(seed)
         # a noise-free pair never draws, so it builds no generator
         self._rng = np.random.default_rng(self.seed) if self.noise_level > 0.0 else None
 

@@ -1093,30 +1093,54 @@ class TestLoopPath:
         assert fast == public
 
 
+def _finished_trace():
+    """A converged run, made on its own problem."""
+    return run_ma_tr(get_problem("P1"), [0.0, 0.0])
+
+
 class TestArgumentRules:
     @pytest.mark.parametrize(
         "call, name",
         [
-            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], tolerance=float("nan")),
-             "tolerance"),
-            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], tolerance=float("inf")),
-             "tolerance"),
-            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=float("nan")), "delta0"),
-            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], delta0=float("inf")), "delta0"),
-            (lambda: run_trust_region(get_problem("P1"), [0.0, 0.0], delta0=0.0), "delta0"),
-            (lambda: run_basic_ma(get_problem("P1"), [0.0, 0.0], box_halfwidth=-1),
-             "box_halfwidth"),
-            (lambda: run_basic_ma(get_problem("P1"), [0.0, 0.0], alpha=1.5), "alpha"),
-            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], radius_max=math.inf),
-             "radius_max"),
-            (lambda: RunConfig(problem="P1", algorithm="trust-region", u0=[0.0, 0.0],
-                               radius_max=math.inf).check(), "radius_max"),
-            (lambda: get_problem("P1", noise_level=float("nan")), "noise_level"),
-            (lambda: get_problem("P1", seed=-1), "seed"),
-            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], max_iterations=100.0),
-             "max_iterations"),
-            (lambda: run_ma_tr(get_problem("P1"), [0.0, 0.0], max_plant_evaluations=50.0),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], tolerance=float("nan")), "tolerance"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], tolerance=float("inf")), "tolerance"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], delta0=float("nan")), "delta0"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], delta0=float("inf")), "delta0"),
+            (lambda p: run_trust_region(p, [0.0, 0.0], delta0=0.0), "delta0"),
+            (lambda p: run_basic_ma(p, [0.0, 0.0], box_halfwidth=-1), "box_halfwidth"),
+            (lambda p: run_basic_ma(p, [0.0, 0.0], alpha=1.5), "alpha"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], radius_max=math.inf), "radius_max"),
+            (lambda p: RunConfig(problem="P1", algorithm="trust-region", u0=[0.0, 0.0],
+                                 radius_max=math.inf).check(), "radius_max"),
+            (lambda p: get_problem("P1", noise_level=float("nan")), "noise_level"),
+            (lambda p: get_problem("P1", seed=-1), "seed"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], max_iterations=100.0), "max_iterations"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], max_plant_evaluations=50.0),
              "max_plant_evaluations"),
+            # the type rules a config file applies: no string, None, bool or
+            # integer too large for a float is read as a number
+            (lambda p: run_ma_tr(p, [0.0, 0.0], eta1="0.1"), "eta1"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], delta0=None), "delta0"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], alpha="1"), "alpha"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], delta0=10**400), "delta0"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], expansion_factor=10**400), "expansion_factor"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], delta0=True), "delta0"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], tolerance=True), "tolerance"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0], alpha=True), "alpha"),
+            (lambda p: run_basic_ma(p, [0.0, 0.0], box_halfwidth=True), "box_halfwidth"),
+            (lambda p: get_problem("P1", seed=1.5), "seed"),
+            (lambda p: get_problem("P1", seed=True), "seed"),
+            (lambda p: get_problem("P1", seed=None), "seed"),
+            (lambda p: get_problem("P1", noise_level=True), "noise_level"),
+            (lambda p: get_problem("P1", noise_level="0.1"), "noise_level"),
+            (lambda p: get_problem("P1", noise_level=10**400), "noise_level"),
+            (lambda p: check_convergence(_finished_trace(), True), "tolerance"),
+            (lambda p: check_convergence(_finished_trace(), "1e-6"), "tolerance"),
+            (lambda p: ModifierFilter(True, 2), "alpha"),
+            (lambda p: ModifierFilter("0.5", 2), "alpha"),
+            (lambda p: run_ma_tr(p, [0.0, math.nan]), "u0"),
+            (lambda p: run_ma_tr(p, [0.0, 0.0, 0.0]), "u0"),
+            (lambda p: run_ma_tr(p, [True, 0.0]), "u0"),
         ],
         ids=[
             "tolerance-nan",
@@ -1132,12 +1156,47 @@ class TestArgumentRules:
             "seed-negative",
             "max-iterations-float",
             "max-plant-evaluations-float",
+            "eta1-string",
+            "delta0-none",
+            "alpha-string",
+            "delta0-huge-integer",
+            "expansion-factor-huge-integer",
+            "delta0-bool",
+            "tolerance-bool",
+            "alpha-bool",
+            "basic-ma-box-halfwidth-bool",
+            "seed-float",
+            "seed-bool",
+            "seed-none",
+            "noise-level-bool",
+            "noise-level-string",
+            "noise-level-huge-integer",
+            "check-convergence-tolerance-bool",
+            "check-convergence-tolerance-string",
+            "modifier-filter-alpha-bool",
+            "modifier-filter-alpha-string",
+            "u0-nan",
+            "u0-too-long",
+            "u0-bool",
         ],
     )
     def test_library_arguments_rejected_naming_the_argument(self, call, name):
-        # the rules config loading applies, with the argument named
-        with pytest.raises(ValueError, match=f"'{name}'"):
-            call()
+        # the rules config loading applies, with the argument named, before any plant probe
+        problem = get_problem("P1")
+        with pytest.raises(ConfigError, match=f"field '{name}'"):
+            call(problem)
+        assert problem.plant_evaluations() == (0, 0)
+
+    def test_numpy_values_are_taken_as_python_values(self):
+        problem = get_problem("P1", noise_level=np.float32(0.5), seed=np.int64(3))
+        assert (problem.noise_level, problem.seed) == (0.5, 3)
+        assert (type(problem.noise_level), type(problem.seed)) == (float, int)
+        trace = run_ma_tr(problem, np.array([0, 1]), delta0=np.float32(0.5),
+                          max_iterations=np.int64(4), radius_max=np.float64(2.0))
+        assert trace.config["u0"] == [0.0, 1.0]
+        taken = {k: trace.config[k] for k in ("delta0", "max_iterations", "radius_max", "seed")}
+        assert taken == {"delta0": 0.5, "max_iterations": 4, "radius_max": 2.0, "seed": 3}
+        assert [type(v) for v in taken.values()] == [float, int, float, int]
 
     @pytest.mark.parametrize(
         "run, name, value",
@@ -1283,6 +1342,16 @@ class TestReplay:
         problem = get_problem("P4", noise_level=0.01, seed=3)
         library = self.DRIVERS[algorithm](problem, [0.5, -1.0], **settings)
         assert {name: library.config[name] for name in settings} == settings
+        replayed = run_config(config_from_dict(library.config))
+        for fmt in ("csv", "json"):
+            a = export_trace(library, fmt, tmp_path / f"library.{fmt}")
+            b = export_trace(replayed, fmt, tmp_path / f"replayed.{fmt}")
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_integer_float_settings_replay(self, tmp_path):
+        # recorded as floats, as a config file's values are
+        library = run_ma_tr(get_problem("P4"), [0.5, -1.0], delta0=1, radius_max=4)
+        assert (library.config["delta0"], library.config["radius_max"]) == (1.0, 4.0)
         replayed = run_config(config_from_dict(library.config))
         for fmt in ("csv", "json"):
             a = export_trace(library, fmt, tmp_path / f"library.{fmt}")
