@@ -25,7 +25,7 @@ from .drivers import (
     run_ma_tr,
     run_trust_region,
 )
-from .errors import ConfigError, require
+from .errors import ConfigError, as_str, require
 from .problems import get_problem
 
 __all__ = [
@@ -67,12 +67,20 @@ def check_config(cfg: RunConfig) -> RunConfig:
     """Check a RunConfig: ``RunConfig.check``, then its problem's rules, by
     building the problem, and the length of ``u0``; returns ``cfg``."""
     cfg.check()
+    _check_length(cfg, _build_problem(cfg).dimension)
+    return cfg
+
+
+def _build_problem(cfg: RunConfig):
+    """The problem ``cfg`` names, with its noise settings; a name that is
+    not a string or not in the catalog raises a ConfigError naming
+    ``problem``.  ``get_problem`` is read from this module's namespace at
+    each call, where the benchmark rebinds it."""
     try:
-        problem = get_problem(cfg.problem, noise_level=cfg.noise_level, seed=cfg.seed)
+        return get_problem(as_str("problem", cfg.problem), noise_level=cfg.noise_level,
+                           seed=cfg.seed)
     except KeyError as exc:
         raise ConfigError(f"field 'problem': {exc.args[0]}") from None
-    _check_length(cfg, problem.dimension)
-    return cfg
 
 
 def load_config(path) -> RunConfig | list[RunConfig]:
@@ -93,7 +101,7 @@ def load_config(path) -> RunConfig | list[RunConfig]:
 
 def run_config(cfg: RunConfig) -> RunTrace:
     """Build the problem and execute the configured run."""
-    problem = get_problem(cfg.problem, noise_level=cfg.noise_level, seed=cfg.seed)
+    problem = _build_problem(cfg)
     # the drivers are looked up per call, where the benchmark's tracer rebinds them
     driver = {"basic-ma": run_basic_ma, "trust-region": run_trust_region, "ma-tr": run_ma_tr}
     settings = {name: getattr(cfg, name) for name in SETTINGS[cfg.algorithm]}

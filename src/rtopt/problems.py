@@ -156,11 +156,12 @@ class ProblemPair:
     """A plant oracle bundled with its (deliberately mismatched) model.
 
     Plant values and gradients are perturbed by additive Gaussian noise of
-    standard deviation ``noise_level`` drawn from a generator seeded at
-    construction, so noisy runs are reproducible.  With ``noise_level`` 0
-    repeated evaluation at the same point is bit-identical.  The model is
-    never noisy.  A noisy measurement that overflows raises
-    :class:`OracleError`, though the noise level is finite.
+    standard deviation ``noise_level`` drawn from a generator seeded with
+    ``seed``, so noisy runs are reproducible.  The generator is built at
+    the first draw: a pair built only to check its settings builds none.
+    With ``noise_level`` 0 repeated evaluation at the same point is
+    bit-identical.  The model is never noisy.  A noisy measurement that
+    overflows raises :class:`OracleError`, though the noise level is finite.
 
     Noiseless pairs are stateless apart from the call counters and may be
     shared across concurrent read-only runs when per-run counts are not
@@ -189,13 +190,18 @@ class ProblemPair:
         self.known_optimum = (
             None if known_optimum is None else as_input_vector(known_optimum, self.dimension)
         )
-        # a noise-free pair never draws, so it builds no generator
-        self._rng = np.random.default_rng(self.seed) if self.noise_level > 0.0 else None
+        self._rng = None
+
+    def _noise(self, size=None):
+        """Standard normal draws from the pair's generator."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.seed)
+        return self._rng.standard_normal(size)
 
     def evaluate_plant(self, u) -> float:
         val = self.plant.value(u)
         if self.noise_level > 0.0:
-            val += self.noise_level * self._rng.standard_normal()
+            val += self.noise_level * self._noise()
             if not math.isfinite(val):
                 raise OracleError(f"noisy plant value is non-finite at u={u!r}")
         return val
@@ -204,7 +210,7 @@ class ProblemPair:
         grad = self.plant.gradient(u)
         if self.noise_level > 0.0:
             # Python floats: NumPy's element-wise bits, and an overflow is a quiet inf
-            noise = self._rng.standard_normal(self.dimension).tolist()
+            noise = self._noise(self.dimension).tolist()
             grad = np.array([g + self.noise_level * z for g, z in zip(grad.tolist(), noise)])
             if not all(map(math.isfinite, grad.tolist())):
                 raise OracleError(f"noisy plant gradient is non-finite at u={u!r}")

@@ -8,11 +8,8 @@ form round-trips every numeric field exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
-
-import numpy as np
 
 from .drivers import DEGENERATE, FORMATS, IterationRecord, RunTrace
 
@@ -46,8 +43,8 @@ def _row_format(applied: int, reference: int) -> str:
 
 
 def _record_csv_row(r: IterationRecord) -> str:
-    applied = np.asarray(r.applied_input, dtype=float).reshape(-1).tolist()
-    reference = np.asarray(r.reference, dtype=float).reshape(-1).tolist()
+    applied = r.applied_input.tolist()
+    reference = r.reference.tolist()
     return _row_format(len(applied), len(reference)) % (
         r.k,
         *applied,
@@ -61,26 +58,21 @@ def _record_csv_row(r: IterationRecord) -> str:
     )
 
 
-def _json_converter(type_name: str):
-    """How a record field of the given annotation goes to JSON: arrays as
-    float lists; ``int`` and ``bool`` fields as they are; numbers as
-    floats, keeping None and strings such as the ``degenerate`` marker."""
-    if type_name == "np.ndarray":
-        return lambda v: v.astype(float, copy=False).tolist()
-    if type_name in ("int", "bool"):
-        return None
-    if type_name == "float":
-        return float
-    return lambda v: v if v is None or isinstance(v, str) else float(v)
-
-
-_RECORD_FIELDS = tuple((f.name, _json_converter(f.type)) for f in fields(IterationRecord))
-
-
 def _record_to_dict(r: IterationRecord) -> dict:
+    """A record's JSON fields in declaration order: arrays as float lists,
+    numbers as floats, keeping None and the ``degenerate`` marker."""
+    rho, radius = r.rho, r.radius
     return {
-        name: getattr(r, name) if convert is None else convert(getattr(r, name))
-        for name, convert in _RECORD_FIELDS
+        "k": r.k,
+        "applied_input": r.applied_input.tolist(),
+        "reference": r.reference.tolist(),
+        "plant_value_at_reference": float(r.plant_value_at_reference),
+        "plant_gradient_norm_at_reference": float(r.plant_gradient_norm_at_reference),
+        "rho": rho if rho is None or isinstance(rho, str) else float(rho),
+        "radius": None if radius is None else float(radius),
+        "accepted": r.accepted,
+        "cauchy_override": r.cauchy_override,
+        "modifiers": r.modifiers.tolist(),
     }
 
 
@@ -100,6 +92,10 @@ def trace_to_dict(trace: RunTrace) -> dict:
     }
 
 
+# a trace holds no cycles, so the encoder keeps no markers to find one
+_JSON = json.JSONEncoder(check_circular=False)
+
+
 def export_trace(trace: RunTrace, format: str, path) -> Path:
     """Write the trace to ``path`` as CSV (one row per iteration) or JSON
     (full record fields).  Returns the written path.
@@ -112,7 +108,7 @@ def export_trace(trace: RunTrace, format: str, path) -> Path:
         lines.extend(_record_csv_row(r) for r in trace.records)
         payload = "\n".join(lines) + "\n"
     else:
-        payload = json.dumps(trace_to_dict(trace)) + "\n"
+        payload = _JSON.encode(trace_to_dict(trace)) + "\n"
     try:
         path.write_text(payload, encoding="utf-8", newline="\n")
     except OSError as exc:

@@ -207,6 +207,14 @@ class TestRunConfigDispatch:
         assert trace.algorithm == "basic-ma"
         assert trace.termination_status == "unbounded-subproblem"
 
+    @pytest.mark.parametrize("problem", ["P9", ["P1"]], ids=["unknown", "not-a-string"])
+    def test_a_bad_problem_is_a_config_error_naming_it(self, problem):
+        cfg = RunConfig(problem=problem, algorithm="ma-tr", u0=[0.0, 0.0])
+        with pytest.raises(ConfigError, match="'problem'"):
+            run_config(cfg)
+        with pytest.raises(ConfigError, match="'problem'"):
+            config_from_dict({"problem": problem, "algorithm": "ma-tr", "u0": [0, 0]})
+
     def test_overrides_reach_the_run(self):
         cfg = config_from_dict(
             {

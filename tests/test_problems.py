@@ -252,6 +252,22 @@ class TestDeterminismAndNoise:
         expected = clean.plant_gradient(u) + 0.1 * rng.standard_normal(2)
         assert np.array_equal(p.plant_gradient(u), expected)
 
+    def test_noisy_pair_builds_its_generator_at_the_first_draw(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        p = get_problem("P1", noise_level=0.1, seed=7)
+        p.evaluate_model([0.5, -1.0])
+        assert built == []
+        p.evaluate_plant([0.5, -1.0])
+        p.plant_gradient([0.5, -1.0])
+        assert built == [(7,)]
+
     @pytest.mark.parametrize("noise_level", [0.02, 1.0, 1e150])
     def test_noisy_gradient_has_numpys_element_wise_bits(self, noise_level):
         clean = get_problem("P4")

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -135,18 +136,7 @@ class TestJsonExport:
         trace = small_trace()
         path = export_trace(trace, "json", tmp_path / "t.json")
         rec = json.loads(path.read_text())["records"][0]
-        assert set(rec) == {
-            "k",
-            "applied_input",
-            "reference",
-            "plant_value_at_reference",
-            "plant_gradient_norm_at_reference",
-            "rho",
-            "radius",
-            "accepted",
-            "cauchy_override",
-            "modifiers",
-        }
+        assert list(rec) == [f.name for f in fields(IterationRecord)]
 
     def test_degenerate_and_na_encodings(self, tmp_path):
         deg = json.loads(
@@ -225,6 +215,16 @@ class TestRecordRendering:
             want = reference_record_dict(r)
             assert json.dumps(got) == json.dumps(want)
             assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
+
+    def test_exports_write_the_reference_bytes(self, tmp_path):
+        records = list(self.records())
+        trace = RunTrace("custom", "ma-tr", {"u0": [0.0]}, records, "max-iterations", 1, 1,
+                         np.array([-0.0]), np.float64(math.nan), math.inf)
+        csv_bytes = export_trace(trace, "csv", tmp_path / "t.csv").read_bytes()
+        rows = [",".join(CSV_COLUMNS), *map(reference_csv_row, records)]
+        assert csv_bytes == ("\n".join(rows) + "\n").encode()
+        json_bytes = export_trace(trace, "json", tmp_path / "t.json").read_bytes()
+        assert json_bytes == (json.dumps(trace_to_dict(trace)) + "\n").encode()
 
 
 class TestSummarize:
