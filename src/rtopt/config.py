@@ -4,9 +4,9 @@ A config file holds either a single object or an array of objects.  The
 schema is :class:`RunConfig`: its field metadata says which algorithms
 take each field, and unspecified fields take its defaults.  Only the keys
 are checked here.  Every type and range rule of a value is
-``RunConfig.check``'s, or its problem's, which ``check_config`` applies
-by building the problem; a violation raises a :class:`ConfigError`
-naming the field.
+``RunConfig.check``'s; ``check_config`` applies them and checks the
+problem's name and dimension against the catalog, building no problem.
+A violation raises a :class:`ConfigError` naming the field.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .drivers import (
     run_trust_region,
 )
 from .errors import ConfigError, as_str, require
-from .problems import get_problem
+from .problems import get_problem, lookup_problem
 
 __all__ = [
     "RunConfig",
@@ -64,21 +64,18 @@ def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
 
 
 def check_config(cfg: RunConfig) -> RunConfig:
-    """Check a RunConfig: ``RunConfig.check``, then its problem's rules, by
-    building the problem, and the length of ``u0``; returns ``cfg``."""
+    """Check ``cfg`` without building its problem: ``RunConfig.check``, then
+    the problem's name and the length of ``u0`` against the catalog; returns ``cfg``."""
     cfg.check()
-    _check_length(cfg, _build_problem(cfg).dimension)
+    _check_length(cfg, _lookup(cfg)[1])
     return cfg
 
 
-def _build_problem(cfg: RunConfig):
-    """The problem ``cfg`` names, with its noise settings; a name that is
-    not a string or not in the catalog raises a ConfigError naming
-    ``problem``.  ``get_problem`` is read from this module's namespace at
-    each call, where the benchmark rebinds it."""
+def _lookup(cfg: RunConfig) -> tuple[str, int]:
+    """(short id, dimension) of the problem ``cfg`` names; a name not a
+    string or not in the catalog raises a ConfigError naming ``problem``."""
     try:
-        return get_problem(as_str("problem", cfg.problem), noise_level=cfg.noise_level,
-                           seed=cfg.seed)
+        return lookup_problem(as_str("problem", cfg.problem))
     except KeyError as exc:
         raise ConfigError(f"field 'problem': {exc.args[0]}") from None
 
@@ -101,8 +98,8 @@ def load_config(path) -> RunConfig | list[RunConfig]:
 
 def run_config(cfg: RunConfig) -> RunTrace:
     """Build the problem and execute the configured run."""
-    problem = _build_problem(cfg)
-    # the drivers are looked up per call, where the benchmark's tracer rebinds them
+    # get_problem and the drivers are looked up per call, where the benchmark rebinds them
+    problem = get_problem(_lookup(cfg)[0], noise_level=cfg.noise_level, seed=cfg.seed)
     driver = {"basic-ma": run_basic_ma, "trust-region": run_trust_region, "ma-tr": run_ma_tr}
     settings = {name: getattr(cfg, name) for name in SETTINGS[cfg.algorithm]}
     return driver[cfg.algorithm](problem, cfg.u0, **settings)

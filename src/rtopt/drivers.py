@@ -27,7 +27,7 @@ import numpy as np
 
 from .corrected_model import CorrectedModel, ModifierFilter, check_alpha
 from .errors import OracleError, as_float, as_int, as_str, as_vector, or_none, require
-from .problems import ProblemPair, as_input_vector
+from .problems import ProblemPair, as_input_vector, check_noise
 from .subproblem import projected_descent, solve_subproblem
 from .trust_region import TrustRegionState, accept_candidate, compute_rho, update_radius
 
@@ -89,10 +89,10 @@ class RunConfig:
     ``trace.config``.
 
     ``check`` holds every type rule, the one each field's annotation
-    names, and the range rule of every setting but ``noise_level`` and
-    ``seed``, which ``ProblemPair`` checks; config files, driver keywords
-    and hand-built configs all pass through it.  The trust-region helpers
-    read the same fields, ``radius_max`` None being unbounded.  The
+    names, and the range rule of every setting, ``noise_level`` and
+    ``seed`` by the rule ``ProblemPair`` applies too; config files, driver
+    keywords and hand-built configs all pass through it.  The trust-region
+    helpers read the same fields, ``radius_max`` None being unbounded.  The
     stopping rules are among them: the schemes iterate forever, and
     stopping is the run's setting.
     """
@@ -119,8 +119,8 @@ class RunConfig:
     def check(self) -> RunConfig:
         """Read every field through the type rule its annotation names,
         apply its ``choices`` and store it as its Python type, then apply
-        the range rules of every setting but the problem's; returns
-        ``self``.  A violation raises ``ConfigError`` naming the field."""
+        the range rule of every setting; returns ``self``.  A violation
+        raises ``ConfigError`` naming the field."""
         for name, rule, default, choices in _TYPED:
             value = getattr(self, name)
             if value is default:  # a default is already of its type
@@ -130,6 +130,7 @@ class RunConfig:
                 require(value in choices, name, "must be one of {}; got {!r}",
                         ", ".join(choices), value)
             setattr(self, name, value)
+        check_noise(self.noise_level, self.seed)
         _check_tolerance(self.tolerance)
         require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
         probes = self.max_plant_evaluations

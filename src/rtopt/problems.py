@@ -104,7 +104,9 @@ class ScalarOracle:
         self._grad_fn = grad_fn
         self.dimension = int(dimension)
         self._hessian = None if hessian is None else _as_hessian(hessian, self.dimension)
-        self._eigh = None
+        self._eigh = None if hessian is None else np.linalg.eigh(self._hessian)
+        for a in self._eigh or ():
+            a.setflags(write=False)
         self.value_calls = 0
         self.gradient_calls = 0
 
@@ -113,14 +115,10 @@ class ScalarOracle:
         """The constant Hessian (read-only), or None if none was declared."""
         return self._hessian
 
-    def hessian_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+    def hessian_eigh(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Ascending eigenvalues ``w`` and orthonormal eigenvectors
-        (columns) ``q`` of the declared Hessian, computed on the first
-        call and kept read-only."""
-        if self._eigh is None:
-            self._eigh = np.linalg.eigh(self._hessian)
-            for a in self._eigh:
-                a.setflags(write=False)
+        (columns) ``q`` of the declared Hessian, both read-only, or None if
+        none was declared.  The oracle computes them when it is built."""
         return self._eigh
 
     def value(self, u) -> float:
@@ -152,16 +150,26 @@ class ScalarOracle:
         return out
 
 
+def check_noise(noise_level, seed) -> tuple[float, int]:
+    """``noise_level`` (finite, >= 0) and ``seed`` (an integer >= 0) as a
+    float and an int; a violation raises a ConfigError naming the field."""
+    noise = as_float("noise_level", noise_level)
+    require(noise >= 0.0, "noise_level", "must be finite and >= 0, got {}", noise)
+    seed = as_int("seed", seed)
+    require(seed >= 0, "seed", "must be >= 0, got {}", seed)
+    return noise, seed
+
+
 class ProblemPair:
     """A plant oracle bundled with its (deliberately mismatched) model.
 
     Plant values and gradients are perturbed by additive Gaussian noise of
     standard deviation ``noise_level`` drawn from a generator seeded with
-    ``seed``, so noisy runs are reproducible.  The generator is built at
-    the first draw: a pair built only to check its settings builds none.
-    With ``noise_level`` 0 repeated evaluation at the same point is
-    bit-identical.  The model is never noisy.  A noisy measurement that
-    overflows raises :class:`OracleError`, though the noise level is finite.
+    ``seed``, so noisy runs are reproducible.  A noisy pair builds its
+    generator when it is built; a pair with ``noise_level`` 0 builds none,
+    and repeated evaluation at the same point is bit-identical.  The model
+    is never noisy.  A noisy measurement that overflows raises
+    :class:`OracleError`, though the noise level is finite.
 
     Noiseless pairs are stateless apart from the call counters and may be
     shared across concurrent read-only runs when per-run counts are not
@@ -179,10 +187,7 @@ class ProblemPair:
     ):
         if plant.dimension != model.dimension:
             raise ValueError("plant and model dimensions differ")
-        self.noise_level = noise = as_float("noise_level", noise_level)
-        require(noise >= 0.0, "noise_level", "must be finite and >= 0, got {}", noise)
-        self.seed = as_int("seed", seed)
-        require(self.seed >= 0, "seed", "must be >= 0, got {}", self.seed)
+        self.noise_level, self.seed = check_noise(noise_level, seed)
         self.identifier = identifier
         self.dimension = plant.dimension
         self.plant = plant
@@ -190,18 +195,12 @@ class ProblemPair:
         self.known_optimum = (
             None if known_optimum is None else as_input_vector(known_optimum, self.dimension)
         )
-        self._rng = None
-
-    def _noise(self, size=None):
-        """Standard normal draws from the pair's generator."""
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
-        return self._rng.standard_normal(size)
+        self._rng = np.random.default_rng(self.seed) if self.noise_level > 0.0 else None
 
     def evaluate_plant(self, u) -> float:
         val = self.plant.value(u)
         if self.noise_level > 0.0:
-            val += self.noise_level * self._noise()
+            val += self.noise_level * self._rng.standard_normal()
             if not math.isfinite(val):
                 raise OracleError(f"noisy plant value is non-finite at u={u!r}")
         return val
@@ -210,7 +209,7 @@ class ProblemPair:
         grad = self.plant.gradient(u)
         if self.noise_level > 0.0:
             # Python floats: NumPy's element-wise bits, and an overflow is a quiet inf
-            noise = self._noise(self.dimension).tolist()
+            noise = self._rng.standard_normal(self.dimension).tolist()
             grad = np.array([g + self.noise_level * z for g, z in zip(grad.tolist(), noise)])
             if not all(map(math.isfinite, grad.tolist())):
                 raise OracleError(f"noisy plant gradient is non-finite at u={u!r}")
@@ -437,17 +436,20 @@ def list_problems() -> list[tuple[str, str, int]]:
     return [(key, entry[0], entry[1]) for key, entry in _CATALOG.items()]
 
 
-def get_problem(identifier: str, noise_level: float = 0.0, seed: int = 0) -> ProblemPair:
-    """Build a fresh catalog problem (fresh oracles, zeroed counters).
-
-    ``identifier`` may be the short id ("P1") or the descriptive label
-    ("biased-quadratic").
-    """
+def lookup_problem(identifier: str) -> tuple[str, int]:
+    """(short id, dimension) of the catalog problem named by its short id
+    ("P1") or its label ("biased-quadratic"); other names raise KeyError."""
     key = identifier if identifier in _CATALOG else _BY_LABEL.get(identifier)
     if key is None:
-        known = ", ".join(_CATALOG)
-        raise KeyError(f"unknown problem {identifier!r}; catalog has: {known}")
-    _, dim, plant_fns, model_fns, model_hessian, optimum = _CATALOG[key]
+        raise KeyError(f"unknown problem {identifier!r}; catalog has: {', '.join(_CATALOG)}")
+    return key, _CATALOG[key][1]
+
+
+def get_problem(identifier: str, noise_level: float = 0.0, seed: int = 0) -> ProblemPair:
+    """Build a fresh catalog problem (fresh oracles, zeroed counters),
+    ``identifier`` naming it as ``lookup_problem`` reads it."""
+    key, dim = lookup_problem(identifier)
+    plant_fns, model_fns, model_hessian, optimum = _CATALOG[key][2:]
     return ProblemPair(
         identifier=key,
         plant=ScalarOracle(plant_fns[0], plant_fns[1], dim),

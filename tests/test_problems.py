@@ -185,10 +185,16 @@ class TestScalarOracle:
         with pytest.raises(ValueError):
             oracle.hessian[0, 0] = 5.0
 
-    def test_hessian_eigh_is_cached_read_only(self):
+    def test_hessian_eigh_is_cached_read_only(self, monkeypatch):
+        eigh = np.linalg.eigh
+        decomposed = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: decomposed.append(h) or eigh(h))
         oracle = ScalarOracle(lambda u: 0.0, lambda u: np.zeros(2), 2,
                               hessian=[[-1.0, 0.0], [0.0, 2.0]])
+        assert len(decomposed) == 1  # when the oracle is built, not at the first call
         w, q = oracle.hessian_eigh()
+        assert len(decomposed) == 1
+        assert ScalarOracle(lambda u: 0.0, lambda u: np.zeros(2), 2).hessian_eigh() is None
         assert w.tolist() == [-1.0, 2.0] and q.tolist() == [[1.0, 0.0], [0.0, 1.0]]
         assert oracle.hessian_eigh() is oracle.hessian_eigh()
         for kept in (w, q):
@@ -252,7 +258,11 @@ class TestDeterminismAndNoise:
         expected = clean.plant_gradient(u) + 0.1 * rng.standard_normal(2)
         assert np.array_equal(p.plant_gradient(u), expected)
 
-    def test_noisy_pair_builds_its_generator_at_the_first_draw(self, monkeypatch):
+    @pytest.mark.parametrize("noise_level, generators", [(0.1, [(7,)]), (0.0, [])],
+                             ids=["noisy", "noise-free"])
+    def test_a_noisy_pair_builds_one_generator_from_its_seed_when_built(
+        self, monkeypatch, noise_level, generators
+    ):
         built = []
         default_rng = np.random.default_rng
 
@@ -261,12 +271,12 @@ class TestDeterminismAndNoise:
             return default_rng(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", counted)
-        p = get_problem("P1", noise_level=0.1, seed=7)
-        p.evaluate_model([0.5, -1.0])
-        assert built == []
-        p.evaluate_plant([0.5, -1.0])
-        p.plant_gradient([0.5, -1.0])
-        assert built == [(7,)]
+        p = get_problem("P1", noise_level=noise_level, seed=7)
+        assert built == generators
+        for _ in range(2):
+            p.evaluate_plant([0.5, -1.0])
+            p.plant_gradient([0.5, -1.0])
+        assert built == generators
 
     @pytest.mark.parametrize("noise_level", [0.02, 1.0, 1e150])
     def test_noisy_gradient_has_numpys_element_wise_bits(self, noise_level):
