@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import FORMATS, RunConfig, check_config, load_config, run_config
+from .config import RunConfig, check_config, load_config, run_config
 from .errors import ConfigError, OracleError
 from .problems import list_problems
 from .reporting import export_trace, summarize
@@ -30,8 +30,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each override's dest is the RunConfig field it sets
     def add_overrides(p):
-        p.add_argument("--output", help="override the trace/summary output path")
-        p.add_argument("--format", choices=FORMATS, help="override the export format")
+        p.add_argument(
+            "--output", help="override the trace path (.csv or .json) or the summary CSV path"
+        )
         p.add_argument("--seed", type=int, help="override the random seed")
         p.add_argument(
             "--max-iter", dest="max_iterations", type=int, help="override the iteration cap"
@@ -41,7 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_run = sub.add_parser("run", help="execute a single configured run")
-    p_run.add_argument("config", help="path to a JSON config (single object)")
+    p_run.add_argument("config", help="path to a JSON config holding one run")
     add_overrides(p_run)
 
     p_cmp = sub.add_parser("compare", help="execute a batch and print a summary table")
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_OVERRIDES = ("output", "format", "seed", "max_iterations", "tolerance")
+_OVERRIDES = ("output", "seed", "max_iterations", "tolerance")
 
 
 def _apply_overrides(cfg: RunConfig, args, override_output: bool = True) -> RunConfig:
@@ -70,23 +71,17 @@ def _apply_overrides(cfg: RunConfig, args, override_output: bool = True) -> RunC
 
 
 def _load_many(paths) -> list[RunConfig]:
-    configs: list[RunConfig] = []
-    for path in paths:
-        loaded = load_config(path)
-        configs.extend(loaded if isinstance(loaded, list) else [loaded])
-    return configs
+    return [cfg for path in paths for cfg in load_config(path)]
 
 
 def _cmd_run(args) -> int:
     loaded = load_config(args.config)
-    if isinstance(loaded, list):
-        if len(loaded) != 1:
-            raise ConfigError(
-                f"{args.config}: 'run' takes a single config; "
-                f"got {len(loaded)} (use 'compare' for batches)"
-            )
-        loaded = loaded[0]
-    cfg = _apply_overrides(loaded, args)
+    if len(loaded) != 1:
+        raise ConfigError(
+            f"{args.config}: 'run' takes a single config; "
+            f"got {len(loaded)} (use 'compare' for batches)"
+        )
+    cfg = _apply_overrides(loaded[0], args)
     trace = run_config(cfg)
     print(
         f"{trace.problem_id} {trace.algorithm}: {trace.termination_status} "

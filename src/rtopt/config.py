@@ -1,12 +1,14 @@
 """Run configuration: a flat, diffable JSON document per experiment.
 
-A config file holds either a single object or an array of objects.  The
-schema is :class:`RunConfig`: its field metadata says which algorithms
-take each field, and unspecified fields take its defaults.  Only the keys
-are checked here.  Every type and range rule of a value is
-``RunConfig.check``'s; ``check_config`` applies them and checks the
-problem's name and dimension against the catalog, building no problem.
-A violation raises a :class:`ConfigError` naming the field.
+A config file holds a single object or an array of objects, and loads
+as a list of runs either way.  The schema is :class:`RunConfig`: its
+field metadata says which algorithms take each field, and unspecified
+fields take its defaults.  Only the keys are checked here.  Every type
+and range rule of a value is ``RunConfig.check``'s, the rule that an
+``output`` path's ``.csv`` or ``.json`` suffix names its trace format
+among them; ``check_config`` applies them and checks the problem's name
+and dimension against the catalog, building no problem.  A violation
+raises a :class:`ConfigError` naming the field.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import MISSING, fields
 
 from .drivers import (
     ALGORITHMS,
-    FORMATS,
     SETTINGS,
     RunConfig,
     RunTrace,
@@ -35,7 +36,6 @@ __all__ = [
     "check_config",
     "run_config",
     "ALGORITHMS",
-    "FORMATS",
 ]
 
 
@@ -80,8 +80,9 @@ def _lookup(cfg: RunConfig) -> tuple[str, int]:
         raise ConfigError(f"field 'problem': {exc.args[0]}") from None
 
 
-def load_config(path) -> RunConfig | list[RunConfig]:
-    """Parse a config file into one RunConfig or a list of them."""
+def load_config(path) -> list[RunConfig]:
+    """Parse a config file into a list of RunConfigs, one object being a
+    list of one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -89,11 +90,11 @@ def load_config(path) -> RunConfig | list[RunConfig]:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
-    if isinstance(raw, list):
-        if not raw:
-            raise ConfigError(f"{path}: expected at least one config, got an empty array")
-        return [config_from_dict(entry, where=f"{path}[{i}]") for i, entry in enumerate(raw)]
-    return config_from_dict(raw, where=str(path))
+    if not isinstance(raw, list):
+        return [config_from_dict(raw, where=str(path))]
+    if not raw:
+        raise ConfigError(f"{path}: expected at least one config, got an empty array")
+    return [config_from_dict(entry, where=f"{path}[{i}]") for i, entry in enumerate(raw)]
 
 
 def run_config(cfg: RunConfig) -> RunTrace:

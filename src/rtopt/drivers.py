@@ -63,6 +63,8 @@ TERMINATION_STATUSES = (
 ALGORITHMS = ("basic-ma", "trust-region", "ma-tr")
 _LOOPS = ("trust-region", "ma-tr")
 FORMATS = ("csv", "json")
+# the output suffixes, each naming its trace format
+_SUFFIXES = tuple("." + f for f in FORMATS)
 
 
 def _check_tolerance(tolerance: float) -> float:
@@ -72,14 +74,10 @@ def _check_tolerance(tolerance: float) -> float:
     return tolerance
 
 
-def _setting(default=MISSING, algorithms=ALGORITHMS, recorded=True, choices=None):
+def _setting(default=MISSING, algorithms=ALGORITHMS, recorded=True):
     """A RunConfig field: ``algorithms`` may set it in a config and, if
-    ``recorded``, record it in ``trace.config``; ``choices`` lists its
-    allowed values when it is a name."""
-    return field(
-        default=default,
-        metadata={"algorithms": algorithms, "recorded": recorded, "choices": choices},
-    )
+    ``recorded``, record it in ``trace.config``."""
+    return field(default=default, metadata={"algorithms": algorithms, "recorded": recorded})
 
 
 @dataclass
@@ -98,7 +96,7 @@ class RunConfig:
     """
 
     problem: str = _setting()
-    algorithm: str = _setting(choices=ALGORITHMS)
+    algorithm: str = _setting()
     u0: list = _setting()
     delta0: float = _setting(1.0, _LOOPS)
     eta1: float = _setting(0.1, _LOOPS)
@@ -114,22 +112,28 @@ class RunConfig:
     max_plant_evaluations: int = _setting(10_000)
     box_halfwidth: float = _setting(1e6, ("basic-ma",))
     output: str | None = _setting(None, recorded=False)
-    format: str = _setting("csv", recorded=False, choices=FORMATS)
+
+    @property
+    def format(self) -> str | None:
+        """The trace format a checked ``output`` names by its suffix, or
+        None without an output."""
+        return None if self.output is None else self.output.rpartition(".")[2]
 
     def check(self) -> RunConfig:
-        """Read every field through the type rule its annotation names,
-        apply its ``choices`` and store it as its Python type, then apply
-        the range rule of every setting; returns ``self``.  A violation
-        raises ``ConfigError`` naming the field."""
-        for name, rule, default, choices in _TYPED:
+        """Read every field through the type rule its annotation names and
+        store it as its Python type, check ``algorithm`` and the suffix of
+        ``output`` against their names, then apply the range rule of every
+        setting; returns ``self``.  A violation raises ``ConfigError``
+        naming the field."""
+        for name, rule, default in _TYPED:
             value = getattr(self, name)
-            if value is default:  # a default is already of its type
-                continue
-            value = rule(name, value)
-            if choices is not None:
-                require(value in choices, name, "must be one of {}; got {!r}",
-                        ", ".join(choices), value)
-            setattr(self, name, value)
+            if value is not default:  # a default is already of its type
+                setattr(self, name, rule(name, value))
+        algorithm, output = self.algorithm, self.output
+        require(algorithm in ALGORITHMS, "algorithm", "must be one of {}; got {!r}",
+                ", ".join(ALGORITHMS), algorithm)
+        require(output is None or output.endswith(_SUFFIXES), "output",
+                "must end in {}; got {!r}", " or ".join(_SUFFIXES), output)
         check_noise(self.noise_level, self.seed)
         _check_tolerance(self.tolerance)
         require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
@@ -161,10 +165,8 @@ _RULES = {
     "float | None": or_none(as_float),
     "str | None": or_none(as_str),
 }
-# (name, type rule, default, choices) of each RunConfig field, in field order
-_TYPED = tuple(
-    (f.name, _RULES[f.type], f.default, f.metadata["choices"]) for f in fields(RunConfig)
-)
+# (name, type rule, default) of each RunConfig field, in field order
+_TYPED = tuple((f.name, _RULES[f.type], f.default) for f in fields(RunConfig))
 
 # trace.config keys per algorithm, in RunConfig field order
 _RECORDED = {

@@ -2,8 +2,7 @@
 
 A *plant* is the ground-truth objective that an iterative run probes one
 point at a time; a *model* is the closed-form surrogate the optimizer is
-allowed to evaluate freely.  Each catalog entry bundles the two, together
-with the analytically known plant optimum where one exists.  Plant
+allowed to evaluate freely.  Each catalog entry bundles the two.  Plant
 evaluations can optionally be perturbed by seeded additive Gaussian noise;
 models are always exact.
 """
@@ -181,7 +180,6 @@ class ProblemPair:
         identifier: str,
         plant: ScalarOracle,
         model: ScalarOracle,
-        known_optimum=None,
         noise_level: float = 0.0,
         seed: int = 0,
     ):
@@ -192,9 +190,6 @@ class ProblemPair:
         self.dimension = plant.dimension
         self.plant = plant
         self.model = model
-        self.known_optimum = (
-            None if known_optimum is None else as_input_vector(known_optimum, self.dimension)
-        )
         self._rng = np.random.default_rng(self.seed) if self.noise_level > 0.0 else None
 
     def evaluate_plant(self, u) -> float:
@@ -391,14 +386,13 @@ def _himmelblau_grad(u):
 _SPHERE_HESSIAN = ((2.0, 0.0), (0.0, 2.0))
 
 _CATALOG = {
-    # identifier: (label, dim, plant fns, model fns, model Hessian, known optimum)
+    # identifier: (label, dim, plant fns, model fns, model Hessian)
     "P1": (
         "biased-quadratic",
         2,
         (_p1_plant, _p1_plant_grad),
         (_sphere, _sphere_grad),
         _SPHERE_HESSIAN,
-        (1.0, 1.0),
     ),
     "P2": (
         "wrong-curvature",
@@ -406,7 +400,6 @@ _CATALOG = {
         (_p2_plant, _sphere_grad),
         (_p2_model, _p2_model_grad),
         ((-2.0,),),
-        (0.0,),
     ),
     "P3": (
         "rosenbrock-plant",
@@ -414,7 +407,6 @@ _CATALOG = {
         (_rosenbrock, _rosenbrock_grad),
         (_sphere, _sphere_grad),
         _SPHERE_HESSIAN,
-        (1.0, 1.0),
     ),
     "P4": (
         "himmelblau-plant",
@@ -422,7 +414,6 @@ _CATALOG = {
         (_himmelblau, _himmelblau_grad),
         (_sphere, _sphere_grad),
         _SPHERE_HESSIAN,
-        (3.0, 2.0),
     ),
 }
 
@@ -449,12 +440,11 @@ def get_problem(identifier: str, noise_level: float = 0.0, seed: int = 0) -> Pro
     """Build a fresh catalog problem (fresh oracles, zeroed counters),
     ``identifier`` naming it as ``lookup_problem`` reads it."""
     key, dim = lookup_problem(identifier)
-    plant_fns, model_fns, model_hessian, optimum = _CATALOG[key][2:]
+    plant_fns, model_fns, model_hessian = _CATALOG[key][2:]
     return ProblemPair(
         identifier=key,
         plant=ScalarOracle(plant_fns[0], plant_fns[1], dim),
         model=ScalarOracle(model_fns[0], model_fns[1], dim, hessian=model_hessian),
-        known_optimum=optimum,
         noise_level=noise_level,
         seed=seed,
     )

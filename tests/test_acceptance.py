@@ -316,8 +316,8 @@ def test_criterion_11_reproducibility(tmp_path):
     for fmt in ("csv", "json"):
         out_a = tmp_path / f"a.{fmt}"
         out_b = tmp_path / f"b.{fmt}"
-        assert main(["run", str(cfg_path), "--format", fmt, "--output", str(out_a)]) == 0
-        assert main(["run", str(cfg_path), "--format", fmt, "--output", str(out_b)]) == 0
+        assert main(["run", str(cfg_path), "--output", str(out_a)]) == 0
+        assert main(["run", str(cfg_path), "--output", str(out_b)]) == 0
         ok = ok and out_a.read_bytes() == out_b.read_bytes()
     detail = "same config and seed exported bit-identical csv and json traces"
     assert report(11, ok, detail), detail

@@ -39,7 +39,7 @@ class TestLoadConfig:
         path = write_config(
             tmp_path, {"problem": "P1", "algorithm": "ma-tr", "u0": [0, 0]}
         )
-        cfg = load_config(path)
+        [cfg] = load_config(path)
         assert isinstance(cfg, RunConfig)
         assert cfg.delta0 == 1.0
         assert cfg.eta1 == 0.1
@@ -48,8 +48,8 @@ class TestLoadConfig:
         assert cfg.tolerance == 1e-6
         assert cfg.max_iterations == 500
         assert cfg.seed == 0
-        assert cfg.format == "csv"
         assert cfg.output is None
+        assert cfg.format is None
 
     def test_array_yields_list(self, tmp_path):
         path = write_config(
@@ -91,7 +91,8 @@ class TestLoadConfig:
 
     def test_scalar_u0_promoted_for_1d(self, tmp_path):
         path = write_config(tmp_path, {"problem": "P2", "algorithm": "ma-tr", "u0": 3.0})
-        assert load_config(path).u0 == [3.0]
+        [cfg] = load_config(path)
+        assert cfg.u0 == [3.0]
 
 
 class TestValidation:
@@ -261,6 +262,35 @@ def test_checking_builds_no_problem_and_a_run_builds_one(tmp_path, capsys, built
     for runs, cfg in enumerate(configs, 1):
         run_config(cfg)
         assert built == Counter(ScalarOracle=2 * runs, ProblemPair=runs, generator=runs)
+
+
+# (key, value): each is rejected, naming its key, by every entry point that takes it
+OUTPUT_ERRORS = [("output", "t.txt"), ("output", "t"), ("output", "t.CSV"), ("format", "json")]
+
+
+@pytest.mark.parametrize("key, value", OUTPUT_ERRORS, ids=[f"{k}={v!r}" for k, v in OUTPUT_ERRORS])
+def test_an_output_names_its_format_from_every_entry_point(tmp_path, capsys, built, key, value):
+    """An output path must end in exactly .csv or .json, and a format key is
+    unknown: a config mapping, an override of a loaded config, ``rtopt
+    check`` and ``rtopt run --output`` give one message, building no
+    problem.  An override sets fields, so it has no format key to set."""
+    raw = {**BASE, key: value}
+    path = write_config(tmp_path, raw)
+    messages = {"config file": _message(lambda: config_from_dict(raw))}
+    if key == "output":
+        messages["override"] = _message(
+            lambda: check_config(replace(config_from_dict(BASE), output=value))
+        )
+        run = ["run", str(write_config(tmp_path, BASE, "base.json")), "--output", value]
+    else:
+        run = ["run", str(path), "--output", "t.json"]
+    for verb, argv in {"check": ["check", str(path)], "run": run}.items():
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        messages[f"rtopt {verb}"] = err.removeprefix("configuration error: ").rstrip("\n")
+    assert all(m.startswith(f"field '{key}': ") for m in messages.values()), messages
+    assert len(set(messages.values())) == 1, messages
+    assert built == Counter()
 
 
 class TestRunConfigDispatch:

@@ -429,8 +429,7 @@ class TestTrustRegionDriver:
         assert trace.final_gradient_norm <= 1e-6
 
     def test_start_at_optimum_converges_at_k0(self):
-        p = get_problem("P1")
-        trace = run_trust_region(p, p.known_optimum)
+        trace = run_trust_region(get_problem("P1"), [1.0, 1.0])
         assert trace.termination_status == "converged"
         assert trace.iterations == 0
         assert trace.plant_value_evaluations == 1
@@ -813,7 +812,7 @@ class TestRunsWithoutAHessian:
     def without_hessian(pid):
         p = get_problem(pid)
         model = ScalarOracle(p.model.value, p.model.gradient, p.dimension)
-        return ProblemPair(pid, p.plant, model, p.known_optimum)
+        return ProblemPair(pid, p.plant, model)
 
     @pytest.mark.parametrize(
         "pid, u0, pinned",

@@ -63,10 +63,11 @@ class TestCatalogValues:
             model.value([1.2e77, 1.44e154])
 
     def test_known_optima_are_critical(self):
-        for pid in PROBLEM_IDS:
+        optima = {"P1": [1.0, 1.0], "P2": [0.0], "P3": [1.0, 1.0], "P4": [3.0, 2.0]}
+        assert tuple(optima) == PROBLEM_IDS
+        for pid, optimum in optima.items():
             p = get_problem(pid)
-            assert p.known_optimum is not None
-            gnorm = np.linalg.norm(p.plant_gradient(p.known_optimum))
+            gnorm = np.linalg.norm(p.plant_gradient(optimum))
             assert gnorm <= 1e-10, f"{pid}: gradient norm {gnorm} at known optimum"
 
     def test_list_problems(self):
@@ -214,7 +215,7 @@ class TestScalarOracle:
     def test_custom_problem_via_oracle_contract(self):
         plant = ScalarOracle(lambda u: float((u[0] - 2) ** 2), lambda u: 2 * (u - 2), 1)
         model = ScalarOracle(lambda u: float(u[0] ** 2), lambda u: 2 * u, 1)
-        pair = ProblemPair("custom", plant, model, known_optimum=[2.0])
+        pair = ProblemPair("custom", plant, model)
         assert pair.evaluate_plant([2.0]) == 0.0
         assert pair.plant_gradient([0.0]) == pytest.approx([-4.0])
 

@@ -291,8 +291,6 @@ class TestCli:
                 str(path),
                 "--output",
                 str(out),
-                "--format",
-                "json",
                 "--max-iter",
                 "5",
                 "--tol",
@@ -307,6 +305,21 @@ class TestCli:
         assert payload["config"]["tolerance"] == 0.001
         assert payload["config"]["seed"] == 3
         assert len(payload["records"]) <= 5
+
+    @pytest.mark.parametrize("suffix", ["csv", "json"])
+    def test_output_suffix_names_the_trace_format(self, tmp_path, capsys, suffix):
+        # a config's output path and the same suffix given as --output write the same bytes
+        out, flagged = tmp_path / f"t.{suffix}", tmp_path / f"flagged.{suffix}"
+        raw = {"problem": "P1", "algorithm": "ma-tr", "u0": [0, 0]}
+        assert main(["run", str(write_config(tmp_path, {**raw, "output": str(out)}))]) == 0
+        assert main(["run", str(write_config(tmp_path, raw, "raw.json")), "--output",
+                     str(flagged)]) == 0
+        text = out.read_text(encoding="utf-8")
+        if suffix == "json":
+            assert json.loads(text)["config"]["problem"] == "P1"
+        else:
+            assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert flagged.read_bytes() == out.read_bytes()
 
     def test_run_rejects_batch_config(self, tmp_path, capsys):
         path = write_config(
@@ -466,7 +479,6 @@ class TestCli:
             "u0": [0, 0],
             "noise_level": 0.05,
             "seed": 11,
-            "format": "json",
         }
         path = write_config(tmp_path, payload)
         assert main(["run", str(path), "--output", str(out_a)]) == 0
