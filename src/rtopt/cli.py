@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 
 from .config import RunConfig, check_config, load_config, run_config
-from .errors import ConfigError, OracleError
+from .errors import ConfigError, OracleError, require
 from .problems import list_problems
 from .reporting import export_trace, summarize
 
@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # each override's dest is the RunConfig field it sets
     def add_overrides(p):
         p.add_argument(
-            "--output", help="override the trace path (.csv or .json) or the summary CSV path"
+            "--output", help="override the trace path (.csv or .json) or the summary path (.csv)"
         )
         p.add_argument("--seed", type=int, help="override the random seed")
         p.add_argument(
@@ -98,8 +98,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    # --output names the summary CSV here; per-run trace paths stay as
-    # configured
+    # --output names the summary CSV here; per-run trace paths stay as configured
+    require(args.output is None or args.output.endswith(".csv"), "output", "must end in .csv")
     configs = [_apply_overrides(c, args, override_output=False) for c in _load_many(args.configs)]
     traces = []
     for cfg in configs:

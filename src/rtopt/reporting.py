@@ -2,12 +2,15 @@
 
 Exports are deterministic: a given trace always renders to identical
 bytes.  Floats are written with 17 significant digits in CSV; the JSON
-form round-trips every numeric field exactly.
+form round-trips every numeric field exactly.  Files are rewritten in
+place, trimming any old tail: not fsynced and not atomic, so a crash or
+a reader mid-write can see a partial file.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from functools import lru_cache
 from pathlib import Path
 
@@ -92,14 +95,26 @@ def trace_to_dict(trace: RunTrace) -> dict:
     }
 
 
+def _write_in_place(path, data: bytes) -> None:
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        done = 0
+        while done < len(data):  # a short write is continued
+            done += os.write(fd, data[done:])
+        if os.fstat(fd).st_size > done:  # a FIFO or a device has size 0
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
+
+
 # a trace holds no cycles, so the encoder keeps no markers to find one
 _JSON = json.JSONEncoder(check_circular=False)
 
 
 def export_trace(trace: RunTrace, format: str, path) -> Path:
     """Write the trace to ``path`` as CSV (one row per iteration) or JSON
-    (full record fields).  Returns the written path.
-    """
+    (full record fields), in place, trimming any old tail; not fsynced, not
+    atomic.  Returns the written path."""
     if format not in FORMATS:
         raise ValueError(f"format must be one of {', '.join(FORMATS)}, got {format!r}")
     path = Path(path)
@@ -110,7 +125,7 @@ def export_trace(trace: RunTrace, format: str, path) -> Path:
     else:
         payload = _JSON.encode(trace_to_dict(trace)) + "\n"
     try:
-        path.write_text(payload, encoding="utf-8", newline="\n")
+        _write_in_place(path, payload.encode())
     except OSError as exc:
         raise OSError(f"cannot write trace to {path}: {exc}") from exc
     return path
@@ -141,7 +156,8 @@ def _summary_row(trace: RunTrace) -> tuple[str, ...]:
 
 def summarize(traces, csv_path=None) -> str:
     """Aligned comparison table over a non-empty list of traces; with
-    ``csv_path`` the same table is also written as CSV."""
+    ``csv_path`` the same table is also written as CSV, in place as a trace
+    is: any old tail trimmed, not fsynced, not atomic."""
     traces = list(traces)
     if not traces:
         raise ValueError("summarize requires at least one trace")
@@ -158,7 +174,6 @@ def summarize(traces, csv_path=None) -> str:
     ]
     text = "\n".join([header, rule, *body])
     if csv_path is not None:
-        lines = [",".join(_SUMMARY_COLUMNS)]
-        lines.extend(",".join(row) for row in rows)
-        Path(csv_path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+        lines = (",".join(row) for row in (_SUMMARY_COLUMNS, *rows))
+        _write_in_place(csv_path, ("\n".join(lines) + "\n").encode())
     return text

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -253,6 +254,85 @@ class TestSummarize:
             summarize([])
 
 
+def expected_bytes(kind, trace):
+    """The bytes an export of ``trace`` must hold, rendered independently."""
+    if kind == "csv":
+        rows = [",".join(CSV_COLUMNS), *map(reference_csv_row, trace.records)]
+    elif kind == "json":
+        return (json.dumps(trace_to_dict(trace)) + "\n").encode()
+    else:
+        rows = [
+            "problem,algorithm,status,iterations,plant_evals,final_grad_norm,final_plant_value",
+            ",".join([trace.problem_id, trace.algorithm, trace.termination_status,
+                      str(trace.iterations), str(trace.plant_evaluation_count),
+                      format(trace.final_gradient_norm, ".6g"),
+                      format(trace.final_plant_value, ".6g")]),
+        ]
+    return ("\n".join(rows) + "\n").encode()
+
+
+def write_output(kind, trace, path):
+    if kind == "summary":
+        summarize([trace], csv_path=path)
+    else:
+        export_trace(trace, kind, path)
+
+
+class TestInPlaceWrite:
+    """A file is rewritten in place: every old byte past the new payload
+    is trimmed, and the open never truncates."""
+
+    @pytest.mark.parametrize("kind", ["csv", "json", "summary"])
+    @pytest.mark.parametrize("old_size", ["new", "longer", "shorter", "equal"])
+    def test_rewrite_holds_exactly_the_payload(self, tmp_path, kind, old_size):
+        trace = small_trace()
+        want = expected_bytes(kind, trace)
+        path = tmp_path / ("out.json" if kind == "json" else "out.csv")
+        old = {"longer": len(want) + 4096, "shorter": 7, "equal": len(want)}.get(old_size)
+        if old is not None:
+            path.write_bytes(b"#" * old)
+        write_output(kind, trace, path)
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("kind", ["csv", "json", "summary"])
+    def test_rewrite_opens_without_truncation(self, tmp_path, monkeypatch, kind):
+        trace = small_trace()
+        path = tmp_path / ("out.json" if kind == "json" else "out.csv")
+        path.write_bytes(b"#" * 10_000)
+        flags, real_open = [], os.open
+
+        def recording_open(file, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(file, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        write_output(kind, trace, path)
+        monkeypatch.undo()
+        assert flags and not any(flag & os.O_TRUNC for flag in flags)
+        assert path.read_bytes() == expected_bytes(kind, trace)
+
+    @pytest.mark.parametrize("kind", ["csv", "json", "summary"])
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch, kind):
+        trace = small_trace()
+        path = tmp_path / ("out.json" if kind == "json" else "out.csv")
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, bytes(data[:100])))
+        write_output(kind, trace, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == expected_bytes(kind, trace)
+
+    def test_new_file_gets_the_default_permissions(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("")
+        written = export_trace(small_trace(), "csv", tmp_path / "t.csv")
+        assert written.stat().st_mode == plain.stat().st_mode
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    @pytest.mark.parametrize("kind", ["csv", "json", "summary"])
+    def test_device_is_written_and_never_trimmed(self, kind):
+        write_output(kind, small_trace(), "/dev/null")
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -469,6 +549,15 @@ class TestCli:
         lines = summary_out.read_text().splitlines()
         assert lines[0].startswith("problem,algorithm,status")
         assert len(lines) == 3
+
+    def test_compare_rejects_a_summary_path_not_ending_in_csv(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        config = str(ROOT / "configs" / "p2_compare.json")
+        assert main(["compare", config, "--output", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "'output'" in captured.err and ".csv" in captured.err
+        assert captured.out == ""  # nothing ran
+        assert not out.exists()
 
     def test_reproducible_trace_files(self, tmp_path):
         out_a = tmp_path / "a.json"
