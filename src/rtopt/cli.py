@@ -30,9 +30,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each override's dest is the RunConfig field it sets
     def add_overrides(p):
-        p.add_argument(
-            "--output", help="override the trace path (.csv or .json) or the summary path (.csv)"
-        )
         p.add_argument("--seed", type=int, help="override the random seed")
         p.add_argument(
             "--max-iter", dest="max_iterations", type=int, help="override the iteration cap"
@@ -43,10 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a single configured run")
     p_run.add_argument("config", help="path to a JSON config holding one run")
+    p_run.add_argument("--output", help="override the trace path (.csv or .json)")
     add_overrides(p_run)
 
     p_cmp = sub.add_parser("compare", help="execute a batch and print a summary table")
     p_cmp.add_argument("configs", nargs="+", help="config paths; arrays are flattened")
+    p_cmp.add_argument("--output", dest="summary", help="the summary table's path (.csv)")
     add_overrides(p_cmp)
 
     sub.add_parser("list-problems", help="list the problem catalog")
@@ -60,13 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
 _OVERRIDES = ("output", "seed", "max_iterations", "tolerance")
 
 
-def _apply_overrides(cfg: RunConfig, args, override_output: bool = True) -> RunConfig:
+def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     """``cfg`` with the given flags applied, checked like a loaded config."""
-    changes = {
-        name: getattr(args, name)
-        for name in _OVERRIDES
-        if getattr(args, name, None) is not None and (override_output or name != "output")
-    }
+    changes = {n: getattr(args, n) for n in _OVERRIDES if getattr(args, n, None) is not None}
     return check_config(replace(cfg, **changes))
 
 
@@ -99,15 +94,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     # --output names the summary CSV here; per-run trace paths stay as configured
-    require(args.output is None or args.output.endswith(".csv"), "output", "must end in .csv")
-    configs = [_apply_overrides(c, args, override_output=False) for c in _load_many(args.configs)]
+    require(args.summary is None or args.summary.endswith(".csv"), "output", "must end in .csv")
+    configs = [_apply_overrides(c, args) for c in _load_many(args.configs)]
     traces = []
     for cfg in configs:
         trace = run_config(cfg)
         traces.append(trace)
         if cfg.output is not None:
             export_trace(trace, cfg.format, cfg.output)
-    print(summarize(traces, csv_path=args.output))
+    print(summarize(traces, csv_path=args.summary))
     return 0
 
 

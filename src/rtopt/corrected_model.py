@@ -137,12 +137,6 @@ class CorrectedModel:
     def dimension(self) -> int:
         return self.base_model.dimension
 
-    @property
-    def hessian(self) -> np.ndarray | None:
-        """The base model's constant Hessian, if it declares one: the linear
-        correction leaves the Hessian unchanged."""
-        return self.base_model.hessian
-
     # u goes to the base oracle unconverted: its input check is the only
     # validation, and it raises before any arithmetic below.
 
@@ -164,8 +158,9 @@ class CorrectedModel:
     def anchor_terms(self) -> tuple:
         """``(g, g.g, w, q, q^T g)`` for the corrected gradient g at the
         anchor and the Hessian ``H = q diag(w) q^T``, ``w`` ascending (the
-        last three None without one): the radius-free terms of the exact
-        and whole-box steps, computed once.  A g.g that overflows is inf."""
+        last three None without one): the radius-free terms of the exact,
+        Cauchy and whole-box steps, and the solvers' only view of the
+        curvature, computed once.  A g.g that overflows is inf."""
         if self._anchor_terms is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 self._anchor_terms = self._terms()

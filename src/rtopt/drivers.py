@@ -269,8 +269,8 @@ def _box_minimize(model: CorrectedModel, halfwidth: float, rng: np.random.Genera
     is reported like a minimizer beyond the box.
     """
     current = model.anchor
-    if model.hessian is not None:
-        w, q, gt = model.anchor_terms()[2:]
+    w, q, gt = model.anchor_terms()[2:]
+    if w is not None:
         tol = 10 * w.size * math.ulp(1.0)  # 10 n eps
         scale = max(-w[0], w[-1])  # max |w|
         if w[0] < -tol * scale:

@@ -221,45 +221,29 @@ class ProblemPair:
         return self.plant.value_calls, self.plant.gradient_calls
 
 
+def _central_difference(f, u, step: float, dimension: int) -> np.ndarray:
+    """``[f(u + step e_i) - f(u - step e_i)] / (2 step)`` for each unit vector
+    ``e_i``, stacked as rows; a step that is not positive and finite is
+    rejected before ``f`` runs."""
+    if not 0.0 < step < math.inf:  # NaN fails too
+        raise ValueError(f"step must be > 0 and finite, got {step}")
+    u = as_input_vector(u, dimension)
+    return np.array([(f(u + e) - f(u - e)) / (2.0 * step) for e in np.eye(dimension) * step])
+
+
 def finite_difference_gradient(oracle: ScalarOracle, u, step: float) -> np.ndarray:
     """Central-difference gradient estimate, component i equal to
-    ``[f(u + step*e_i) - f(u - step*e_i)] / (2*step)``.
-    """
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    u = as_input_vector(u, oracle.dimension)
-    out = np.empty(oracle.dimension)
-    for i in range(oracle.dimension):
-        e = np.zeros(oracle.dimension)
-        e[i] = step
-        out[i] = (oracle.value(u + e) - oracle.value(u - e)) / (2.0 * step)
-    return out
+    ``[f(u + step*e_i) - f(u - step*e_i)] / (2*step)``: the oracle's values
+    differenced."""
+    return _central_difference(oracle.value, u, step, oracle.dimension)
 
 
 def finite_difference_hessian(oracle: ScalarOracle, u, step: float = 1e-4) -> np.ndarray:
-    """Central second-difference Hessian estimate (symmetrized)."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    u = as_input_vector(u, oracle.dimension)
-    n = oracle.dimension
-    h = np.empty((n, n))
-    f0 = oracle.value(u)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        h[i, i] = (oracle.value(u + ei) - 2.0 * f0 + oracle.value(u - ei)) / step**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            cross = (
-                oracle.value(u + ei + ej)
-                - oracle.value(u + ei - ej)
-                - oracle.value(u - ei + ej)
-                + oracle.value(u - ei - ej)
-            ) / (4.0 * step**2)
-            h[i, j] = cross
-            h[j, i] = cross
-    return h
+    """Central-difference Hessian estimate, symmetrized: row i is
+    ``[grad f(u + step*e_i) - grad f(u - step*e_i)] / (2*step)``, the
+    oracle's gradient differenced (values are never differenced twice)."""
+    h = _central_difference(oracle.gradient, u, step, oracle.dimension)
+    return (h + h.T) / 2.0
 
 
 @dataclass
@@ -290,13 +274,14 @@ def probe_assumptions(
     and the worst analytic-vs-finite-difference gradient discrepancy.
 
     Probes the raw oracles: measurement noise is never applied, since
-    difference quotients of noisy values would say nothing about the
-    underlying functions.
+    difference quotients of noisy measurements would say nothing about
+    the underlying functions.
     """
     lower = as_input_vector(box[0], problem.dimension)
     upper = as_input_vector(box[1], problem.dimension)
     if np.any(lower >= upper):
         raise ValueError("degenerate box: require lower < upper componentwise")
+    sample_count = as_int("sample_count", sample_count)  # a ConfigError is a ValueError
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
 

@@ -72,8 +72,9 @@ _SCAN_MAX_EVALS = 100
 def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, float]:
     """Minimize the model along ``anchor - t * grad(anchor)`` within the ball.
 
-    With a constant model Hessian H the minimizer is t = g.g / g.Hg,
-    clipped to the ball, and the ball's boundary when g.Hg <= 0.
+    With a constant model Hessian ``H = q diag(w) q^T`` the minimizer is
+    t = g.g / g.Hg, clipped to the ball, and the ball's boundary when
+    g.Hg <= 0; g.Hg is ``sum w_i (q^T g)_i^2`` from ``anchor_terms``.
     Otherwise a uniform scan of the ray, which finds far dips, brackets
     its best point, and ``projected_descent`` on the distance along the
     ray refines it inside the bracket with the rest of the evaluations.
@@ -91,23 +92,22 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     if not radius > 0:  # NaN fails too
         raise ValueError(f"radius must be > 0, got {radius}")
     anchor = model.anchor
-    g, gg = model.anchor_terms()[:2]
+    g, gg, w, _, gt = model.anchor_terms()
     if not 0.0 < gg < math.inf:
         return anchor.copy(), 0.0
     gnorm = math.sqrt(gg)
-    hessian = model.hessian
 
     t = radius / gnorm  # the ball's boundary
-    if hessian is not None:
-        with model.errstate():  # g.Hg may overflow, and then fails the test below
-            curvature = float(g.dot(hessian.dot(g)))
+    if w is not None:
+        with model.errstate():  # g.Hg may overflow or turn NaN, and then fails the test below
+            curvature = float(w.dot(gt * gt))
         if curvature > 0.0:
             t = min(gg / curvature, t)
     # |anchor - t g| <= this componentwise, rounding included; it never warns
     if t * gnorm + max(map(abs, anchor.tolist())) == math.inf:
         raise OracleError(f"the Cauchy ray leaves the floating-point range at radius {radius}")
     project = _ball_projection(anchor, radius)
-    if hessian is not None:
+    if w is not None:
         point = project(anchor - g * t)  # t * g's bits, dispatched faster
         return point, model.value_change(point)
 
@@ -400,9 +400,15 @@ def estimate_beta(model: CorrectedModel, radius: float) -> float:
     """Sampled curvature bound along the steepest-descent ray from the
     model's anchor, floored strictly above 1.
 
-    The bound is the largest absolute second-difference quotient of the
-    model at a few points along the ray; it is advisory (a sample, not a
-    proof) and falls back to ``1 + _BETA_FLOOR_EPS`` on flat models.
+    The bound is the largest ``|d.(grad(x + h d) - grad(x - h d))| / 2h``
+    for the unit ray direction ``d`` at a few points ``x`` on the ray; it
+    is advisory (a sample, not a proof) and falls back to
+    ``1 + _BETA_FLOOR_EPS`` on flat models.  Cancellation limits it: the
+    corrected gradient, modifiers included, is rounded to about
+    ``eps |grad|``, so a sample is off by up to about ``eps |grad| / h``
+    (``h = max(radius / 1000, 1e-8)``).  Where that dwarfs the curvature
+    (``P4``'s model at (1000, 1000), radius 1e-6) the difference is 0 or
+    a few rounding steps, and the estimate the floor or that error.
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be > 0 and finite, got {radius}")
@@ -415,13 +421,8 @@ def estimate_beta(model: CorrectedModel, radius: float) -> float:
     h = max(radius * 1e-3, 1e-8)
     largest = 0.0
     for i in range(_BETA_SAMPLES):
-        s = radius * i / _BETA_SAMPLES
-        x = anchor + s * d
-        quotient = (
-            model.value_change(x + h * d)
-            - 2.0 * model.value_change(x)
-            + model.value_change(x - h * d)
-        ) / h**2
+        x = anchor + (radius * i / _BETA_SAMPLES) * d
+        quotient = float(d.dot(model.gradient(x + h * d) - model.gradient(x - h * d))) / (2.0 * h)
         if math.isfinite(quotient):
             largest = max(largest, abs(quotient))
     return max(1.0 + _BETA_FLOOR_EPS, largest)

@@ -1,5 +1,6 @@
 """Tests for the plant/model catalog, oracles, and probing utilities."""
 
+import math
 import warnings
 
 import numpy as np
@@ -342,10 +343,41 @@ class TestFiniteDifferences:
                 with pytest.raises(ValueError, match="step must be > 0"):
                     difference(p.plant, [0.0, 0.0], step)
 
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_step_rejected_before_any_probe(self, step):
+        p = get_problem("P1")
+        for difference in (finite_difference_gradient, finite_difference_hessian):
+            with pytest.raises(ValueError, match="step must be > 0 and finite"):
+                difference(p.plant, [0.0, 0.0], step)
+        assert p.plant_evaluations() == (0, 0)
+
     def test_hessian_of_quadratic(self):
         p = get_problem("P1")
         h = finite_difference_hessian(p.plant, [0.3, -0.4])
         assert h == pytest.approx(2.0 * np.eye(2), abs=1e-5)
+
+    @staticmethod
+    def rosenbrock_hessian(x, y):
+        return np.array([[1200.0 * x * x - 400.0 * y + 2.0, -400.0 * x], [-400.0 * x, 200.0]])
+
+    @staticmethod
+    def himmelblau_hessian(x, y):
+        xx, yy, xy = 12.0 * x * x + 4.0 * y - 42.0, 12.0 * y * y + 4.0 * x - 26.0, 4.0 * (x + y)
+        return np.array([[xx, xy], [xy, yy]])
+
+    @pytest.mark.parametrize("pid", ["P3", "P4"])
+    def test_hessian_differences_the_gradient(self, pid):
+        # the plants' analytic Hessians, to 1e-7 relative to max(1, max|H|);
+        # second differences of Himmelblau's values missed this by 8x
+        p = get_problem(pid)
+        exact = self.rosenbrock_hessian if pid == "P3" else self.himmelblau_hessian
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            u = rng.uniform(-3.0, 3.0, size=2)
+            h, want = finite_difference_hessian(p.plant, u), exact(*u)
+            assert np.array_equal(h, h.T)
+            assert np.max(np.abs(h - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+        assert p.plant_evaluations() == (0, 200 * 4)  # 2n gradients each, no value
 
 
 class TestProbeAssumptions:
@@ -373,6 +405,14 @@ class TestProbeAssumptions:
     def test_nonpositive_sample_count_rejected(self):
         with pytest.raises(ValueError, match="sample_count must be >= 1"):
             probe_assumptions(get_problem("P1"), ([0.0, 0.0], [1.0, 1.0]), 0)
+
+    @pytest.mark.parametrize("count", [2.5, True, "3", None])
+    def test_non_integer_sample_count_rejected_before_any_probe(self, count):
+        p = get_problem("P1")
+        with pytest.raises(ValueError, match="sample_count"):
+            probe_assumptions(p, ([0.0, 0.0], [1.0, 1.0]), count)
+        assert p.plant_evaluations() == (0, 0)
+        assert (p.model.value_calls, p.model.gradient_calls) == (0, 0)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError, match="degenerate box"):

@@ -216,6 +216,31 @@ class TestCauchyPoint:
             got, change = cauchy_point(cm, 1.0)
         assert got.tolist() == point and change == cm.value_change(got)
 
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "singular"])
+    def test_eigenbasis_curvature_matches_the_dense_product(self, kind):
+        # g.Hg read as sum w_i (q^T g)_i^2 from the anchor terms gives the
+        # closed-form point that the dense g.Hg gives, to rounding
+        rng = np.random.default_rng(["definite", "indefinite", "singular"].index(kind))
+        for _ in range(300):
+            n = int(rng.integers(1, 5))
+            w = 10.0 ** rng.uniform(-2.0, 2.0, n)
+            if kind != "definite":
+                w[0] = 0.0 if kind == "singular" else -w[0]
+            q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            h = q @ np.diag(w) @ q.T
+            h = (h + h.T) / 2.0  # exactly symmetric, as a declared Hessian must be
+            anchor = rng.uniform(-3.0, 3.0, n)
+            cm = CorrectedModel(quadratic_model(h), rng.normal(size=n), anchor=anchor)
+            radius = 10.0 ** rng.uniform(-2.0, 1.0)
+            g = cm.gradient(anchor)
+            gg, curvature = float(g @ g), float(g @ (h @ g))
+            t = radius / math.sqrt(gg)
+            if curvature > 0.0:
+                t = min(gg / curvature, t)
+            want = subproblem._ball_projection(anchor, radius)(anchor - t * g)
+            point, _ = cauchy_point(cm, radius)
+            assert np.linalg.norm(point - want) <= 1e-12 * np.linalg.norm(want - anchor)
+
 
 class TestSolveSubproblem:
     def test_interior_minimizer_found(self):
@@ -691,6 +716,17 @@ class TestEstimateBeta:
             with pytest.raises(ValueError, match="radius must be > 0"):
                 estimate_beta(cm, radius)
 
+    @pytest.mark.parametrize("radius", [1e-3, 1e-6])
+    def test_large_modifiers_keep_the_curvature(self, radius):
+        # P4's corrected gradient at (30, -40) is of order 1e5: second
+        # differences of its values cancelled to 2.302 and 4,547 here
+        p = get_problem("P4")
+        anchor = np.array([30.0, -40.0])
+        cm = CorrectedModel(p.model, p.plant_gradient(anchor) - p.model_gradient(anchor), anchor)
+        values = p.model.value_calls
+        assert estimate_beta(cm, radius) == pytest.approx(2.0, abs=1e-3)
+        assert p.model.value_calls == values  # the gradient is differenced, never the value
+
 
 def _reference_exact_step(w, q, gt, radius):
     """The exact step without the positive-definite fast path and with a
@@ -785,21 +821,6 @@ class TestScalarProducts:
                 seen.add("inf" if abs(want) == math.inf else "nan" if want != want else
                          "subnormal" if 0.0 < abs(want) < 2.0**-1022 else "normal")
         assert seen == {"-0.0 without + 0.0", "inf", "nan", "subnormal", "normal"}
-
-    def test_curvature_has_the_bits_of_matmul(self):
-        # cauchy_point's g.Hg takes H.dot(g) inside: where it differs from
-        # H @ g (a -0.0 at n = 1), the + 0.0 on the product clears it, and
-        # cauchy_point's test g.Hg > 0 reads either sign of zero alike
-        rng = np.random.default_rng(23)
-        for n in range(1, 9):
-            for _ in range(300):
-                h = np.array([product_components(rng, n) for _ in range(n)])
-                h = np.triu(h) + np.triu(h, 1).T  # symmetric, as a declared Hessian
-                g = product_components(rng, n)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    want = float(g.dot(h @ g)) + 0.0
-                    got = float(g.dot(h.dot(g))) + 0.0
-                assert struct.pack("d", got) == struct.pack("d", want), (h, g)
 
 
 class TestExactStepBits:
