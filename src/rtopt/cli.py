@@ -12,7 +12,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import RunConfig, check_config, load_config, run_config
+from .config import RunConfig, load_config, run_config
 from .errors import ConfigError, OracleError, require
 from .problems import list_problems
 from .reporting import export_trace, summarize
@@ -60,9 +60,9 @@ _OVERRIDES = ("output", "seed", "max_iterations", "tolerance")
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    """``cfg`` with the given flags applied, checked like a loaded config."""
+    """``cfg`` with the given flags applied; none of them names a catalog entry."""
     changes = {n: getattr(args, n) for n in _OVERRIDES if getattr(args, n, None) is not None}
-    return check_config(replace(cfg, **changes))
+    return replace(cfg, **changes)
 
 
 def _load_many(paths) -> list[RunConfig]:

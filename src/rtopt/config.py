@@ -4,11 +4,11 @@ A config file holds a single object or an array of objects, and loads
 as a list of runs either way.  The schema is :class:`RunConfig`: its
 field metadata says which algorithms take each field, and unspecified
 fields take its defaults.  Only the keys are checked here.  Every type
-and range rule of a value is ``RunConfig.check``'s, the rule that an
-``output`` path's ``.csv`` or ``.json`` suffix names its trace format
-among them; ``check_config`` applies them and checks the problem's name
-and dimension against the catalog, building no problem.  A violation
-raises a :class:`ConfigError` naming the field.
+and range rule of a value is applied by building the ``RunConfig``, the
+rule that an ``output`` path's ``.csv`` or ``.json`` suffix names its
+trace format among them; ``check_config`` checks the problem's name and
+dimension against the catalog, building no problem.  A violation raises
+a :class:`ConfigError` naming the field.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .drivers import (
     run_ma_tr,
     run_trust_region,
 )
-from .errors import ConfigError, as_str, require
+from .errors import ConfigError, require
 from .problems import get_problem, lookup_problem
 
 __all__ = [
@@ -45,9 +45,9 @@ _REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
 def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
-    """A raw mapping as a checked RunConfig.  The keys are checked here:
-    unknown, missing and inapplicable ones; ``check_config`` checks the
-    values."""
+    """A raw mapping as a RunConfig checked against the catalog.  The keys
+    are checked here: unknown, missing and inapplicable ones; building the
+    RunConfig checks the values."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object, got {type(raw).__name__}")
     for key in raw:
@@ -55,7 +55,7 @@ def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
     for key in _REQUIRED:
         require(key in raw, key, "required field is missing")
     algorithm = raw["algorithm"]
-    if algorithm in ALGORITHMS:  # any other value fails RunConfig.check, naming 'algorithm'
+    if algorithm in ALGORITHMS:  # any other value fails RunConfig, naming 'algorithm'
         for key in raw:
             takes = _TAKES[key]
             require(algorithm in takes, key, "not applicable to algorithm {!r} (valid for {})",
@@ -64,18 +64,17 @@ def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
 
 
 def check_config(cfg: RunConfig) -> RunConfig:
-    """Check ``cfg`` without building its problem: ``RunConfig.check``, then
-    the problem's name and the length of ``u0`` against the catalog; returns ``cfg``."""
-    cfg.check()
+    """Check ``cfg``'s problem name and the length of its ``u0`` against the
+    catalog, building no problem; returns ``cfg``."""
     _check_length(cfg, _lookup(cfg)[1])
     return cfg
 
 
 def _lookup(cfg: RunConfig) -> tuple[str, int]:
-    """(short id, dimension) of the problem ``cfg`` names; a name not a
-    string or not in the catalog raises a ConfigError naming ``problem``."""
+    """(short id, dimension) of the problem ``cfg`` names; a name not in
+    the catalog raises a ConfigError naming ``problem``."""
     try:
-        return lookup_problem(as_str("problem", cfg.problem))
+        return lookup_problem(cfg.problem)
     except KeyError as exc:
         raise ConfigError(f"field 'problem': {exc.args[0]}") from None
 

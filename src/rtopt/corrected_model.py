@@ -36,10 +36,11 @@ def check_alpha(alpha: float) -> float:
 
 
 def _floats(v) -> list:
-    """The entries of a vector as Python floats."""
+    """The entries of a vector as Python floats; any but a float vector is
+    checked as an input vector."""
     if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1:
         return v.tolist()
-    return np.asarray(v, dtype=float).ravel().tolist()
+    return as_input_vector(v).tolist()
 
 
 class ModifierFilter:

@@ -80,19 +80,19 @@ def _setting(default=MISSING, algorithms=ALGORITHMS, recorded=True):
     return field(default=default, metadata={"algorithms": algorithms, "recorded": recorded})
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """One run's settings: the config-file schema, the drivers' defaults
     and, for the fields each algorithm records, the key order of
     ``trace.config``.
 
-    ``check`` holds every type rule, the one each field's annotation
-    names, and the range rule of every setting, ``noise_level`` and
-    ``seed`` by the rule ``ProblemPair`` applies too; config files, driver
-    keywords and hand-built configs all pass through it.  The trust-region
-    helpers read the same fields, ``radius_max`` None being unbounded.  The
-    stopping rules are among them: the schemes iterate forever, and
-    stopping is the run's setting.
+    It is frozen, and building or ``replace``-ing one applies every type
+    rule, the one each field's annotation names, and the range rule of every
+    setting, ``noise_level`` and ``seed`` by the rule ``ProblemPair`` applies
+    too: config files, driver keywords and hand-built configs are valid once
+    built.  The trust-region helpers read the same fields, ``radius_max``
+    None being unbounded.  The stopping rules are among them: the schemes
+    iterate forever, and stopping is the run's setting.
     """
 
     problem: str = _setting()
@@ -115,20 +115,19 @@ class RunConfig:
 
     @property
     def format(self) -> str | None:
-        """The trace format a checked ``output`` names by its suffix, or
-        None without an output."""
+        """The trace format ``output`` names by its suffix, or None without
+        an output."""
         return None if self.output is None else self.output.rpartition(".")[2]
 
-    def check(self) -> RunConfig:
+    def __post_init__(self):
         """Read every field through the type rule its annotation names and
         store it as its Python type, check ``algorithm`` and the suffix of
         ``output`` against their names, then apply the range rule of every
-        setting; returns ``self``.  A violation raises ``ConfigError``
-        naming the field."""
+        setting.  A violation raises ``ConfigError`` naming the field."""
         for name, rule, default in _TYPED:
             value = getattr(self, name)
             if value is not default:  # a default is already of its type
-                setattr(self, name, rule(name, value))
+                object.__setattr__(self, name, rule(name, value))
         algorithm, output = self.algorithm, self.output
         require(algorithm in ALGORITHMS, "algorithm", "must be one of {}; got {!r}",
                 ", ".join(ALGORITHMS), algorithm)
@@ -153,7 +152,6 @@ class RunConfig:
         require(radius_max is None or delta0 <= radius_max, "delta0", "must not exceed radius_max")
         halfwidth = self.box_halfwidth
         require(halfwidth > 0.0, "box_halfwidth", "must be finite and > 0, got {}", halfwidth)
-        return self
 
 
 # RunConfig field annotation -> type rule
@@ -323,7 +321,6 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     an infinite radius and no acceptance test: it steps by
     ``_box_minimize`` and applies every candidate.
     """
-    cfg.check()
     _check_length(cfg, problem.dimension)
     ball = cfg.algorithm != "basic-ma"
     # each vector is checked where it enters, then shared read-only: never copied
@@ -433,7 +430,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
 
 
 def _check_length(cfg: RunConfig, dimension: int) -> None:
-    """Reject a checked ``cfg`` whose ``u0`` does not have ``dimension`` entries."""
+    """Reject a ``cfg`` whose ``u0`` does not have ``dimension`` entries."""
     n = len(cfg.u0)
     require(n == dimension, "u0", "length {} does not match problem dimension {}", n, dimension)
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OracleError, as_float, as_int, require
+from .errors import OracleError, _is_number, as_float, as_int, require
 
 __all__ = [
     "ScalarOracle",
@@ -33,15 +33,28 @@ __all__ = [
 _FLOAT64 = np.dtype(float)
 
 
+def _real_entries(u) -> bool:
+    """Whether ``u`` is a real number that is not a bool, or an array, list
+    or tuple of such entries: the numbers ``errors.as_vector`` accepts."""
+    u = u.tolist() if hasattr(u, "tolist") else u  # a NumPy array or scalar as Python values
+    return all(map(_real_entries, u)) if isinstance(u, (list, tuple)) else _is_number(u)
+
+
 def as_input_vector(u, dimension: int | None = None) -> np.ndarray:
     """Validate and copy a decision-variable vector.
 
-    Raises ValueError on wrong shape, wrong length, or non-finite entries.
+    Raises ValueError on entries that are not real numbers (bools and
+    strings included), wrong shape, wrong length, or non-finite entries.
     """
     if type(u) is np.ndarray and u.dtype is _FLOAT64 and u.ndim == 1:
         arr = u.copy()  # the general conversion's bytes, without its dispatch
     else:
-        arr = np.array(u, dtype=float, copy=True)
+        if not _real_entries(u):
+            raise ValueError(f"input entries must be real numbers, not bools or strings: {u!r}")
+        try:
+            arr = np.array(u, dtype=float, copy=True)
+        except OverflowError:  # an integer too large for a float
+            raise ValueError("input vector contains non-finite components") from None
         if arr.ndim == 0:
             arr = arr.reshape(1)
         if arr.ndim != 1:

@@ -403,12 +403,11 @@ def estimate_beta(model: CorrectedModel, radius: float) -> float:
     The bound is the largest ``|d.(grad(x + h d) - grad(x - h d))| / 2h``
     for the unit ray direction ``d`` at a few points ``x`` on the ray; it
     is advisory (a sample, not a proof) and falls back to
-    ``1 + _BETA_FLOOR_EPS`` on flat models.  Cancellation limits it: the
-    corrected gradient, modifiers included, is rounded to about
-    ``eps |grad|``, so a sample is off by up to about ``eps |grad| / h``
-    (``h = max(radius / 1000, 1e-8)``).  Where that dwarfs the curvature
-    (``P4``'s model at (1000, 1000), radius 1e-6) the difference is 0 or
-    a few rounding steps, and the estimate the floor or that error.
+    ``1 + _BETA_FLOOR_EPS`` on flat models.  ``grad`` is the base model's:
+    the constant modifiers cancel from the difference in exact arithmetic,
+    and added first their rounding, up to about ``eps |modifiers| / h``
+    (``h = max(radius / 1000, 1e-8)``), would swamp the curvature far from
+    the origin.  A curvature modifier would add its own exact ``d.E d``.
     """
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be > 0 and finite, got {radius}")
@@ -422,7 +421,8 @@ def estimate_beta(model: CorrectedModel, radius: float) -> float:
     largest = 0.0
     for i in range(_BETA_SAMPLES):
         x = anchor + (radius * i / _BETA_SAMPLES) * d
-        quotient = float(d.dot(model.gradient(x + h * d) - model.gradient(x - h * d))) / (2.0 * h)
+        difference = model.base_model.gradient(x + h * d) - model.base_model.gradient(x - h * d)
+        quotient = float(d.dot(difference)) / (2.0 * h)
         if math.isfinite(quotient):
             largest = max(largest, abs(quotient))
     return max(1.0 + _BETA_FLOOR_EPS, largest)

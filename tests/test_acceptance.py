@@ -180,7 +180,7 @@ def test_criterion_06_radius_update_conformance():
             shrink_factor=rng.uniform(0.01, 0.99),
             expansion_factor=1.0 + rng.uniform(0.01, 9.0),
             radius_max=None if case % 3 else radius * rng.uniform(1.0, 4.0),
-        ).check()
+        )
         cap = np.inf if constants.radius_max is None else constants.radius_max
         draw = rng.uniform()
         if draw < 0.05:

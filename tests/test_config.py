@@ -5,7 +5,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +291,33 @@ def test_an_output_names_its_format_from_every_entry_point(tmp_path, capsys, bui
     assert all(m.startswith(f"field '{key}': ") for m in messages.values()), messages
     assert len(set(messages.values())) == 1, messages
     assert built == Counter()
+
+
+class TestRunConfigIsValidOnceBuilt:
+    """Building or replacing a RunConfig applies every rule, and a built
+    one cannot change, so nothing downstream checks it again."""
+
+    def test_building_applies_the_range_rules(self):
+        with pytest.raises(ConfigError, match=r"^field 'delta0': "):
+            RunConfig(problem="P1", algorithm="ma-tr", u0=[0, 0], delta0=-1.0)
+
+    def test_replace_applies_the_range_rules(self):
+        cfg = RunConfig(problem="P1", algorithm="ma-tr", u0=[0, 0])
+        with pytest.raises(ConfigError, match=r"^field 'eta1': "):
+            replace(cfg, eta1=0.95, eta2=0.9)
+
+    def test_replace_reads_through_the_type_rules(self):
+        cfg = replace(RunConfig(problem="P1", algorithm="ma-tr", u0=(0, 1)), seed=np.int64(4))
+        assert cfg.u0 == [0.0, 1.0] and type(cfg.seed) is int
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_every_field_is_frozen(self, name):
+        cfg = RunConfig(problem="P1", algorithm="ma-tr", u0=[0, 0])
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
+
+    def test_there_is_no_separate_check(self):
+        assert not hasattr(RunConfig, "check")
 
 
 class TestRunConfigDispatch:

@@ -383,7 +383,7 @@ def loop_settings(draw):
         radius_max=draw(st.one_of(st.just(None), st.floats(1.0, 100.0).map(delta0.__mul__))),
         delta0=delta0,
     )
-    return settings, replace(DEFAULTS, **settings).check()
+    return settings, replace(DEFAULTS, **settings)
 
 
 class TestRandomQuadraticPairs:
@@ -1110,7 +1110,7 @@ class TestArgumentRules:
             (lambda p: run_basic_ma(p, [0.0, 0.0], alpha=1.5), "alpha"),
             (lambda p: run_ma_tr(p, [0.0, 0.0], radius_max=math.inf), "radius_max"),
             (lambda p: RunConfig(problem="P1", algorithm="trust-region", u0=[0.0, 0.0],
-                                 radius_max=math.inf).check(), "radius_max"),
+                                 radius_max=math.inf), "radius_max"),
             (lambda p: get_problem("P1", noise_level=float("nan")), "noise_level"),
             (lambda p: get_problem("P1", seed=-1), "seed"),
             (lambda p: run_ma_tr(p, [0.0, 0.0], max_iterations=100.0), "max_iterations"),

@@ -15,7 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rtopt import CorrectedModel, OracleError, ScalarOracle
+from rtopt import (
+    ConfigError,
+    CorrectedModel,
+    ModifierFilter,
+    OracleError,
+    ScalarOracle,
+    get_problem,
+    run_ma_tr,
+)
 from rtopt.problems import as_input_vector
 
 
@@ -70,6 +78,37 @@ def test_as_input_vector_matches_reference(u, dimension_mode):
     assert got.tobytes() == expected.tobytes()
     got[...] = -1.0
     assert np.array_equal(np.asarray(u), np.asarray(snapshot))
+
+
+# entries errors.as_vector rejects, which NumPy's float conversion takes or raises TypeError on
+NOT_REAL = [["1.5", "2"], [True, False], [1 + 0j, 2], np.array([True, False])]
+
+
+@pytest.mark.parametrize("u", NOT_REAL, ids=["strings", "bools", "complex", "bool-array"])
+def test_entries_follow_the_config_rule_for_numbers(u):
+    with pytest.raises(ValueError, match="must be real numbers, not bools or strings"):
+        as_input_vector(u, 2)
+    with pytest.raises(ConfigError, match=r"^field 'u0': "):
+        run_ma_tr(get_problem("P1"), u)
+
+
+@pytest.mark.parametrize("u", [[10**400, 0], [0, -(10**400)]])
+def test_an_integer_too_large_for_a_float_is_non_finite(u):
+    with pytest.raises(ValueError, match="non-finite components"):
+        as_input_vector(u, 2)
+    with pytest.raises(ConfigError, match=r"^field 'u0': "):
+        run_ma_tr(get_problem("P1"), u)
+
+
+@pytest.mark.parametrize("u", [*NOT_REAL, [[1.0], [2.0]]],
+                         ids=["strings", "bools", "complex", "bool-array", "column"])
+def test_filter_takes_only_vectors(u):
+    filt = ModifierFilter(1.0, 2)
+    with pytest.raises(ValueError):
+        filt.update(u, [0.0, 0.0])
+    with pytest.raises(ValueError):
+        filt.update([0.0, 0.0], u)
+    assert filt.previous.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -156,6 +156,24 @@ class TestScalarOracle:
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             ScalarOracle(lambda u: 0.0, lambda u: u, dimension)
 
+    @pytest.mark.parametrize(
+        "convert",
+        [list, lambda g: g.astype(np.float32), lambda g: g.reshape(-1, 1)],
+        ids=["list", "float32", "column"],
+    )
+    def test_gradient_output_is_converted_to_a_float_vector(self, convert):
+        grad = np.array([0.5, -1.25, 3.0])  # exact in float32 too
+        oracle = ScalarOracle(lambda u: 0.0, lambda u: convert(grad), 3)
+        out = oracle.gradient([0.0, 0.0, 0.0])
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == (3,)
+        assert out.tobytes() == grad.tobytes()
+
+    @pytest.mark.parametrize("output", [[0.0, 0.0, 0.0], np.zeros((2, 2))], ids=["list", "matrix"])
+    def test_converted_gradient_of_wrong_length_signals_failure(self, output):
+        oracle = ScalarOracle(lambda u: 0.0, lambda u: output, 2)
+        with pytest.raises(OracleError, match="gradient length"):
+            oracle.gradient([0.0, 0.0])
+
     def test_wrong_gradient_length_signals_failure(self):
         oracle = ScalarOracle(lambda u: 0.0, lambda u: np.zeros(3), 2)
         with pytest.raises(OracleError, match="gradient length"):

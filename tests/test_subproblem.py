@@ -341,6 +341,26 @@ class TestSolveSubproblem:
         assert sum(kept for kept, *_ in reused) >= 25
         assert [r for kept, _, r in again if kept] == [r for kept, _, r in reused if kept]
 
+    def test_cauchy_point_overrides_a_worse_descent_without_a_hessian(self):
+        # The descent's tie rule can keep a point a rounding step worse than
+        # the Cauchy point it started from (at anchor (0.89, -0.81), radius
+        # 10**-5.8, on this double well); the solve then returns that point.
+        well = ScalarOracle(
+            lambda u: float(np.sum(u**4) - np.sum(u**2)), lambda u: 4.0 * u**3 - 2.0 * u, 2
+        )
+        rng = np.random.default_rng(0)
+        overrides = 0
+        for _ in range(512):
+            cm = CorrectedModel(well, [0.0, 0.0], anchor=rng.uniform(-1.5, 1.5, 2))
+            radius = 10.0 ** rng.uniform(-6.0, -3.0)
+            result = solve_subproblem(cm, radius)
+            if result.cauchy_override_applied:
+                overrides += 1
+                cp, cp_change = cauchy_point(cm, radius)
+                assert result.candidate.tobytes() == cp.tobytes()
+                assert result.predicted_change == cp_change
+        assert overrides >= 1
+
 
 class TestProjectedDescent:
     def test_reaches_the_minimizer_below_value_rounding(self):
@@ -726,6 +746,16 @@ class TestEstimateBeta:
         values = p.model.value_calls
         assert estimate_beta(cm, radius) == pytest.approx(2.0, abs=1e-3)
         assert p.model.value_calls == values  # the gradient is differenced, never the value
+
+    def test_far_anchors_keep_the_curvature_at_a_tiny_radius(self):
+        # the modifiers here reach ~1e10: differenced with the gradient, their
+        # rounding gave the floor or up to 26.5, never within 1e-3 of 2
+        p = get_problem("P4")
+        estimates = []
+        for anchor in np.random.default_rng(7).uniform(-1000.0, 1000.0, (300, 2)):
+            lam = p.plant_gradient(anchor) - p.model_gradient(anchor)
+            estimates.append(estimate_beta(CorrectedModel(p.model, lam, anchor), 1e-6))
+        assert max(abs(b - 2.0) for b in estimates) < 1e-4
 
 
 def _reference_exact_step(w, q, gt, radius):

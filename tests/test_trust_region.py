@@ -30,7 +30,7 @@ DEFAULTS = RunConfig(problem="P1", algorithm="ma-tr", u0=[0.0, 0.0])
 
 class TestConstants:
     def test_defaults_are_valid(self):
-        c = DEFAULTS.check()
+        c = DEFAULTS
         assert c.eta1 == 0.1 and c.eta2 == 0.9
         assert c.shrink_factor == 0.5
         assert c.expansion_factor == 2.0
@@ -171,7 +171,7 @@ class TestUpdateRadius:
         assert update_radius(1.0, None, DEFAULTS) == 0.5
 
     def test_expansion_respects_radius_max(self):
-        c = replace(DEFAULTS, radius_max=1.5).check()
+        c = replace(DEFAULTS, radius_max=1.5)
         assert update_radius(1.0, 0.99, c) == 1.5
 
     def test_nonpositive_radius_rejected(self):
@@ -193,7 +193,7 @@ class TestUpdateRadius:
             eta2=min(eta1 + eta_gap, 0.99),
             shrink_factor=shrink,
             expansion_factor=expansion,
-        ).check()
+        )
         out = update_radius(radius, rho, constants)
         if rho is not None and rho >= constants.eta2:
             assert out == expansion * radius
