@@ -30,7 +30,7 @@ def baseline(text: str) -> None:
                       r" \(one per reference it solved from\) and ([\d,]+) plant probes", words)
     if found is None:
         sys.exit("README.md has no baseline sentence")
-    checks = re.search(r"baseline run.s ([\d,]+) `as_input_vector` calls", words)
+    checks = re.search(r"baseline run.s ([\d,]+) `as_input_vector` calls?", words)
     if checks is None:
         sys.exit("README.md has no baseline input-check sentence")
     names = ("model_values", "model_gradients", "plant_probes", "as_input_vector_calls")

@@ -99,10 +99,12 @@ class CorrectedModel:
     (``measured_base_value``).
 
     A run passes the private ``_run=(base_value, base_gradient)``, the
-    base model's value (None: measured here) and gradient at the anchor.
-    Its anchor, modifiers and gradient, which the oracles and the filter
-    checked, are then kept as given, and the anchor terms are computed at
-    once under the run's errstate, which ``errstate()`` then leaves as is.
+    base model's value (None: measured when a value change first needs
+    it) and gradient at the anchor.  Its anchor, modifiers and gradient,
+    which the oracles and the filter checked, are then kept as given, and
+    the anchor terms are computed at once under the run's errstate, which
+    ``errstate()`` then leaves as is.  Such a model hands the base oracle
+    a read-only float vector, the point its solver checked, unchecked.
     """
 
     def __init__(
@@ -125,9 +127,9 @@ class CorrectedModel:
         plant = None if plant_value_at_anchor is None else float(plant_value_at_anchor)
         if plant is not None and not math.isfinite(plant):
             raise ValueError(f"plant_value_at_anchor must be finite, got {plant}")
-        if base_value is None:
+        if base_value is None and not self._in_run:
             base_value = base_model.value(self.anchor)
-        self._model_at_anchor = float(base_value)
+        self._model_at_anchor = base_value
         self._plant_value = plant
         # (point bytes, base value, change) of the last point measured
         self._measured = (b"none", None, None)  # 4 bytes: no float vector's, nor None
@@ -139,7 +141,8 @@ class CorrectedModel:
         return self.base_model.dimension
 
     # u goes to the base oracle unconverted: its input check is the only
-    # validation, and it raises before any arithmetic below.
+    # validation, and it raises before any arithmetic below.  A run's model
+    # skips it for a read-only float vector: its solver checked that point.
 
     def value(self, u) -> float:
         """Corrected value at u: model(u) + modifiers . u, or with the shift
@@ -149,7 +152,7 @@ class CorrectedModel:
         at_anchor = self._plant_value
         if at_anchor is None:
             with np.errstate(over="ignore", invalid="ignore"):
-                at_anchor = self._model_at_anchor + float(self.modifiers @ self.anchor)
+                at_anchor = self._base_at_anchor() + float(self.modifiers @ self.anchor)
         return at_anchor + self.value_change(u)
 
     def gradient(self, u) -> np.ndarray:
@@ -202,14 +205,21 @@ class CorrectedModel:
         point, _, change = self._measured
         if point == key:
             return change
-        base = self.base_model.value(u)
+        base = self.base_model.value(u, _checked=vector and self._in_run and not u.flags.writeable)
         if not vector:
             u = np.asarray(u, dtype=float)
             key = u.tobytes()
         # + 0.0: at n = 1 dot returns -0.0 where @ returns +0.0
-        change = base - self._model_at_anchor + (float(self.modifiers.dot(u - self.anchor)) + 0.0)
+        change = base - self._base_at_anchor() + (float(self.modifiers.dot(u - self.anchor)) + 0.0)
         self._measured = (key, base, change)
         return change
+
+    def _base_at_anchor(self) -> float:
+        """The base model's value at the anchor, which a run's model given
+        none measures here, once."""
+        if self._model_at_anchor is None:
+            self._model_at_anchor = self.base_model.value(self.anchor, _checked=True)
+        return self._model_at_anchor
 
     def measured_base_value(self, u) -> float | None:
         """The base model's value at the array u if u, to the bit, is the

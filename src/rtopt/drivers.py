@@ -90,14 +90,16 @@ class RunConfig:
     rule, the one each field's annotation names, and the range rule of every
     setting, ``noise_level`` and ``seed`` by the rule ``ProblemPair`` applies
     too: config files, driver keywords and hand-built configs are valid once
-    built.  The trust-region helpers read the same fields, ``radius_max``
-    None being unbounded.  The stopping rules are among them: the schemes
-    iterate forever, and stopping is the run's setting.
+    built.  ``u0`` is stored as a tuple of floats, so no field can change in
+    place; ``trace.config`` records it as a list.  The trust-region helpers
+    read the same fields, ``radius_max`` None being unbounded.  The stopping
+    rules are among them: the schemes iterate forever, and stopping is the
+    run's setting.
     """
 
     problem: str = _setting()
     algorithm: str = _setting()
-    u0: list = _setting()
+    u0: tuple = _setting()
     delta0: float = _setting(1.0, _LOOPS)
     eta1: float = _setting(0.1, _LOOPS)
     eta2: float = _setting(0.9, _LOOPS)
@@ -157,7 +159,7 @@ class RunConfig:
 # RunConfig field annotation -> type rule
 _RULES = {
     "str": as_str,
-    "list": as_vector,
+    "tuple": as_vector,
     "float": as_float,
     "int": as_int,
     "float | None": or_none(as_float),
@@ -323,7 +325,9 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     """
     _check_length(cfg, problem.dimension)
     ball = cfg.algorithm != "basic-ma"
-    # each vector is checked where it enters, then shared read-only: never copied
+    # Each vector is checked once where it is made, then shared read-only and never
+    # copied: the start here, a candidate by its solver, a measurement by its oracle.
+    # The oracles take the run's vectors as they are (_checked=True).
     u = as_input_vector(cfg.u0, problem.dimension)
     u.setflags(write=False)
     config = {name: getattr(cfg, name) for name in _RECORDED[cfg.algorithm]}
@@ -341,8 +345,8 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     state = model = model_value = model_grad = None
     filt = ModifierFilter(cfg.alpha, problem.dimension)
     try:
-        ref_value = problem.evaluate_plant(u)
-        ref_grad = problem.plant_gradient(u)
+        ref_value = problem.evaluate_plant(u, _checked=True)
+        ref_grad = problem.plant_gradient(u, _checked=True)
         radius0 = cfg.delta0 if ball else math.inf
         state = TrustRegionState(reference=u, radius=radius0, reference_plant_value=ref_value)
         gnorm = _norm(ref_grad)
@@ -363,9 +367,11 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             # the model with its anchor terms stay; a lower gain steps it every iteration.
             if model is None or filt.alpha < 1.0:
                 if model_grad is None:
-                    model_grad = problem.model_gradient(state.reference)
-                    if model_value is None:  # the start, or one the solve did not measure
-                        model_value = problem.evaluate_model(state.reference)
+                    model_grad = problem.model_gradient(state.reference, _checked=True)
+                    # the start, or one the solve did not measure; basic-ma's model
+                    # measures it when a step needs it, which the closed form never does
+                    if model_value is None and ball:
+                        model_value = problem.evaluate_model(state.reference, _checked=True)
                 lam = filt.update(ref_grad, model_grad)
                 if model is None or lam.tobytes() != model.modifiers.tobytes():
                     # the reference and both gradients are the oracles' checked vectors
@@ -386,7 +392,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             if status is not None:
                 break
             candidate.setflags(write=False)
-            cand_value = problem.evaluate_plant(candidate)
+            cand_value = problem.evaluate_plant(candidate, _checked=True)
             if ball:
                 # The model enters the ratio as its change from the anchor,
                 # which is the same with or without the value shift.
@@ -404,7 +410,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             if accepted:  # NaN if the probe fails: the old gradient is not the new one's
                 model_value = model.measured_base_value(state.reference)
                 ref_grad, model, model_grad = unmeasured, None, None
-                ref_grad = problem.plant_gradient(state.reference)
+                ref_grad = problem.plant_gradient(state.reference, _checked=True)
                 gnorm = _norm(ref_grad)
     except OracleError:
         status = "oracle-failure"

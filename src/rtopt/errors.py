@@ -52,9 +52,9 @@ def as_str(name: str, v) -> str:
     return v
 
 
-def as_vector(name: str, v) -> list:
+def as_vector(name: str, v) -> tuple:
     """A list, tuple or 1-D NumPy array of finite numbers, or one number,
-    as a non-empty list of floats."""
+    as a non-empty tuple of floats."""
     if hasattr(v, "tolist"):  # a NumPy array or scalar
         v = v.tolist()
     if _is_number(v):
@@ -63,7 +63,7 @@ def as_vector(name: str, v) -> list:
     for x in v:
         ok = _is_number(x) and _is_finite(x)
         require(ok, name, "components must be finite numbers, got {!r}", x)
-    return [float(x) for x in v]
+    return tuple(float(x) for x in v)
 
 
 def or_none(rule):

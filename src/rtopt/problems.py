@@ -105,6 +105,14 @@ class ScalarOracle:
     Every ``value``/``gradient`` call increments the corresponding counter
     by exactly one.  Non-finite results and an ``ArithmeticError`` raised
     by a wrapped function (an overflow) raise :class:`OracleError`.
+
+    Each call checks its input with ``as_input_vector`` and hands the
+    wrapped function a read-only copy.  A run passes the private
+    ``_checked=True`` with a vector it has already checked, a read-only
+    finite 1-D float vector of length ``dimension``: the function gets that
+    vector itself.
+    So a wrapped function must not write into its argument; one that does
+    raises ``ValueError``.
     """
 
     def __init__(
@@ -133,8 +141,10 @@ class ScalarOracle:
         none was declared.  The oracle computes them when it is built."""
         return self._eigh
 
-    def value(self, u) -> float:
-        u = as_input_vector(u, self.dimension)
+    def value(self, u, *, _checked: bool = False) -> float:
+        if not _checked:
+            u = as_input_vector(u, self.dimension)
+            u.setflags(write=False)
         self.value_calls += 1
         try:
             out = float(self._value_fn(u))
@@ -144,8 +154,10 @@ class ScalarOracle:
             raise OracleError(f"oracle value is non-finite at u={u!r}")
         return out
 
-    def gradient(self, u) -> np.ndarray:
-        u = as_input_vector(u, self.dimension)
+    def gradient(self, u, *, _checked: bool = False) -> np.ndarray:
+        if not _checked:
+            u = as_input_vector(u, self.dimension)
+            u.setflags(write=False)
         self.gradient_calls += 1
         try:
             out = self._grad_fn(u)
@@ -186,6 +198,10 @@ class ProblemPair:
     Noiseless pairs are stateless apart from the call counters and may be
     shared across concurrent read-only runs when per-run counts are not
     needed; a noisy pair carries generator state and belongs to one run.
+
+    Each method passes its input to the oracle's check.  A run passes the
+    private ``_checked=True`` with a vector it has already checked (see
+    :class:`ScalarOracle`), which goes to the oracle unchecked.
     """
 
     def __init__(
@@ -205,16 +221,16 @@ class ProblemPair:
         self.model = model
         self._rng = np.random.default_rng(self.seed) if self.noise_level > 0.0 else None
 
-    def evaluate_plant(self, u) -> float:
-        val = self.plant.value(u)
+    def evaluate_plant(self, u, *, _checked: bool = False) -> float:
+        val = self.plant.value(u, _checked=_checked)
         if self.noise_level > 0.0:
             val += self.noise_level * self._rng.standard_normal()
             if not math.isfinite(val):
                 raise OracleError(f"noisy plant value is non-finite at u={u!r}")
         return val
 
-    def plant_gradient(self, u) -> np.ndarray:
-        grad = self.plant.gradient(u)
+    def plant_gradient(self, u, *, _checked: bool = False) -> np.ndarray:
+        grad = self.plant.gradient(u, _checked=_checked)
         if self.noise_level > 0.0:
             # Python floats: NumPy's element-wise bits, and an overflow is a quiet inf
             noise = self._rng.standard_normal(self.dimension).tolist()
@@ -223,11 +239,11 @@ class ProblemPair:
                 raise OracleError(f"noisy plant gradient is non-finite at u={u!r}")
         return grad
 
-    def evaluate_model(self, u) -> float:
-        return self.model.value(u)
+    def evaluate_model(self, u, *, _checked: bool = False) -> float:
+        return self.model.value(u, _checked=_checked)
 
-    def model_gradient(self, u) -> np.ndarray:
-        return self.model.gradient(u)
+    def model_gradient(self, u, *, _checked: bool = False) -> np.ndarray:
+        return self.model.gradient(u, _checked=_checked)
 
     def plant_evaluations(self) -> tuple[int, int]:
         """(value calls, gradient calls) made against the plant so far."""

@@ -327,13 +327,14 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     radius around its anchor.
 
     A model with a constant Hessian is minimized exactly, its step
-    projected onto the ball and measured once; the Cauchy point overrides
-    a step that is not finite, and the anchor replaces one whose change
-    rounds above 0.  Otherwise projected descent starts from the Cauchy
-    point with its measured change, spends at most ``_DESCENT_BUDGET``
-    model values and gradients, and a worse candidate is overridden by the
-    Cauchy point.  The candidate is returned whether or not it decreases
-    the model; its ``predicted_change`` says which.
+    projected onto the ball, checked finite, marked read-only and measured
+    once; the Cauchy point overrides a step that is not finite, and the
+    anchor replaces one whose change rounds above 0.  Otherwise projected
+    descent starts from the Cauchy point with its measured change, spends
+    at most ``_DESCENT_BUDGET`` model values and gradients, and a worse
+    candidate is overridden by the Cauchy point.  The candidate is
+    returned whether or not it decreases the model; its
+    ``predicted_change`` says which.
     """
     if not radius > 0:  # NaN fails too
         raise ValueError(f"radius must be > 0, got {radius}")
@@ -347,6 +348,7 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
             step = project(anchor + _exact_step(w, q, gt, radius, first))
         if not all(map(math.isfinite, step.tolist())):  # eigenvalues tiny beside g
             return SubproblemResult(*cauchy_point(model, radius), True, 0)
+        step.setflags(write=False)  # checked here: a run's oracle takes it as it is
         change = model.value_change(step)
         if change > 0.0:  # the anchor is in the ball: a minimizer's increase is rounding
             step, change = anchor.copy(), 0.0

@@ -92,7 +92,7 @@ class TestLoadConfig:
     def test_scalar_u0_promoted_for_1d(self, tmp_path):
         path = write_config(tmp_path, {"problem": "P2", "algorithm": "ma-tr", "u0": 3.0})
         [cfg] = load_config(path)
-        assert cfg.u0 == [3.0]
+        assert cfg.u0 == (3.0,)
 
 
 class TestValidation:
@@ -308,13 +308,22 @@ class TestRunConfigIsValidOnceBuilt:
 
     def test_replace_reads_through_the_type_rules(self):
         cfg = replace(RunConfig(problem="P1", algorithm="ma-tr", u0=(0, 1)), seed=np.int64(4))
-        assert cfg.u0 == [0.0, 1.0] and type(cfg.seed) is int
+        assert cfg.u0 == (0.0, 1.0) and type(cfg.seed) is int
 
     @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
     def test_every_field_is_frozen(self, name):
         cfg = RunConfig(problem="P1", algorithm="ma-tr", u0=[0, 0])
         with pytest.raises(FrozenInstanceError):
             setattr(cfg, name, getattr(cfg, name))
+
+    def test_u0_is_a_tuple_of_floats(self):
+        # a frozen config holds nothing that changes in place; the trace records a list
+        for u0 in ([0, 1], (0, 1), np.array([0.0, 1.0])):
+            cfg = RunConfig(problem="P1", algorithm="ma-tr", u0=u0)
+            assert type(cfg.u0) is tuple and all(type(x) is float for x in cfg.u0)
+            with pytest.raises(TypeError):
+                cfg.u0[0] = "x"
+        assert run_config(cfg).config["u0"] == [0.0, 1.0]
 
     def test_there_is_no_separate_check(self):
         assert not hasattr(RunConfig, "check")

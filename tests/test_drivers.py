@@ -623,12 +623,21 @@ class TestMaTrDriver:
         assert trace.termination_status == "oracle-failure"
         assert trace.iterations == 0 and trace.plant_evaluation_count == 2
 
-    @pytest.mark.parametrize("run", [run_basic_ma, run_trust_region, run_ma_tr])
+    @pytest.mark.parametrize("run", [run_trust_region, run_ma_tr])
     def test_sphere_model_overflow_is_an_oracle_failure(self, run):
         # on P3's valley the plant value is finite, but the sphere model's u . u overflows
         trace = run(get_problem("P3"), [1.2e77, 1.44e154])
         assert trace.termination_status == "oracle-failure"
         assert trace.iterations == 0 and trace.plant_evaluation_count == 2
+
+    def test_basic_ma_measures_no_model_value_with_a_hessian(self):
+        # the closed-form step reads the model's gradient and Hessian only, so the
+        # sphere's overflowing u . u is never measured and the step leaves the box
+        p = get_problem("P3")
+        trace = run_basic_ma(p, [1.2e77, 1.44e154])
+        assert trace.termination_status == "outside-box"
+        assert trace.iterations == 0 and trace.plant_evaluation_count == 2
+        assert (p.model.value_calls, p.model.gradient_calls) == (0, 1)
 
     def test_overflowing_user_plant_is_an_oracle_failure(self):
         plant = ScalarOracle(lambda u: float(u[0]) ** 4, lambda u: 4.0 * u**3, 1)
@@ -844,6 +853,14 @@ class TestModelReuse:
     """A rejected step keeps the reference, its measured gradients and the
     corrected model; only the modifier filter may move the model."""
 
+    @pytest.mark.parametrize("alpha", [1.0, 0.3])
+    def test_basic_ma_spends_no_model_value_with_a_hessian(self, alpha):
+        # its closed-form step reads the anchor terms only: one model gradient per reference
+        problem = get_problem("P1", noise_level=0.02, seed=1)
+        trace = run_basic_ma(problem, [0.0, 0.0], alpha=alpha, max_iterations=100)
+        assert trace.iterations == 100
+        assert (problem.model.value_calls, problem.model.gradient_calls) == (0, 100)
+
     def test_one_model_gradient_per_reference(self):
         problem = get_problem("P3")
         trace = run_ma_tr(problem, STARTS["P3"])
@@ -978,10 +995,10 @@ class TestModelReuse:
         assert remeasured == trace
 
     def test_validation_per_iteration_is_pinned(self, monkeypatch):
-        # the README's P3 baseline run: each vector is checked where it enters
-        # an oracle (the exact step, the plant value and both gradients at an
-        # accepted reference) and once as the start; a re-check anywhere else
-        # in the loop, such as accepting a candidate, adds to the count
+        # the README's P3 baseline run: the start is the one vector checked as
+        # an input vector; the solver checks each exact step finite, and the
+        # oracles take the run's vectors as they are, so a re-check anywhere
+        # in the loop, such as an oracle's or accepting a candidate, adds to it
         problem = get_problem("P3")
         calls = []
 
@@ -993,7 +1010,7 @@ class TestModelReuse:
             monkeypatch.setattr(module, "as_input_vector", counted)
         trace = run_ma_tr(problem, [-1.2, 1.0])
         assert (trace.iterations, trace.accepted_count) == (500, 479)
-        assert len(calls) == 1962
+        assert len(calls) == 1
 
 
 class TestSharedVectors:
