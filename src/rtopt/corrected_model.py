@@ -49,12 +49,13 @@ class ModifierFilter:
     With gain 1 the update reduces to the raw gradient gap.  With gain
     below 1 the coefficients approach a constant raw gap geometrically
     with ratio (1 - gain), and the corrected gradient no longer matches
-    the plant gradient exactly at the reference.
+    the plant gradient exactly at the reference.  ``previous`` is read-only.
     """
 
     def __init__(self, alpha: float, dimension: int):
         self.alpha = check_alpha(alpha)
         self.previous = np.zeros(dimension)
+        self.previous.setflags(write=False)
 
     def update(self, plant_grad, model_grad) -> np.ndarray:
         """The next coefficients, ``alpha * (plant_grad - model_grad) +
@@ -75,7 +76,8 @@ class ModifierFilter:
                 raise ValueError("gradients must be finite")
             raise OracleError("the gap between plant and model gradients overflows")
         self.previous = np.array(lam)
-        return self.previous.copy()
+        self.previous.setflags(write=False)
+        return self.previous
 
 
 class CorrectedModel:
@@ -86,23 +88,24 @@ class CorrectedModel:
     base_model : ScalarOracle
         The nominal model.
     modifiers : array
-        Linear correction coefficients.
+        Linear correction coefficients, kept as a read-only checked copy.
     anchor : array
-        Reference point the correction was computed at.
+        Reference point the correction was computed at, kept likewise.
     plant_value_at_anchor : float, optional
         Measured plant value at the anchor.  When given, it must be finite,
         and a constant is added so that ``value(anchor)`` equals it exactly.
 
-    The base model's value and the change at the last point
-    ``value_change`` measured are kept: ``value_change`` answers that
-    point from them, and the caller's next model may be anchored there
+    Building a model calls no oracle.  The base model's value at the anchor
+    is measured when first needed, and its value and the change at the last
+    point ``value_change`` measured are kept: ``value_change`` answers that
+    point from them, and the next model may be anchored there
     (``measured_base_value``).
 
     A run passes the private ``_run=(base_value, base_gradient)``, the
-    base model's value (None: measured when a value change first needs
-    it) and gradient at the anchor.  Its anchor, modifiers and gradient,
-    which the oracles and the filter checked, are then kept as given, and
-    the anchor terms are computed at once under the run's errstate, which
+    base model's value (None: measured when first needed) and gradient at
+    the anchor.  Its anchor, modifiers and gradient, read-only vectors the
+    oracles and the filter checked, are then kept as given, and the anchor
+    terms are computed at once under the run's errstate, which
     ``errstate()`` then leaves as is.  Such a model hands the base oracle
     a read-only float vector, the point its solver checked, unchecked.
     """
@@ -119,16 +122,12 @@ class CorrectedModel:
         self.base_model = base_model
         self._in_run = _run is not None
         base_value, base_gradient = _run or (None, None)
-        if self._in_run:
-            self.anchor, self.modifiers = anchor, modifiers
-        else:
-            self.anchor = as_input_vector(anchor, base_model.dimension)
-            self.modifiers = as_input_vector(modifiers, base_model.dimension)
+        if not self._in_run:
+            anchor, modifiers = (as_input_vector(v, self.dimension) for v in (anchor, modifiers))
+        self.anchor, self.modifiers = anchor, modifiers
         plant = None if plant_value_at_anchor is None else float(plant_value_at_anchor)
         if plant is not None and not math.isfinite(plant):
             raise ValueError(f"plant_value_at_anchor must be finite, got {plant}")
-        if base_value is None and not self._in_run:
-            base_value = base_model.value(self.anchor)
         self._model_at_anchor = base_value
         self._plant_value = plant
         # (point bytes, base value, change) of the last point measured
@@ -146,14 +145,14 @@ class CorrectedModel:
 
     def value(self, u) -> float:
         """Corrected value at u: model(u) + modifiers . u, or with the shift
-        the measured plant value at the anchor plus the change from it.  The
-        value at the anchor is computed here, on demand: no value change
-        reads it, and far from the origin its modifiers . anchor may overflow."""
-        at_anchor = self._plant_value
-        if at_anchor is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                at_anchor = self._base_at_anchor() + float(self.modifiers @ self.anchor)
-        return at_anchor + self.value_change(u)
+        the measured plant value at the anchor plus the change from it, which
+        is measured first, so a bad u raises before any oracle call.  No value
+        change reads modifiers . anchor, which far from the origin may overflow."""
+        change = self.value_change(u)
+        if self._plant_value is not None:
+            return self._plant_value + change
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._base_at_anchor() + float(self.modifiers @ self.anchor) + change
 
     def gradient(self, u) -> np.ndarray:
         """Corrected gradient at u; identical with or without the shift."""
@@ -215,8 +214,8 @@ class CorrectedModel:
         return change
 
     def _base_at_anchor(self) -> float:
-        """The base model's value at the anchor, which a run's model given
-        none measures here, once."""
+        """The base model's value at the anchor, measured here, once, unless
+        a run handed it over."""
         if self._model_at_anchor is None:
             self._model_at_anchor = self.base_model.value(self.anchor, _checked=True)
         return self._model_at_anchor

@@ -285,13 +285,14 @@ def _box_minimize(model: CorrectedModel, halfwidth: float, rng: np.random.Genera
             ):
                 return current, "unbounded-subproblem"
         point = current - q @ step
+        point.setflags(write=False)
         # an overflowed step is outside too: NaN fails the comparison
         return point, None if all(abs(x) <= halfwidth for x in point.tolist()) else "outside-box"
 
     def project(u):
         return np.clip(u, -halfwidth, halfwidth)
 
-    starts = [np.zeros(model.dimension), current.copy()]
+    starts = [np.zeros(model.dimension), current]
     starts.extend(rng.normal(scale=10.0, size=model.dimension) for _ in range(_BOX_RANDOM_STARTS))
 
     best_x = None
@@ -325,11 +326,9 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     """
     _check_length(cfg, problem.dimension)
     ball = cfg.algorithm != "basic-ma"
-    # Each vector is checked once where it is made, then shared read-only and never
-    # copied: the start here, a candidate by its solver, a measurement by its oracle.
-    # The oracles take the run's vectors as they are (_checked=True).
+    # Each point is checked once, the start here and a candidate by its solver, and is then
+    # shared read-only, never copied: the run's oracle calls take it as it is (_checked).
     u = as_input_vector(cfg.u0, problem.dimension)
-    u.setflags(write=False)
     config = {name: getattr(cfg, name) for name in _RECORDED[cfg.algorithm]}
     config["u0"] = u.tolist()
     v0, g0 = problem.plant_evaluations()
@@ -367,15 +366,13 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
             # the model with its anchor terms stay; a lower gain steps it every iteration.
             if model is None or filt.alpha < 1.0:
                 if model_grad is None:
-                    model_grad = problem.model_gradient(state.reference, _checked=True)
+                    model_grad = problem.model.gradient(state.reference, _checked=True)
                     # the start, or one the solve did not measure; basic-ma's model
                     # measures it when a step needs it, which the closed form never does
                     if model_value is None and ball:
-                        model_value = problem.evaluate_model(state.reference, _checked=True)
+                        model_value = problem.model.value(state.reference, _checked=True)
                 lam = filt.update(ref_grad, model_grad)
                 if model is None or lam.tobytes() != model.modifiers.tobytes():
-                    # the reference and both gradients are the oracles' checked vectors
-                    lam.setflags(write=False)
                     model = CorrectedModel(
                         problem.model, lam, state.reference, _run=(model_value, model_grad)
                     )
@@ -391,7 +388,6 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 candidate, status = _box_minimize(model, cfg.box_halfwidth, rng)
             if status is not None:
                 break
-            candidate.setflags(write=False)
             cand_value = problem.evaluate_plant(candidate, _checked=True)
             if ball:
                 # The model enters the ratio as its change from the anchor,

@@ -41,7 +41,8 @@ def _real_entries(u) -> bool:
 
 
 def as_input_vector(u, dimension: int | None = None) -> np.ndarray:
-    """Validate and copy a decision-variable vector.
+    """Validate a decision-variable vector and return a read-only copy,
+    which shares no memory with ``u``: writing into it raises ValueError.
 
     Raises ValueError on entries that are not real numbers (bools and
     strings included), wrong shape, wrong length, or non-finite entries.
@@ -65,6 +66,7 @@ def as_input_vector(u, dimension: int | None = None) -> np.ndarray:
         )
     if not all(map(math.isfinite, arr.tolist())):
         raise ValueError("input vector contains non-finite components")
+    arr.setflags(write=False)
     return arr
 
 
@@ -107,12 +109,10 @@ class ScalarOracle:
     by a wrapped function (an overflow) raise :class:`OracleError`.
 
     Each call checks its input with ``as_input_vector`` and hands the
-    wrapped function a read-only copy.  A run passes the private
-    ``_checked=True`` with a vector it has already checked, a read-only
-    finite 1-D float vector of length ``dimension``: the function gets that
-    vector itself.
-    So a wrapped function must not write into its argument; one that does
-    raises ``ValueError``.
+    wrapped function that read-only copy.  A run and its models pass the
+    private ``_checked=True`` with a vector already checked, which the
+    function gets itself.  Either way the argument is read-only: a wrapped
+    function that writes into it raises ``ValueError``.
     """
 
     def __init__(
@@ -142,9 +142,7 @@ class ScalarOracle:
         return self._eigh
 
     def value(self, u, *, _checked: bool = False) -> float:
-        if not _checked:
-            u = as_input_vector(u, self.dimension)
-            u.setflags(write=False)
+        u = u if _checked else as_input_vector(u, self.dimension)
         self.value_calls += 1
         try:
             out = float(self._value_fn(u))
@@ -155,9 +153,7 @@ class ScalarOracle:
         return out
 
     def gradient(self, u, *, _checked: bool = False) -> np.ndarray:
-        if not _checked:
-            u = as_input_vector(u, self.dimension)
-            u.setflags(write=False)
+        u = u if _checked else as_input_vector(u, self.dimension)
         self.gradient_calls += 1
         try:
             out = self._grad_fn(u)
@@ -199,9 +195,9 @@ class ProblemPair:
     shared across concurrent read-only runs when per-run counts are not
     needed; a noisy pair carries generator state and belongs to one run.
 
-    Each method passes its input to the oracle's check.  A run passes the
-    private ``_checked=True`` with a vector it has already checked (see
-    :class:`ScalarOracle`), which goes to the oracle unchecked.
+    Each method passes its input to the oracle's check.  A run's plant
+    probes pass the private ``_checked=True`` with a vector it has already
+    checked (see :class:`ScalarOracle`), which goes to the oracle unchecked.
     """
 
     def __init__(
@@ -239,11 +235,11 @@ class ProblemPair:
                 raise OracleError(f"noisy plant gradient is non-finite at u={u!r}")
         return grad
 
-    def evaluate_model(self, u, *, _checked: bool = False) -> float:
-        return self.model.value(u, _checked=_checked)
+    def evaluate_model(self, u) -> float:
+        return self.model.value(u)
 
-    def model_gradient(self, u, *, _checked: bool = False) -> np.ndarray:
-        return self.model.gradient(u, _checked=_checked)
+    def model_gradient(self, u) -> np.ndarray:
+        return self.model.gradient(u)
 
     def plant_evaluations(self) -> tuple[int, int]:
         """(value calls, gradient calls) made against the plant so far."""

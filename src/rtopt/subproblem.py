@@ -82,8 +82,8 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     scan's, so the result never does worse than any scanned point, and
     it improves on the anchor unless the model is flat along the ray to
     rounding.  Each point is projected onto the ball before it is measured.
-    Returns ``(point, change)``, ``change`` the model change from the
-    anchor at ``point``.  A zero gradient, or one whose g.g overflows so
+    Returns ``(point, change)``, a read-only point and the model change from
+    the anchor there.  A zero gradient, or one whose g.g overflows so
     that every step along the ray rounds to 0, returns ``(anchor, 0.0)``.
     When ``t |g| + max|anchor|``, which bounds the closed form's point and
     every scanned one, overflows, the ray leaves the floating-point range
@@ -94,7 +94,7 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     anchor = model.anchor
     g, gg, w, _, gt = model.anchor_terms()
     if not 0.0 < gg < math.inf:
-        return anchor.copy(), 0.0
+        return anchor, 0.0
     gnorm = math.sqrt(gg)
 
     t = radius / gnorm  # the ball's boundary
@@ -109,6 +109,7 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     project = _ball_projection(anchor, radius)
     if w is not None:
         point = project(anchor - g * t)  # t * g's bits, dispatched faster
+        point.setflags(write=False)  # finite by the test above
         return point, model.value_change(point)
 
     # The search runs on the distance s = t |g| along the ray, in the
@@ -130,7 +131,9 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
         (hi - lo) / gnorm,
         start_value=scan[j],
     )
-    return ray(best[0]), change
+    point = ray(best[0])
+    point.setflags(write=False)
+    return point, change
 
 
 # projected descent stops when the projected gradient step is below this,
@@ -163,11 +166,12 @@ def projected_descent(
     ``change_fn`` is the objective measured relative to an arbitrary fixed
     base; only differences matter.  ``budget`` caps the combined number of
     value and gradient evaluations.  Returns ``(best_point, best_change,
-    evaluations_used)`` where best is over every point evaluated.
+    evaluations_used)`` where best, read-only, is over every point evaluated.
     ``start`` is validated, copied and projected, unless a known
     ``start_value``, measured at ``start`` itself, counts as its
     evaluation.  A non-finite start, a NaN ``initial_step`` or a budget
-    below 1 raises ValueError; other steps are clamped to [1e-16, 1e16].
+    below 1 raises ValueError; other steps are clamped to [1e-16, 1e16], and
+    one at the ceiling becomes the unit move ``max(1, |x|) / |g|``.
 
     Near a minimizer the decrease a step makes sinks below the rounding of
     the values, which would stop the descent short of it by about
@@ -186,10 +190,9 @@ def projected_descent(
     fx = change_fn(x) if start_value is None else start_value
     evals = 1
     best_x, best_f = x.copy(), fx
-    if evals >= budget:
-        return best_x, best_f, evals
-    g = grad_fn(x)
-    evals += 1
+    if evals < budget:
+        g = grad_fn(x)
+        evals += 1
     x_prev = None
     g_prev = None
     g_next = None  # the gradient at an accepted step, when the test took it
@@ -206,6 +209,8 @@ def projected_descent(
                 step = float(s.dot(s)) / sy
             else:
                 step *= 2.0  # nonconvex stretch: grow until backtracking bites
+        if step >= 1e16:  # 60 halvings from the ceiling may never move: a unit move instead
+            step = max(1.0, math.sqrt(float(x.dot(x)))) / (math.sqrt(float(g.dot(g))) or 1.0)
         step = min(max(step, 1e-16), 1e16)
 
         moved = False
@@ -251,6 +256,7 @@ def projected_descent(
         g = grad_fn(x)
         evals += 1
 
+    best_x.setflags(write=False)
     return best_x, best_f, evals
 
 
@@ -351,7 +357,7 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
         step.setflags(write=False)  # checked here: a run's oracle takes it as it is
         change = model.value_change(step)
         if change > 0.0:  # the anchor is in the ball: a minimizer's increase is rounding
-            step, change = anchor.copy(), 0.0
+            step, change = anchor, 0.0
         return SubproblemResult(step, change, False, 0)
 
     cp, cp_change = cauchy_point(model, radius)

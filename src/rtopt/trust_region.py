@@ -31,17 +31,19 @@ DEGENERACY_EPS_FACTOR = 4.0
 
 
 def _kept(u, dimension: int | None = None) -> np.ndarray:
-    """``u`` itself if it is a read-only 1-D float vector of finite entries (and
-    the given length), which nothing can change; else ``as_input_vector``'s copy."""
-    if type(u) is np.ndarray and not u.flags.writeable and u.dtype is _FLOAT64 and u.ndim == 1:
-        if (dimension is None or u.size == dimension) and all(map(math.isfinite, u.tolist())):
-            return u
+    """``u`` itself if it is a finite read-only 1-D float vector (of the given
+    length) that owns its data, so no writable array shares it; else ``as_input_vector``'s copy."""
+    if type(u) is np.ndarray and u.base is None and not u.flags.writeable and u.ndim == 1:
+        if u.dtype is _FLOAT64 and (dimension is None or u.size == dimension):
+            if all(map(math.isfinite, u.tolist())):
+                return u
     return as_input_vector(u, dimension)
 
 
 @dataclass
 class TrustRegionState:
-    """Reference iterate, its measured plant value, and the current radius."""
+    """Reference iterate, its measured plant value, and the current radius.
+    A read-only float reference that owns its data is kept, any other copied."""
 
     reference: np.ndarray
     radius: float
@@ -87,8 +89,8 @@ def accept_candidate(
 
     A degenerate (None) rho never moves the reference.  Returns whether the
     reference moved; on a move the stored plant value is updated to the
-    candidate's measured value, which must be finite.  A read-only float
-    candidate becomes the reference as it is; any other is copied.
+    candidate's measured value, which must be finite.  The candidate
+    becomes the reference as ``TrustRegionState`` keeps one.
     """
     if not math.isfinite(candidate_plant_value):
         raise ValueError(f"candidate_plant_value must be finite, got {candidate_plant_value}")

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtopt import CorrectedModel, ModifierFilter, OracleError, ScalarOracle, get_problem
+from rtopt import (
+    CorrectedModel,
+    ModifierFilter,
+    OracleError,
+    ScalarOracle,
+    get_problem,
+    solve_subproblem,
+)
 
 # desk-scale values: at +-1e6 the quadratic reaches 1e12, where rounding of
 # two near-equal values can exceed any difference-relative tolerance
@@ -278,6 +285,29 @@ class TestValueOnDemand:
             want = self.constructor_form(flat, lam, anchor, plant_value, u)
         assert self.bits(got) == self.bits(want)
         assert math.isfinite(got) == (plant_value is not None)
+
+
+class TestReadOnlyVectors:
+    """A public model's anchor and modifiers are read-only, so it keeps
+    matching at the anchor it was built at; building it calls no oracle."""
+
+    @pytest.mark.parametrize("name", ["anchor", "modifiers"])
+    def test_writing_into_a_public_model_raises(self, name):
+        model = CorrectedModel(get_problem("P4").model, [1, -2], anchor=[0, 0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(model, name)[0] = 3.0
+        assert model.anchor.tolist() == [0.0, 0.0] and model.modifiers.tolist() == [1.0, -2.0]
+        assert model.value_change([0.0, 0.0]) == 0.0
+        assert solve_subproblem(model, 1.0).predicted_change < 0.0
+
+    def test_building_a_model_calls_no_oracle(self):
+        base = sphere_oracle()
+        model = CorrectedModel(base, [1.0, 0.0], anchor=[0.5, 0.0])
+        assert (base.value_calls, base.gradient_calls) == (0, 0)
+        assert model.value([1.0, 0.0]) == 2.0
+        assert base.value_calls == 2  # at u, then at the anchor, once
+        model.value([0.0, 0.0])
+        assert base.value_calls == 3
 
 
 class TestMeasuredBaseValue:

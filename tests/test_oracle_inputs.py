@@ -5,7 +5,8 @@ again.  Each such vector was checked where it was made, so every input an
 oracle's functions receive must be what the check gives: a finite, 1-D
 float64 vector of the oracle's dimension.  It must also be read-only, so
 that a function that writes into its argument raises instead of changing
-the run's candidate or reference under it.
+the run's candidate or reference under it.  Outside a run the same holds
+for every vector a public entry point keeps or returns.
 """
 
 import math
@@ -16,17 +17,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rtopt import (
+    CorrectedModel,
+    ModifierFilter,
     ProblemPair,
+    RunConfig,
     ScalarOracle,
+    TrustRegionState,
+    accept_candidate,
+    cauchy_point,
     get_problem,
     run_basic_ma,
     run_ma_tr,
     run_trust_region,
+    solve_subproblem,
 )
-from rtopt.problems import PROBLEM_IDS
+from rtopt.problems import PROBLEM_IDS, as_input_vector
+from rtopt.subproblem import projected_descent
 
 RUNS = {"basic-ma": run_basic_ma, "trust-region": run_trust_region, "ma-tr": run_ma_tr}
 ROLES = ("plant value", "plant gradient", "model value", "model gradient")
+# the settings accept_candidate reads
+SETTINGS = RunConfig(problem="P1", algorithm="ma-tr", u0=[0.0, 0.0])
 
 
 def recorded_pair(pid, noise, seed, hessian, wrap):
@@ -148,3 +159,71 @@ def test_a_public_call_checks_and_hands_over_a_read_only_copy(kind):
     assert u.tolist() == [1.0, 2.0] and u.flags.writeable
     with pytest.raises(ValueError, match="non-finite"):
         getattr(oracle, kind)([1.0, math.nan])
+
+
+def assert_held(v, callers):
+    """``v`` is a read-only float vector that shares no memory with any of
+    the ``callers``' writable arrays."""
+    assert type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1
+    assert not v.flags.writeable
+    for array in callers:
+        assert not np.shares_memory(v, array)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pid=st.sampled_from(PROBLEM_IDS),
+    hessian=st.booleans(),
+    form=st.sampled_from(["array", "read-only view", "list"]),
+    radius=st.floats(0.05, 4.0),
+    alpha=st.sampled_from([1.0, 0.5]),
+    data=st.data(),
+)
+def test_every_vector_a_public_entry_point_keeps_or_returns_is_read_only(
+    pid, hessian, form, radius, alpha, data
+):
+    # outside a run as inside one: whatever a caller passes, the package
+    # keeps and returns read-only vectors that no caller array can change
+    p = get_problem(pid)
+    n = p.dimension
+    callers = []
+
+    def given_vector(bound):
+        values = data.draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n))
+        array = np.array(values)
+        callers.append(array)
+        if form == "list":
+            return values
+        if form == "array":
+            return array
+        view = array[:]
+        view.setflags(write=False)
+        return view
+
+    x = data.draw(st.floats(-3.0, 3.0))
+    zero_d = np.array(x)
+    callers.append(zero_d)
+    for u in (given_vector(3.0), zero_d, x, [x]):
+        assert_held(as_input_vector(u), callers)
+
+    base = p.model if hessian else ScalarOracle(p.model.value, p.model.gradient, n)
+    model = CorrectedModel(base, given_vector(10.0), anchor=given_vector(3.0))
+    assert_held(model.anchor, callers)
+    assert_held(model.modifiers, callers)
+    assert_held(cauchy_point(model, radius)[0], callers)
+    assert_held(solve_subproblem(model, radius).candidate, callers)
+    best = projected_descent(
+        model.value_change, model.gradient, given_vector(3.0), lambda u: np.clip(u, -3.0, 3.0), 20
+    )[0]
+    assert_held(best, callers)
+
+    state = TrustRegionState(reference=given_vector(3.0), radius=radius, reference_plant_value=1.0)
+    assert_held(state.reference, callers)
+    assert accept_candidate(state, given_vector(3.0), 0.5, 0.5, SETTINGS)
+    assert_held(state.reference, callers)
+
+    filt = ModifierFilter(alpha, n)
+    assert_held(filt.previous, callers)
+    lam = filt.update(given_vector(3.0), given_vector(3.0))
+    assert lam is filt.previous
+    assert_held(lam, callers)

@@ -432,11 +432,20 @@ class TestProjectedDescent:
     @pytest.mark.parametrize("initial_step", [0.0, -1.0, math.inf])
     def test_other_initial_steps_are_clamped(self, initial_step):
         # x^2 from 1: a first step clamped to [1e-16, 1e16] still moves the
-        # descent, after up to 60 halvings of the largest
+        # descent, the ceiling as a unit move
         x, change, _ = projected_descent(
             lambda u: float(u @ u), lambda u: 2.0 * u, [1.0], lambda u: u, 200, initial_step
         )
         assert abs(x[0]) < 1e-6 and change < 1e-12
+
+    @pytest.mark.parametrize("initial_step", [math.inf, 1e16])
+    def test_a_step_at_the_ceiling_is_a_unit_move(self, initial_step):
+        # from 1e16, 50 evaluations of halvings would never reach a step that
+        # moves; the unit move max(1, |x|) / |g| = 1/2 reaches the minimizer
+        x, change, evals = projected_descent(
+            lambda u: float(u @ u), lambda u: 2.0 * u, [1.0], lambda u: u, 50, initial_step
+        )
+        assert (x.tolist(), change, evals) == ([0.0], 0.0, 4)
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_1_rejected_before_any_evaluation(self, budget):
@@ -627,19 +636,22 @@ class TestExactSubproblem:
                 assert result.predicted_change == cm.value_change(result.candidate)
 
     def test_a_solve_measures_each_point_once(self):
-        # one model gradient and one value, at the exact step, whether or not
-        # that step is the Cauchy point to the bit (it is on P3's sphere)
+        # building the model measures nothing; the solve takes one model
+        # gradient, at the anchor, and two values, at the exact step and at
+        # the anchor, whether or not that step is the Cauchy point to the bit
+        # (it is on P3's sphere)
         for model, on_the_cauchy_point in (
             (get_problem("P3").model, True),
             (quadratic_model([[4.0, 0.0], [0.0, 1.0]]), False),
         ):
-            cm = CorrectedModel(model, [1.0, -3.0], anchor=[0.5, 0.5])
             before = (model.value_calls, model.gradient_calls)
+            cm = CorrectedModel(model, [1.0, -3.0], anchor=[0.5, 0.5])
+            assert (model.value_calls, model.gradient_calls) == before
             result = solve_subproblem(cm, 0.3)
             calls = (model.value_calls - before[0], model.gradient_calls - before[1])
             cp = cauchy_point(cm, 0.3)[0]
             assert (result.candidate.tobytes() == cp.tobytes()) == on_the_cauchy_point
-            assert calls == (1, 1)
+            assert calls == (2, 1)
 
     def test_the_cauchy_point_is_built_only_for_an_overflowing_step(self, monkeypatch):
         def unreachable(model, radius):

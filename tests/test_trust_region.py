@@ -143,6 +143,18 @@ class TestAcceptCandidate:
         assert accept_candidate(state, kept, 3.0, 0.5, DEFAULTS)
         assert state.reference is kept
 
+    def test_a_read_only_view_is_copied(self):
+        # the view cannot be written, but its base can: kept as it is, the
+        # reference would move with every write to the caller's array
+        caller = np.array([1.0, 0.0])
+        view = caller[:]
+        view.setflags(write=False)
+        state = self._state()
+        assert accept_candidate(state, view, 4.0, 0.5, DEFAULTS)
+        caller[0] = 5.0
+        assert state.reference.tolist() == [1.0, 0.0]
+        assert not state.reference.flags.writeable
+
     @pytest.mark.parametrize(
         "candidate, message",
         [([math.nan, 0.0], "non-finite"), ([1.0, math.inf], "non-finite"),
@@ -249,6 +261,15 @@ class TestState:
     def test_non_finite_reference_value_rejected(self, value):
         with pytest.raises(ValueError, match="reference_plant_value"):
             TrustRegionState(reference=np.zeros(2), radius=1.0, reference_plant_value=value)
+
+    def test_a_read_only_view_is_copied(self):
+        caller = np.array([0.0, 0.0])
+        view = caller[:]
+        view.setflags(write=False)
+        state = TrustRegionState(reference=view, radius=1.0, reference_plant_value=0.0)
+        caller[0] = 5.0
+        assert state.reference.tolist() == [0.0, 0.0]
+        assert not state.reference.flags.writeable
 
     def test_reference_move_strictly_decreases_plant_value(self):
         # rho >= eta1 > 0 with positive predicted decrease forces descent
