@@ -62,7 +62,7 @@ class ModifierFilter:
         (1 - alpha) * previous``, at gain 1 too: a shortcut to the raw gap
         there could flip the sign of a zero.  Python floats give NumPy's
         bits and overflow quietly: only a non-finite result has its inputs
-        checked, and a gap that overflows raises OracleError."""
+        checked as input vectors; a gap that overflows raises OracleError."""
         pg, mg = _floats(plant_grad), _floats(model_grad)
         if len(pg) != len(mg):
             raise ValueError(f"gradient length mismatch: plant {len(pg)} vs model {len(mg)}")
@@ -72,8 +72,8 @@ class ModifierFilter:
         a, b = self.alpha, 1.0 - self.alpha
         lam = [a * (p - m) + b * q for p, m, q in zip(pg, mg, self.previous.tolist())]
         if not all(map(math.isfinite, lam)):
-            if not all(map(math.isfinite, pg + mg)):
-                raise ValueError("gradients must be finite")
+            for v in (plant_grad, model_grad):  # a non-finite gradient raises ValueError
+                as_input_vector(v)
             raise OracleError("the gap between plant and model gradients overflows")
         self.previous = np.array(lam)
         self.previous.setflags(write=False)
@@ -106,8 +106,8 @@ class CorrectedModel:
     the anchor.  Its anchor, modifiers and gradient, read-only vectors the
     oracles and the filter checked, are then kept as given, and the anchor
     terms are computed at once under the run's errstate, which
-    ``errstate()`` then leaves as is.  Such a model hands the base oracle
-    a read-only float vector, the point its solver checked, unchecked.
+    ``errstate()`` then leaves as is.  The base oracle takes the anchor as
+    it is: the model or its run checked it.
     """
 
     def __init__(
@@ -140,8 +140,7 @@ class CorrectedModel:
         return self.base_model.dimension
 
     # u goes to the base oracle unconverted: its input check is the only
-    # validation, and it raises before any arithmetic below.  A run's model
-    # skips it for a read-only float vector: its solver checked that point.
+    # validation, and it raises before any arithmetic below.
 
     def value(self, u) -> float:
         """Corrected value at u: model(u) + modifiers . u, or with the shift
@@ -181,7 +180,8 @@ class CorrectedModel:
         return self._newton_start
 
     def _terms(self, base=None) -> tuple:
-        g = (self.base_model.gradient(self.anchor) if base is None else base) + self.modifiers
+        base = self.base_model.gradient(self.anchor, _checked=True) if base is None else base
+        g = base + self.modifiers
         gg = float(g.dot(g))
         if self.base_model.hessian is None:
             return g, gg, None, None, None
@@ -194,17 +194,18 @@ class CorrectedModel:
         run's own such errstate, so it gets a context that changes nothing."""
         return _UNCHANGED if self._in_run else np.errstate(over="ignore", invalid="ignore")
 
-    def value_change(self, u) -> float:
+    def value_change(self, u, *, _checked: bool = False) -> float:
         """value(u) - value(anchor), computed in the shift-free difference
         form so it is bit-identical with or without the shift.  A float
         vector with the bytes of the last point measured gets the change
-        computed there; any other input goes to the oracle."""
+        computed there; any other input goes to the oracle, which checks it
+        unless the solver that checked it passes the private ``_checked=True``."""
         vector = type(u) is np.ndarray and u.ndim == 1 and u.dtype is _FLOAT64
         key = u.tobytes() if vector else None
         point, _, change = self._measured
         if point == key:
             return change
-        base = self.base_model.value(u, _checked=vector and self._in_run and not u.flags.writeable)
+        base = self.base_model.value(u, _checked=_checked)
         if not vector:
             u = np.asarray(u, dtype=float)
             key = u.tobytes()

@@ -327,7 +327,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
     _check_length(cfg, problem.dimension)
     ball = cfg.algorithm != "basic-ma"
     # Each point is checked once, the start here and a candidate by its solver, and is then
-    # shared read-only, never copied: the run's oracle calls take it as it is (_checked).
+    # handed over read-only, never copied: the oracles and accept_candidate take it (_checked).
     u = as_input_vector(cfg.u0, problem.dimension)
     config = {name: getattr(cfg, name) for name in _RECORDED[cfg.algorithm]}
     config["u0"] = u.tolist()
@@ -393,7 +393,7 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                 # The model enters the ratio as its change from the anchor,
                 # which is the same with or without the value shift.
                 rho = compute_rho(anchor_value, cand_value, result.predicted_change)
-                accepted = accept_candidate(state, candidate, cand_value, rho, cfg)
+                accepted = accept_candidate(state, candidate, cand_value, rho, cfg, _checked=True)
                 state.radius = update_radius(radius, rho, cfg)
                 rho = DEGENERATE if rho is None else rho
                 override = result.cauchy_override_applied

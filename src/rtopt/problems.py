@@ -109,9 +109,9 @@ class ScalarOracle:
     by a wrapped function (an overflow) raise :class:`OracleError`.
 
     Each call checks its input with ``as_input_vector`` and hands the
-    wrapped function that read-only copy.  A run and its models pass the
-    private ``_checked=True`` with a vector already checked, which the
-    function gets itself.  Either way the argument is read-only: a wrapped
+    wrapped function that read-only copy.  A run, model or solver that
+    checked the vector itself passes the private ``_checked=True``, and the
+    function gets that vector.  Either way the argument is read-only: a wrapped
     function that writes into it raises ``ValueError``.
     """
 

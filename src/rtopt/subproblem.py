@@ -109,8 +109,8 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     project = _ball_projection(anchor, radius)
     if w is not None:
         point = project(anchor - g * t)  # t * g's bits, dispatched faster
-        point.setflags(write=False)  # finite by the test above
-        return point, model.value_change(point)
+        point.setflags(write=False)  # finite by the test above: the oracle takes it as it is
+        return point, model.value_change(point, _checked=True)
 
     # The search runs on the distance s = t |g| along the ray, in the
     # ball's units, so its stopping rule does not depend on |g|.
@@ -170,8 +170,9 @@ def projected_descent(
     ``start`` is validated, copied and projected, unless a known
     ``start_value``, measured at ``start`` itself, counts as its
     evaluation.  A non-finite start, a NaN ``initial_step`` or a budget
-    below 1 raises ValueError; other steps are clamped to [1e-16, 1e16], and
-    one at the ceiling becomes the unit move ``max(1, |x|) / |g|``.
+    below 1 raises ValueError; other steps are clamped to [1e-16, 1e16].  A
+    step at the ceiling becomes the unit move ``max(1, |x|) / |g|``, and a
+    failed trial beyond 1e8 unit moves is followed by it, not by half its step.
 
     Near a minimizer the decrease a step makes sinks below the rounding of
     the values, which would stop the descent short of it by about
@@ -209,9 +210,9 @@ def projected_descent(
                 step = float(s.dot(s)) / sy
             else:
                 step *= 2.0  # nonconvex stretch: grow until backtracking bites
-        if step >= 1e16:  # 60 halvings from the ceiling may never move: a unit move instead
-            step = max(1.0, math.sqrt(float(x.dot(x)))) / (math.sqrt(float(g.dot(g))) or 1.0)
-        step = min(max(step, 1e-16), 1e16)
+        # 60 halvings from the ceiling may never move: a unit move instead
+        unit = max(1.0, math.sqrt(float(x.dot(x)))) / (math.sqrt(float(g.dot(g))) or 1.0)
+        step = min(max(unit if step >= 1e16 else step, 1e-16), 1e16)
 
         moved = False
         t = step
@@ -242,7 +243,7 @@ def projected_descent(
                     moved = True
                     break
                 g_next = None
-            t *= 0.5
+            t = unit if t > 1e8 * unit > 0.0 else t * 0.5  # from afar too, halvings may never move
         if not moved:
             break
         x_prev, g_prev = x, g
@@ -354,8 +355,8 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
             step = project(anchor + _exact_step(w, q, gt, radius, first))
         if not all(map(math.isfinite, step.tolist())):  # eigenvalues tiny beside g
             return SubproblemResult(*cauchy_point(model, radius), True, 0)
-        step.setflags(write=False)  # checked here: a run's oracle takes it as it is
-        change = model.value_change(step)
+        step.setflags(write=False)  # checked here: the oracle takes it as it is
+        change = model.value_change(step, _checked=True)
         if change > 0.0:  # the anchor is in the ball: a minimizer's increase is rounding
             step, change = anchor, 0.0
         return SubproblemResult(step, change, False, 0)

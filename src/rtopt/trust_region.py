@@ -10,7 +10,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .problems import _FLOAT64, as_input_vector
+from .problems import as_input_vector
 
 if TYPE_CHECKING:  # drivers imports this module
     from .drivers import RunConfig
@@ -30,27 +30,17 @@ __all__ = [
 DEGENERACY_EPS_FACTOR = 4.0
 
 
-def _kept(u, dimension: int | None = None) -> np.ndarray:
-    """``u`` itself if it is a finite read-only 1-D float vector (of the given
-    length) that owns its data, so no writable array shares it; else ``as_input_vector``'s copy."""
-    if type(u) is np.ndarray and u.base is None and not u.flags.writeable and u.ndim == 1:
-        if u.dtype is _FLOAT64 and (dimension is None or u.size == dimension):
-            if all(map(math.isfinite, u.tolist())):
-                return u
-    return as_input_vector(u, dimension)
-
-
 @dataclass
 class TrustRegionState:
     """Reference iterate, its measured plant value, and the current radius.
-    A read-only float reference that owns its data is kept, any other copied."""
+    The reference is ``as_input_vector``'s copy, which no caller's array shares."""
 
     reference: np.ndarray
     radius: float
     reference_plant_value: float
 
     def __post_init__(self):
-        self.reference = _kept(self.reference)
+        self.reference = as_input_vector(self.reference)
         if not self.radius > 0:  # NaN fails too
             raise ValueError(f"radius must be > 0, got {self.radius}")
         value = self.reference_plant_value
@@ -84,18 +74,23 @@ def accept_candidate(
     candidate_plant_value: float,
     rho: float | None,
     cfg: RunConfig,
+    *,
+    _checked: bool = False,
 ) -> bool:
     """Move the reference to the candidate iff rho >= ``cfg.eta1``.
 
     A degenerate (None) rho never moves the reference.  Returns whether the
     reference moved; on a move the stored plant value is updated to the
     candidate's measured value, which must be finite.  The candidate
-    becomes the reference as ``TrustRegionState`` keeps one.
+    becomes the reference as ``TrustRegionState`` keeps one, unless a run
+    hands it over checked, with the private ``_checked=True``.
     """
     if not math.isfinite(candidate_plant_value):
         raise ValueError(f"candidate_plant_value must be finite, got {candidate_plant_value}")
     if rho is not None and rho >= cfg.eta1:
-        state.reference = _kept(candidate, state.reference.size)
+        if not _checked:
+            candidate = as_input_vector(candidate, state.reference.size)
+        state.reference = candidate
         state.reference_plant_value = float(candidate_plant_value)
         return True
     return False

@@ -56,6 +56,21 @@ class TestComputeModifiers:
         with pytest.raises(ValueError, match="finite"):
             gradient_gap([np.inf], [0.0])
 
+    @pytest.mark.parametrize("kind", [np.array, list])
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_a_non_finite_gradient_raises_one_message(self, kind, which):
+        # a float array is read on Python floats and checked only when the
+        # result is not finite; a list is checked first: both raise the
+        # input check's error and leave the filter as it was
+        filt = ModifierFilter(0.5, 2)
+        filt.update([1.0, 2.0], [0.0, 0.0])
+        before = filt.previous
+        gradients = [[1.0, 2.0], [0.0, 0.0]]
+        gradients[which][1] = math.nan
+        with pytest.raises(ValueError, match="input vector contains non-finite components"):
+            filt.update(*map(kind, gradients))
+        assert filt.previous is before and filt.previous.tolist() == [0.5, 1.0]
+
     def test_dimension_mismatch_with_the_filter_rejected(self):
         with pytest.raises(ValueError, match="previous must have equal length"):
             ModifierFilter(1.0, 2).update([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])

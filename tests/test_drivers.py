@@ -995,10 +995,11 @@ class TestModelReuse:
         assert remeasured == trace
 
     def test_validation_per_iteration_is_pinned(self, monkeypatch):
-        # the README's P3 baseline run: the start is the one vector checked as
-        # an input vector; the solver checks each exact step finite, and the
-        # oracles take the run's vectors as they are, so a re-check anywhere
-        # in the loop, such as an oracle's or accepting a candidate, adds to it
+        # the README's P3 baseline run: the start is checked as an input
+        # vector, and its state keeps a copy as any caller's does; the solver
+        # checks each exact step finite and hands it over, so a re-check
+        # anywhere in the loop, such as an oracle's or accepting a candidate,
+        # adds to the two
         problem = get_problem("P3")
         calls = []
 
@@ -1010,7 +1011,34 @@ class TestModelReuse:
             monkeypatch.setattr(module, "as_input_vector", counted)
         trace = run_ma_tr(problem, [-1.2, 1.0])
         assert (trace.iterations, trace.accepted_count) == (500, 479)
-        assert len(calls) == 1
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("pid", ["P1", "P2", "P3", "P4"])
+    def test_a_run_hands_its_candidates_to_accept_candidate(self, pid, monkeypatch):
+        # the solver checked each candidate: accepting it checks nothing again,
+        # and the state keeps the candidate the record holds
+        accepting, calls = [], []
+
+        def accept(*args, **kwargs):
+            accepting.append(True)
+            try:
+                return trust_region.accept_candidate(*args, **kwargs)
+            finally:
+                accepting.pop()
+
+        def counted(*args, **kwargs):
+            calls.append(bool(accepting))
+            return as_input_vector(*args, **kwargs)
+
+        monkeypatch.setattr(drivers, "accept_candidate", accept)
+        monkeypatch.setattr(trust_region, "as_input_vector", counted)
+        for run in (run_trust_region, run_ma_tr):
+            calls.clear()
+            trace = run(get_problem(pid), STARTS[pid])
+            assert trace.accepted_count > 0
+            assert calls == [False]  # the state's copy of the start
+            for r, following in zip(trace.records, trace.records[1:]):
+                assert (following.reference is r.applied_input) == r.accepted
 
 
 class TestSharedVectors:

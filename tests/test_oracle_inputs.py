@@ -163,7 +163,7 @@ def test_a_public_call_checks_and_hands_over_a_read_only_copy(kind):
 
 def assert_held(v, callers):
     """``v`` is a read-only float vector that shares no memory with any of
-    the ``callers``' writable arrays."""
+    the ``callers``' arrays, read-only or not."""
     assert type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1
     assert not v.flags.writeable
     for array in callers:
@@ -174,7 +174,7 @@ def assert_held(v, callers):
 @given(
     pid=st.sampled_from(PROBLEM_IDS),
     hessian=st.booleans(),
-    form=st.sampled_from(["array", "read-only view", "list"]),
+    form=st.sampled_from(["array", "read-only array", "read-only view", "list"]),
     radius=st.floats(0.05, 4.0),
     alpha=st.sampled_from([1.0, 0.5]),
     data=st.data(),
@@ -183,7 +183,8 @@ def test_every_vector_a_public_entry_point_keeps_or_returns_is_read_only(
     pid, hessian, form, radius, alpha, data
 ):
     # outside a run as inside one: whatever a caller passes, the package
-    # keeps and returns read-only vectors that no caller array can change
+    # keeps and returns read-only vectors that no caller array can change,
+    # not even one the caller made read-only and later makes writable
     p = get_problem(pid)
     n = p.dimension
     callers = []
@@ -196,34 +197,48 @@ def test_every_vector_a_public_entry_point_keeps_or_returns_is_read_only(
             return values
         if form == "array":
             return array
+        if form == "read-only array":
+            array.setflags(write=False)
+            return array
         view = array[:]
         view.setflags(write=False)
         return view
+
+    held = []
+
+    def hold(v):
+        assert_held(v, callers)
+        held.append((v, v.tobytes()))
 
     x = data.draw(st.floats(-3.0, 3.0))
     zero_d = np.array(x)
     callers.append(zero_d)
     for u in (given_vector(3.0), zero_d, x, [x]):
-        assert_held(as_input_vector(u), callers)
+        hold(as_input_vector(u))
 
     base = p.model if hessian else ScalarOracle(p.model.value, p.model.gradient, n)
     model = CorrectedModel(base, given_vector(10.0), anchor=given_vector(3.0))
-    assert_held(model.anchor, callers)
-    assert_held(model.modifiers, callers)
-    assert_held(cauchy_point(model, radius)[0], callers)
-    assert_held(solve_subproblem(model, radius).candidate, callers)
+    hold(model.anchor)
+    hold(model.modifiers)
+    hold(cauchy_point(model, radius)[0])
+    hold(solve_subproblem(model, radius).candidate)
     best = projected_descent(
         model.value_change, model.gradient, given_vector(3.0), lambda u: np.clip(u, -3.0, 3.0), 20
     )[0]
-    assert_held(best, callers)
+    hold(best)
 
     state = TrustRegionState(reference=given_vector(3.0), radius=radius, reference_plant_value=1.0)
-    assert_held(state.reference, callers)
+    hold(state.reference)
     assert accept_candidate(state, given_vector(3.0), 0.5, 0.5, SETTINGS)
-    assert_held(state.reference, callers)
+    hold(state.reference)
 
     filt = ModifierFilter(alpha, n)
-    assert_held(filt.previous, callers)
+    hold(filt.previous)
     lam = filt.update(given_vector(3.0), given_vector(3.0))
     assert lam is filt.previous
-    assert_held(lam, callers)
+    hold(lam)
+
+    for array in callers:
+        array.setflags(write=True)
+        array.fill(math.nan)
+    assert all(v.tobytes() == before for v, before in held)

@@ -21,9 +21,9 @@ from rtopt import (
     get_problem,
     solve_subproblem,
 )
-from rtopt import subproblem
+from rtopt import corrected_model, problems, subproblem
 from rtopt.drivers import _box_minimize
-from rtopt.problems import PROBLEM_IDS
+from rtopt.problems import PROBLEM_IDS, as_input_vector
 from rtopt.subproblem import _exact_step, projected_descent
 
 
@@ -447,6 +447,15 @@ class TestProjectedDescent:
         )
         assert (x.tolist(), change, evals) == ([0.0], 0.0, 4)
 
+    @pytest.mark.parametrize("initial_step", [1e9, 1e12, 1e14, 1e15])
+    def test_a_far_trial_that_fails_is_followed_by_the_unit_move(self, initial_step):
+        # 50 evaluations of halvings from 1e15 would never reach a step that
+        # moves; past 1e8 unit moves a failed trial is followed by the unit move
+        x, change, evals = projected_descent(
+            lambda u: float(u @ u), lambda u: 2.0 * u, [1.0], lambda u: u, 50, initial_step
+        )
+        assert (x.tolist(), change, evals) == ([0.0], 0.0, 5)
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_1_rejected_before_any_evaluation(self, budget):
         def unreachable(u):
@@ -652,6 +661,28 @@ class TestExactSubproblem:
             cp = cauchy_point(cm, 0.3)[0]
             assert (result.candidate.tobytes() == cp.tobytes()) == on_the_cauchy_point
             assert calls == (2, 1)
+
+    @pytest.mark.parametrize("solve", [solve_subproblem, cauchy_point])
+    def test_a_public_solve_checks_no_vector_after_the_build(self, solve, monkeypatch):
+        # the model checked its anchor, and the solver checks the point it
+        # makes: each reaches the oracle as it is, with no second input check
+        models = []
+        for pid in PROBLEM_IDS:
+            model = get_problem(pid).model
+            n = model.dimension
+            models.append(CorrectedModel(model, [0.25, -3.0][:n], anchor=[0.5, 0.5][:n]))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return as_input_vector(*args, **kwargs)
+
+        for module in (problems, corrected_model, subproblem):
+            monkeypatch.setattr(module, "as_input_vector", counted)
+        for cm in models:
+            solve(cm, 0.3)
+            assert (cm.base_model.value_calls, cm.base_model.gradient_calls) == (2, 1)
+        assert calls == []
 
     def test_the_cauchy_point_is_built_only_for_an_overflowing_step(self, monkeypatch):
         def unreachable(model, radius):

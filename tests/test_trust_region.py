@@ -131,17 +131,30 @@ class TestAcceptCandidate:
         assert np.array_equal(state.reference, [0.0, 0.0])
         assert state.reference_plant_value == 5.0
 
-    def test_a_writable_candidate_is_copied_and_a_read_only_one_kept(self):
+    def test_a_writable_candidate_is_copied_and_a_read_only_one_too(self):
         state = self._state()
         candidate = np.array([1.0, 0.0])
         assert accept_candidate(state, candidate, 4.0, 0.5, DEFAULTS)
         assert state.reference is not candidate
         candidate[0] = 7.0  # the caller's array stays the caller's
         assert state.reference.tolist() == [1.0, 0.0]
-        kept = np.array([0.5, 0.25])
-        kept.setflags(write=False)
-        assert accept_candidate(state, kept, 3.0, 0.5, DEFAULTS)
-        assert state.reference is kept
+        read_only = np.array([0.5, 0.25])
+        read_only.setflags(write=False)  # its owner may make it writable again
+        assert accept_candidate(state, read_only, 3.0, 0.5, DEFAULTS)
+        assert state.reference is not read_only
+        assert state.reference.tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("written", [99.0, math.nan])
+    def test_a_read_only_candidate_made_writable_again_moves_no_reference(self, written):
+        # NumPy lets an array's owner re-enable writes: a candidate kept as
+        # given would move the reference, even to a non-finite one
+        candidate = np.array([3.0, 4.0])
+        candidate.setflags(write=False)
+        state = self._state()
+        assert accept_candidate(state, candidate, 4.0, 0.5, DEFAULTS)
+        candidate.setflags(write=True)
+        candidate[1] = written
+        assert state.reference.tolist() == [3.0, 4.0]
 
     def test_a_read_only_view_is_copied(self):
         # the view cannot be written, but its base can: kept as it is, the
@@ -261,6 +274,15 @@ class TestState:
     def test_non_finite_reference_value_rejected(self, value):
         with pytest.raises(ValueError, match="reference_plant_value"):
             TrustRegionState(reference=np.zeros(2), radius=1.0, reference_plant_value=value)
+
+    @pytest.mark.parametrize("written", [99.0, math.nan])
+    def test_a_read_only_reference_made_writable_again_moves_no_reference(self, written):
+        reference = np.array([1.0, 2.0])
+        reference.setflags(write=False)
+        state = TrustRegionState(reference=reference, radius=1.0, reference_plant_value=0.0)
+        reference.setflags(write=True)
+        reference[0] = written
+        assert state.reference.tolist() == [1.0, 2.0]
 
     def test_a_read_only_view_is_copied(self):
         caller = np.array([0.0, 0.0])
