@@ -12,6 +12,7 @@ unaffected by it.
 from __future__ import annotations
 
 import math
+import operator
 from contextlib import nullcontext
 
 import numpy as np
@@ -59,18 +60,20 @@ class ModifierFilter:
 
     def update(self, plant_grad, model_grad) -> np.ndarray:
         """The next coefficients, ``alpha * (plant_grad - model_grad) +
-        (1 - alpha) * previous``, at gain 1 too: a shortcut to the raw gap
-        there could flip the sign of a zero.  Python floats give NumPy's
-        bits and overflow quietly: only a non-finite result has its inputs
-        checked as input vectors; a gap that overflows raises OracleError."""
+        (1 - alpha) * previous``; at gain 1 with no zero in the gap, the gap
+        itself: ``1.0 * x + (+-0.0)`` is x but for x = 0.  Python floats give
+        NumPy's bits and overflow quietly: only a non-finite result has its
+        inputs checked as input vectors; a gap that overflows raises OracleError."""
         pg, mg = _floats(plant_grad), _floats(model_grad)
         if len(pg) != len(mg):
             raise ValueError(f"gradient length mismatch: plant {len(pg)} vs model {len(mg)}")
         if len(pg) != self.previous.size:
             n, m = len(pg), self.previous.size
             raise ValueError(f"gradients and previous must have equal length, got {n} and {m}")
-        a, b = self.alpha, 1.0 - self.alpha
-        lam = [a * (p - m) + b * q for p, m, q in zip(pg, mg, self.previous.tolist())]
+        lam = list(map(operator.sub, pg, mg))
+        if self.alpha < 1.0 or not all(lam):
+            a, b = self.alpha, 1.0 - self.alpha
+            lam = [a * (p - m) + b * q for p, m, q in zip(pg, mg, self.previous.tolist())]
         if not all(map(math.isfinite, lam)):
             for v in (plant_grad, model_grad):  # a non-finite gradient raises ValueError
                 as_input_vector(v)
@@ -171,12 +174,12 @@ class CorrectedModel:
     def newton_start(self) -> tuple:
         """``(c, c.c, c.(c/w))`` for ``c = q^T g / w``, ``w`` and ``q^T g`` of
         ``anchor_terms`` and a positive-definite Hessian: the exact step's
-        first Newton pass, which no radius changes.  Computed once."""
+        first Newton pass, which no radius changes.  Computed once, in the
+        caller's ``errstate()``, which ``solve_subproblem`` enters."""
         if self._newton_start is None:
             _, _, w, _, gt = self.anchor_terms()
-            with self.errstate():
-                c = gt / w
-                self._newton_start = c, float(c.dot(c)), float(c.dot(c / w))
+            c = gt / w
+            self._newton_start = c, float(c.dot(c)), float(c.dot(c / w))
         return self._newton_start
 
     def _terms(self, base=None) -> tuple:
@@ -199,8 +202,9 @@ class CorrectedModel:
         form so it is bit-identical with or without the shift.  A float
         vector with the bytes of the last point measured gets the change
         computed there; any other input goes to the oracle, which checks it
-        unless the solver that checked it passes the private ``_checked=True``."""
-        vector = type(u) is np.ndarray and u.ndim == 1 and u.dtype is _FLOAT64
+        unless the solver that checked it passes the private ``_checked=True``
+        and with it a read-only 1-D float vector, whose type is not tested."""
+        vector = _checked or type(u) is np.ndarray and u.ndim == 1 and u.dtype is _FLOAT64
         key = u.tobytes() if vector else None
         point, _, change = self._measured
         if point == key:

@@ -9,6 +9,7 @@ models are always exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -138,7 +139,8 @@ class ScalarOracle:
     def hessian_eigh(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Ascending eigenvalues ``w`` and orthonormal eigenvectors
         (columns) ``q`` of the declared Hessian, both read-only, or None if
-        none was declared.  The oracle computes them when it is built."""
+        none was declared.  The oracle computes them when it is built; the
+        models ``get_problem`` builds share their catalog entry's."""
         return self._eigh
 
     def value(self, u, *, _checked: bool = False) -> float:
@@ -446,15 +448,22 @@ def lookup_problem(identifier: str) -> tuple[str, int]:
     return key, _CATALOG[key][1]
 
 
+@functools.lru_cache(maxsize=len(_CATALOG))
+def _catalog_curvature(key: str) -> tuple:
+    """``(hessian, (w, q))`` of a catalog model, checked and decomposed by the
+    oracle's rule once per process, in memory no holder can make writable."""
+    _, dim, _, model_fns, hessian = _CATALOG[key]
+    oracle = ScalarOracle(*model_fns, dim, hessian)
+    arrays = oracle.hessian, *oracle.hessian_eigh()
+    h, w, q = (np.frombuffer(a.tobytes()).reshape(a.shape) for a in arrays)
+    return h, (w, q)
+
+
 def get_problem(identifier: str, noise_level: float = 0.0, seed: int = 0) -> ProblemPair:
     """Build a fresh catalog problem (fresh oracles, zeroed counters),
-    ``identifier`` naming it as ``lookup_problem`` reads it."""
+    ``identifier`` naming it as ``lookup_problem`` reads it; every model
+    shares its catalog entry's ``_catalog_curvature``."""
     key, dim = lookup_problem(identifier)
-    plant_fns, model_fns, model_hessian = _CATALOG[key][2:]
-    return ProblemPair(
-        identifier=key,
-        plant=ScalarOracle(plant_fns[0], plant_fns[1], dim),
-        model=ScalarOracle(model_fns[0], model_fns[1], dim, hessian=model_hessian),
-        noise_level=noise_level,
-        seed=seed,
-    )
+    plant, model = (ScalarOracle(*fns, dim) for fns in _CATALOG[key][2:4])
+    model._hessian, model._eigh = _catalog_curvature(key)
+    return ProblemPair(key, plant, model, noise_level, seed)

@@ -52,15 +52,17 @@ class SubproblemResult:
     descent_evaluations: int
 
 
-def _ball_projection(anchor: np.ndarray, radius: float):
-    def project(u):
-        d = u - anchor
-        norm = math.sqrt(float(d.dot(d)))
-        if norm <= radius:
-            return u  # a point the ball holds is returned as is
-        return anchor + d * (radius / norm)
+def _project(u: np.ndarray, anchor: np.ndarray, radius: float) -> np.ndarray:
+    """The projection rule: ``u`` onto the ball of ``radius`` around ``anchor``."""
+    d = u - anchor
+    norm = math.sqrt(float(d.dot(d)))
+    if norm <= radius:
+        return u  # a point the ball holds is returned as is
+    return anchor + d * (radius / norm)
 
-    return project
+
+def _ball_projection(anchor: np.ndarray, radius: float):
+    return lambda u: _project(u, anchor, radius)  # the searches without a Hessian take it
 
 
 # The ray search without a declared Hessian: scan points, and the cap on
@@ -106,11 +108,11 @@ def cauchy_point(model: CorrectedModel, radius: float) -> tuple[np.ndarray, floa
     # |anchor - t g| <= this componentwise, rounding included; it never warns
     if t * gnorm + max(map(abs, anchor.tolist())) == math.inf:
         raise OracleError(f"the Cauchy ray leaves the floating-point range at radius {radius}")
-    project = _ball_projection(anchor, radius)
     if w is not None:
-        point = project(anchor - g * t)  # t * g's bits, dispatched faster
+        point = _project(anchor - g * t, anchor, radius)  # t * g's bits, dispatched faster
         point.setflags(write=False)  # finite by the test above: the oracle takes it as it is
         return point, model.value_change(point, _checked=True)
+    project = _ball_projection(anchor, radius)
 
     # The search runs on the distance s = t |g| along the ray, in the
     # ball's units, so its stopping rule does not depend on |g|.
@@ -333,10 +335,11 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     """Minimize the corrected model over the closed ball of the given
     radius around its anchor.
 
-    A model with a constant Hessian is minimized exactly, its step
-    projected onto the ball, checked finite, marked read-only and measured
-    once; the Cauchy point overrides a step that is not finite, and the
-    anchor replaces one whose change rounds above 0.  Otherwise projected
+    A model with a constant Hessian is minimized exactly, inside one entry
+    into the model's ``errstate``: its step is projected by ``_project``
+    where it is built, checked finite, marked read-only and measured once;
+    the Cauchy point overrides a step that is not finite, and the anchor
+    replaces one whose change rounds above 0.  Otherwise projected
     descent starts from the Cauchy point with its measured change, spends
     at most ``_DESCENT_BUDGET`` model values and gradients, and a worse
     candidate is overridden by the Cauchy point.  The candidate is
@@ -346,13 +349,11 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     if not radius > 0:  # NaN fails too
         raise ValueError(f"radius must be > 0, got {radius}")
     anchor = model.anchor
-    project = _ball_projection(anchor, radius)
-
     _, gg, w, q, gt = model.anchor_terms()
     if gt is not None:
         with model.errstate():
             first = model.newton_start() if w[0] > 0.0 else None
-            step = project(anchor + _exact_step(w, q, gt, radius, first))
+            step = _project(anchor + _exact_step(w, q, gt, radius, first), anchor, radius)
         if not all(map(math.isfinite, step.tolist())):  # eigenvalues tiny beside g
             return SubproblemResult(*cauchy_point(model, radius), True, 0)
         step.setflags(write=False)  # checked here: the oracle takes it as it is
@@ -366,8 +367,8 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     # a g.g that overflows overflows the ball's norms too; they then scale steps to 0
     with model.errstate():
         best, best_change, evals = projected_descent(
-            model.value_change, model.gradient, cp, project, _DESCENT_BUDGET, initial_step,
-            start_value=cp_change,
+            model.value_change, model.gradient, cp, _ball_projection(anchor, radius),
+            _DESCENT_BUDGET, initial_step, start_value=cp_change,
         )
     if best_change > cp_change:
         return SubproblemResult(cp, cp_change, True, evals)

@@ -186,6 +186,56 @@ class TestUpdateBits:
         assert repeated == {"-0.0", "+0.0", "subnormal", "near overflow"}
 
 
+def read_only(v):
+    a = np.array(v)
+    a.setflags(write=False)
+    return a
+
+
+class TestUnitGainGap:
+    """At gain 1 ``update`` returns a gap with no zero entry as it is: for
+    float arrays, lists and read-only arrays it gives the formula's bits,
+    ``1.0 * gap + 0.0 * previous``, and raises the formula's errors, without
+    a RuntimeWarning.  A zero entry's sign is the formula's, which a
+    negative ``previous`` decides."""
+
+    @pytest.mark.parametrize("form", [np.array, list, read_only])
+    def test_the_gap_has_the_formulas_bits_and_errors(self, form):
+        rng = np.random.default_rng(37)
+        kinds, errors = set(), {ValueError: 0, OracleError: 0}
+        for _ in range(400):
+            n = int(rng.integers(1, 5))
+            filt = ModifierFilter(1.0, n)
+            for _ in range(3):
+                pg, mg = components(rng, n), components(rng, n)
+                if rng.random() < 0.05:
+                    (pg, mg)[int(rng.integers(2))][int(rng.integers(n))] = rng.choice(
+                        [math.nan, math.inf, -math.inf])
+                previous = filt.previous
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = 1.0 * (pg - mg) + 0.0 * previous
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if not (np.isfinite(pg).all() and np.isfinite(mg).all()):
+                        error = ValueError, "input vector contains non-finite components"
+                    elif not np.isfinite(want).all():
+                        error = OracleError, "overflows"
+                    else:
+                        got = filt.update(form(pg), form(mg))
+                        assert got.tobytes() == want.tobytes()
+                        assert not got.flags.writeable
+                        kinds |= gap_kinds(pg - mg)
+                        kinds |= {"0 over negative previous" for g, q in zip(pg - mg, previous)
+                                  if g == 0.0 and q < 0.0}
+                        continue
+                    with pytest.raises(error[0], match=error[1]):
+                        filt.update(form(pg), form(mg))
+                    errors[error[0]] += 1
+                    assert filt.previous is previous
+        assert kinds == {"-0.0", "+0.0", "subnormal", "near overflow", "0 over negative previous"}
+        assert min(errors.values()) > 10
+
+
 class TestCorrectedValue:
     def test_unshifted_example(self):
         p = get_problem("P1")

@@ -231,6 +231,31 @@ class TestScalarOracle:
             fd = finite_difference_hessian(p.model, u)
             assert p.model.hessian == pytest.approx(fd, abs=1e-5)
 
+    @pytest.mark.parametrize("pid", PROBLEM_IDS)
+    def test_pairs_share_the_catalog_curvature_but_not_their_counters(self, pid, monkeypatch):
+        # the catalog Hessian is checked and decomposed once per process;
+        # every pair gets fresh oracles with zeroed counters, and no holder
+        # of the shared arrays, or of the arrays below them, can write them
+        first = get_problem(pid)
+        monkeypatch.setattr(np.linalg, "eigh", lambda h: pytest.fail("decomposed again"))
+        second = get_problem(pid, noise_level=0.1, seed=3)
+        assert second.model.hessian is first.model.hessian
+        assert all(a is b for a, b in zip(second.model.hessian_eigh(), first.model.hessian_eigh()))
+        assert len({id(first.plant), id(first.model), id(second.plant), id(second.model)}) == 4
+        u = np.zeros(first.dimension)
+        first.model.value(u), first.model.gradient(u), first.evaluate_plant(u)
+        assert (first.model.value_calls, first.model.gradient_calls) == (1, 1)
+        assert first.plant_evaluations() == (1, 0)
+        assert (second.model.value_calls, second.model.gradient_calls) == (0, 0)
+        assert second.plant_evaluations() == (0, 0)
+        w, q = first.model.hessian_eigh()
+        assert q @ np.diag(w) @ q.T == pytest.approx(first.model.hessian)
+        for held in (first.model.hessian, w, q):
+            while isinstance(held, np.ndarray):
+                with pytest.raises(ValueError):
+                    held.setflags(write=True)
+                held = held.base
+
     def test_custom_problem_via_oracle_contract(self):
         plant = ScalarOracle(lambda u: float((u[0] - 2) ** 2), lambda u: 2 * (u - 2), 1)
         model = ScalarOracle(lambda u: float(u[0] ** 2), lambda u: 2 * u, 1)

@@ -562,6 +562,47 @@ class TestExactSubproblem:
         assert result.candidate.tobytes() == once.tobytes()
         assert result.predicted_change == cm.value_change(once)
 
+    @pytest.mark.parametrize("kind", ["definite", "indefinite", "hard", "n = 1"])
+    def test_the_candidate_is_the_exact_step_projected_once(self, kind):
+        # seeded models of each kind: the candidate has the bytes of the one
+        # projection rule applied to anchor + the exact step, and its change
+        # is measured there.  On the boundary the ball scales some steps by
+        # rounding, and a second projection would move some of those again
+        # (n >= 2).
+        # A diagonal Hessian has the unit eigenbasis, so the hard case's 0
+        # in q^T g on the bottom eigenvector is exact.
+        rng = np.random.default_rng(["definite", "indefinite", "hard", "n = 1"].index(kind))
+        scaled = moved_again = 0
+        for _ in range(200):
+            n = 1 if kind == "n = 1" else int(rng.integers(2, 5))
+            w = 10.0 ** rng.uniform(-2.0, 2.0, n)
+            if kind != "definite":
+                w[0] *= -1.0 if kind != "n = 1" else rng.choice([-1.0, 1.0])
+            anchor, lam = rng.uniform(-3.0, 3.0, n), rng.normal(size=n)
+            if kind == "hard":
+                anchor[0] = lam[0] = 0.0  # g is 0 on the bottom eigenvector
+                h = np.diag(w)
+            else:
+                q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+                h = q @ np.diag(w) @ q.T
+            oracle = quadratic_model((h + h.T) / 2.0)
+            cm = CorrectedModel(oracle, lam, anchor=anchor)
+            radius = 10.0 ** rng.uniform(-2.0, 2.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw = cm.anchor + _exact_step(*cm.anchor_terms()[2:], radius)
+            project = subproblem._ball_projection(cm.anchor, radius)
+            once = project(raw)
+            scaled += once.tobytes() != raw.tobytes()
+            moved_again += project(once).tobytes() != once.tobytes()
+            change = CorrectedModel(oracle, lam, anchor=anchor).value_change(once)
+            want, want_change = (once, change) if change <= 0.0 else (cm.anchor, 0.0)
+            result = solve_subproblem(cm, radius)
+            assert not result.cauchy_override_applied
+            assert result.candidate.tobytes() == want.tobytes()
+            assert struct.pack("d", result.predicted_change) == struct.pack("d", want_change)
+        if kind != "n = 1":  # where no seeded step is scaled
+            assert scaled > 0 and moved_again > 0
+
     def test_solvers_read_curvature_only_from_the_anchor_terms(self, monkeypatch):
         p = get_problem("P4")
         cm = CorrectedModel(p.model, [3.0, -0.5], anchor=[0.5, -1.25])
