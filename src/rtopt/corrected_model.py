@@ -73,7 +73,7 @@ class ModifierFilter:
         lam = list(map(operator.sub, pg, mg))
         if self.alpha < 1.0 or not all(lam):
             a, b = self.alpha, 1.0 - self.alpha
-            lam = [a * (p - m) + b * q for p, m, q in zip(pg, mg, self.previous.tolist())]
+            lam = [a * d + b * q for d, q in zip(lam, self.previous.tolist())]
         if not all(map(math.isfinite, lam)):
             for v in (plant_grad, model_grad):  # a non-finite gradient raises ValueError
                 as_input_vector(v)
@@ -174,12 +174,12 @@ class CorrectedModel:
     def newton_start(self) -> tuple:
         """``(c, c.c, c.(c/w))`` for ``c = q^T g / w``, ``w`` and ``q^T g`` of
         ``anchor_terms`` and a positive-definite Hessian: the exact step's
-        first Newton pass, which no radius changes.  Computed once, in the
-        caller's ``errstate()``, which ``solve_subproblem`` enters."""
+        first Newton pass, which no radius changes.  Computed once."""
         if self._newton_start is None:
             _, _, w, _, gt = self.anchor_terms()
-            c = gt / w
-            self._newton_start = c, float(c.dot(c)), float(c.dot(c / w))
+            with self.errstate():
+                c = gt / w
+                self._newton_start = c, float(c.dot(c)), float(c.dot(c / w))
         return self._newton_start
 
     def _terms(self, base=None) -> tuple:

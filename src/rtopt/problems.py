@@ -114,20 +114,26 @@ class ScalarOracle:
     checked the vector itself passes the private ``_checked=True``, and the
     function gets that vector.  Either way the argument is read-only: a wrapped
     function that writes into it raises ``ValueError``.
+
+    ``get_problem`` passes a catalog model the private ``_curvature``, the
+    ``(hessian, (w, q))`` an oracle checked and decomposed, to share read-only.
     """
 
     def __init__(
-        self, value_fn: Callable, grad_fn: Callable, dimension: int, hessian=None
+        self, value_fn: Callable, grad_fn: Callable, dimension: int, hessian=None,
+        *, _curvature: tuple | None = None,
     ):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self._value_fn = value_fn
         self._grad_fn = grad_fn
         self.dimension = int(dimension)
-        self._hessian = None if hessian is None else _as_hessian(hessian, self.dimension)
-        self._eigh = None if hessian is None else np.linalg.eigh(self._hessian)
-        for a in self._eigh or ():
-            a.setflags(write=False)
+        if _curvature is None and hessian is not None:
+            h = _as_hessian(hessian, self.dimension)
+            _curvature = h, np.linalg.eigh(h)
+            for a in _curvature[1]:
+                a.setflags(write=False)
+        self._hessian, self._eigh = _curvature or (None, None)
         self.value_calls = 0
         self.gradient_calls = 0
 
@@ -139,8 +145,7 @@ class ScalarOracle:
     def hessian_eigh(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Ascending eigenvalues ``w`` and orthonormal eigenvectors
         (columns) ``q`` of the declared Hessian, both read-only, or None if
-        none was declared.  The oracle computes them when it is built; the
-        models ``get_problem`` builds share their catalog entry's."""
+        none was declared.  The oracle computes them when it is built."""
         return self._eigh
 
     def value(self, u, *, _checked: bool = False) -> float:
@@ -448,10 +453,10 @@ def lookup_problem(identifier: str) -> tuple[str, int]:
     return key, _CATALOG[key][1]
 
 
-@functools.lru_cache(maxsize=len(_CATALOG))
+@functools.cache
 def _catalog_curvature(key: str) -> tuple:
-    """``(hessian, (w, q))`` of a catalog model, checked and decomposed by the
-    oracle's rule once per process, in memory no holder can make writable."""
+    """A catalog model's ``_curvature``, checked and decomposed by an oracle
+    once per process, in memory no holder can make writable."""
     _, dim, _, model_fns, hessian = _CATALOG[key]
     oracle = ScalarOracle(*model_fns, dim, hessian)
     arrays = oracle.hessian, *oracle.hessian_eigh()
@@ -464,6 +469,6 @@ def get_problem(identifier: str, noise_level: float = 0.0, seed: int = 0) -> Pro
     ``identifier`` naming it as ``lookup_problem`` reads it; every model
     shares its catalog entry's ``_catalog_curvature``."""
     key, dim = lookup_problem(identifier)
-    plant, model = (ScalarOracle(*fns, dim) for fns in _CATALOG[key][2:4])
-    model._hessian, model._eigh = _catalog_curvature(key)
-    return ProblemPair(key, plant, model, noise_level, seed)
+    plant_fns, model_fns = _CATALOG[key][2:4]
+    model = ScalarOracle(*model_fns, dim, _curvature=_catalog_curvature(key))
+    return ProblemPair(key, ScalarOracle(*plant_fns, dim), model, noise_level, seed)

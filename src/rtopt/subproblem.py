@@ -335,11 +335,11 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     """Minimize the corrected model over the closed ball of the given
     radius around its anchor.
 
-    A model with a constant Hessian is minimized exactly, inside one entry
-    into the model's ``errstate``: its step is projected by ``_project``
-    where it is built, checked finite, marked read-only and measured once;
-    the Cauchy point overrides a step that is not finite, and the anchor
-    replaces one whose change rounds above 0.  Otherwise projected
+    A model with a constant Hessian is minimized exactly, its step
+    projected by ``_project`` where it is built, with no closure, checked
+    finite, marked read-only and measured once; the Cauchy point overrides
+    a step that is not finite, and the anchor replaces one whose change
+    rounds above 0.  Otherwise projected
     descent starts from the Cauchy point with its measured change, spends
     at most ``_DESCENT_BUDGET`` model values and gradients, and a worse
     candidate is overridden by the Cauchy point.  The candidate is

@@ -1018,6 +1018,16 @@ class TestExactStepBits:
                 inside.add(bool(np.linalg.norm(got) < radius * (1.0 - 1e-9)))
         assert inside == {True, False}
 
+    def test_a_public_first_pass_is_quiet(self):
+        # a tiny eigenvalue beside a large gradient overflows c = q^T g / w;
+        # called outside any errstate, newton_start still raises no warning
+        cm = CorrectedModel(quadratic_model(np.diag([1e-300, 1.0])), [1e10, 1.0],
+                            anchor=[0.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c, cc, cwc = cm.newton_start()
+        assert c.tolist() == [math.inf, 1.0] and cc == cwc == math.inf
+
     def test_definite_cases_reach_the_interior_and_the_boundary(self):
         rng = np.random.default_rng(0)
         inside = set()
