@@ -123,8 +123,9 @@ class RunConfig:
 
     def __post_init__(self):
         """Read every field through the type rule its annotation names and
-        store it as its Python type, check ``algorithm`` and the suffix of
-        ``output`` against their names, then apply the range rule of every
+        store it as its Python type, check ``algorithm`` against its names,
+        reject a field it does not take unless it holds its default, check
+        the suffix of ``output``, then apply the range rule of every
         setting.  A violation raises ``ConfigError`` naming the field."""
         for name, rule, default in _TYPED:
             value = getattr(self, name)
@@ -133,6 +134,9 @@ class RunConfig:
         algorithm, output = self.algorithm, self.output
         require(algorithm in ALGORITHMS, "algorithm", "must be one of {}; got {!r}",
                 ", ".join(ALGORITHMS), algorithm)
+        for name, takes, default in _RESTRICTED:
+            require(algorithm in takes or getattr(self, name) == default, name,
+                    "not applicable to algorithm {!r} (valid for {})", algorithm, ", ".join(takes))
         require(output is None or output.endswith(_SUFFIXES), "output",
                 "must end in {}; got {!r}", " or ".join(_SUFFIXES), output)
         check_noise(self.noise_level, self.seed)
@@ -167,6 +171,9 @@ _RULES = {
 }
 # (name, type rule, default) of each RunConfig field, in field order
 _TYPED = tuple((f.name, _RULES[f.type], f.default) for f in fields(RunConfig))
+# (name, algorithms, default) of each RunConfig field that some algorithm does not take
+_RESTRICTED = tuple((f.name, f.metadata["algorithms"], f.default) for f in fields(RunConfig)
+                    if f.metadata["algorithms"] != ALGORITHMS)
 
 # trace.config keys per algorithm, in RunConfig field order
 _RECORDED = {
@@ -372,10 +379,8 @@ def _run(problem: ProblemPair, cfg: RunConfig) -> RunTrace:
                     if model_value is None and ball:
                         model_value = problem.model.value(state.reference, _checked=True)
                 lam = filt.update(ref_grad, model_grad)
-                if model is None or lam.tobytes() != model.modifiers.tobytes():
-                    model = CorrectedModel(
-                        problem.model, lam, state.reference, _run=(model_value, model_grad)
-                    )
+                model = CorrectedModel(problem.model, lam, state.reference,
+                                       _run=(model_value, model_grad))
             anchor = state.reference
             anchor_value = state.reference_plant_value
             radius = state.radius

@@ -306,6 +306,30 @@ class TestRunConfigIsValidOnceBuilt:
         with pytest.raises(ConfigError, match=r"^field 'eta1': "):
             replace(cfg, eta1=0.95, eta2=0.9)
 
+    @pytest.mark.parametrize(
+        "algorithm, name, value, other",
+        [
+            ("ma-tr", "alpha", 0.5, "trust-region"),
+            ("ma-tr", "delta0", 2.0, "basic-ma"),
+            ("ma-tr", "radius_max", 5.0, "basic-ma"),
+            ("basic-ma", "box_halfwidth", 10.0, "ma-tr"),
+        ],
+    )
+    def test_a_setting_the_algorithm_ignores_is_rejected(self, algorithm, name, value, other):
+        # hand-built or replaced, as a config file's key is: no run ignores a setting
+        message = rf"^field '{name}': not applicable to algorithm '{other}' \(valid for "
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(problem="P4", algorithm=other, u0=(0.0, 0.0), **{name: value})
+        cfg = RunConfig(problem="P4", algorithm=algorithm, u0=(0.0, 0.0), **{name: value})
+        with pytest.raises(ConfigError, match=message):
+            replace(cfg, algorithm=other)
+
+    def test_a_config_of_defaults_replaces_its_algorithm(self):
+        cfg = RunConfig(problem="P1", algorithm="ma-tr", u0=(0.0, 0.0))
+        for algorithm in ("basic-ma", "trust-region", "ma-tr"):
+            raw = {"problem": "P1", "algorithm": algorithm, "u0": [0.0, 0.0]}
+            assert replace(cfg, algorithm=algorithm) == config_from_dict(raw)
+
     def test_replace_reads_through_the_type_rules(self):
         cfg = replace(RunConfig(problem="P1", algorithm="ma-tr", u0=(0, 1)), seed=np.int64(4))
         assert cfg.u0 == (0.0, 1.0) and type(cfg.seed) is int
