@@ -26,7 +26,8 @@ Each run records its status, iterations, plant probes and the SHA-256 of
 its JSON export; ``statuses`` and ``plant_probes`` total them.
 
 ``--diff`` names the run-list entries and library runs whose records
-differ between two outputs and exits 1 when any does.  The hashes repeat
+differ between two outputs, counts them against every name either output
+holds, and exits 1 when any differs.  The hashes repeat
 on one machine; another NumPy or BLAS may round differently.
 """
 
@@ -122,7 +123,7 @@ def diff(old_path: str, new_path: str) -> int:
         names += [n for n in after if n not in before]
         for name in names:
             print(f"{section} {name}: {before.get(name)} -> {after.get(name)}")
-        print(f"{section}: {len(names)} of {len(after)} differ")
+        print(f"{section}: {len(names)} of {len(before.keys() | after.keys())} differ")
         differing += len(names)
     return 1 if differing else 0
 

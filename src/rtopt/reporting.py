@@ -9,6 +9,8 @@ a reader mid-write can see a partial file.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from functools import lru_cache
@@ -174,6 +176,7 @@ def summarize(traces, csv_path=None) -> str:
     ]
     text = "\n".join([header, rule, *body])
     if csv_path is not None:
-        lines = (",".join(row) for row in (_SUMMARY_COLUMNS, *rows))
-        _write_in_place(csv_path, ("\n".join(lines) + "\n").encode())
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows((_SUMMARY_COLUMNS, *rows))
+        _write_in_place(csv_path, buffer.getvalue().encode())
     return text

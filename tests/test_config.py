@@ -5,8 +5,7 @@ import json
 import math
 import re
 from collections import Counter
-from dataclasses import MISSING, FrozenInstanceError, fields, replace
-from pathlib import Path
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -23,9 +22,6 @@ from rtopt import (
 )
 from rtopt.cli import _apply_overrides, main
 from rtopt.config import check_config, config_from_dict
-from rtopt.drivers import TERMINATION_STATUSES
-
-README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -388,44 +384,3 @@ class TestRunConfigDispatch:
         assert trace.config["max_iterations"] == 7
         assert trace.config["tolerance"] == 1e-3
         assert trace.iterations <= 7
-
-
-class TestReadmeReference:
-    """The README configuration reference and status table are written by
-    hand; they must list exactly the RunConfig fields, in order, with their
-    defaults, and exactly the termination statuses, in order."""
-
-    @staticmethod
-    def parse_default(text):
-        text = text.strip()
-        try:
-            return json.loads(text)
-        except ValueError:
-            return text  # a bare name, such as csv
-
-    def test_table_matches_run_config(self):
-        readme = README.read_text(encoding="utf-8")
-        section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
-        required = re.findall(r"`(\w+)`", section.split("Required:", 1)[1].split("Optional", 1)[0])
-        documented = {}
-        for line in section.splitlines():
-            if not line.startswith("| `"):
-                continue
-            cells = line.strip("|").split("|")
-            names = re.findall(r"`(\w+)`", cells[0])
-            defaults = [self.parse_default(d) for d in cells[1].split(",")]
-            assert len(names) == len(defaults), line
-            documented.update(zip(names, defaults))
-
-        assert required + list(documented) == [f.name for f in fields(RunConfig)]
-        for f in fields(RunConfig):
-            if f.default is MISSING:
-                assert f.name in required
-            else:
-                assert documented[f.name] == f.default, f.name
-
-    def test_status_table_matches_termination_statuses(self):
-        readme = README.read_text(encoding="utf-8")
-        table = readme.split("| status | meaning |", 1)[1].split("\n\n", 1)[0]
-        rows = re.findall(r"^\| `([\w-]+)` \|", table, re.MULTILINE)
-        assert tuple(rows) == TERMINATION_STATUSES

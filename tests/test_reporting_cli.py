@@ -1,5 +1,6 @@
 """Tests for trace export, run summaries, and the command-line interface."""
 
+import csv
 import gc
 import json
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from rtopt import (
+    ProblemPair,
     export_trace,
     get_problem,
     load_config,
@@ -248,6 +250,16 @@ class TestSummarize:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("problem,algorithm,status")
         assert len(lines) == 2
+
+    def test_csv_quotes_a_cell_holding_a_comma_or_a_quote(self, tmp_path):
+        p = get_problem("P1")
+        trace = run_ma_tr(ProblemPair('drift, "v2"', p.plant, p.model), [0.0, 0.0])
+        out = tmp_path / "summary.csv"
+        summarize([trace], csv_path=out)
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, row = csv.reader(fh)
+        assert len(row) == len(header)
+        assert row[:2] == ['drift, "v2"', "ma-tr"]
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -581,10 +593,3 @@ class TestCommittedConfigs:
     )
     def test_committed_config_loads(self, path):
         load_config(path)
-
-    def test_compare_prints_the_readme_block(self, capsys):
-        readme = (ROOT / "README.md").read_text(encoding="utf-8")
-        intro = "`rtopt compare configs/p2_compare.json` prints the motivating contrast:"
-        block = readme.split(intro, 1)[1].split("```")[1]
-        assert main(["compare", str(ROOT / "configs" / "p2_compare.json")]) == 0
-        assert capsys.readouterr().out == block.lstrip("\n")
