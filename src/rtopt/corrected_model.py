@@ -18,7 +18,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from .errors import OracleError, as_float, require
-from .problems import _FLOAT64, ScalarOracle, as_input_vector
+from .problems import _FLOAT64, ScalarOracle, as_input_vector, check_dimension
 
 __all__ = [
     "check_alpha",
@@ -50,12 +50,13 @@ class ModifierFilter:
     With gain 1 the update reduces to the raw gradient gap.  With gain
     below 1 the coefficients approach a constant raw gap geometrically
     with ratio (1 - gain), and the corrected gradient no longer matches
-    the plant gradient exactly at the reference.  ``previous`` is read-only.
+    the plant gradient exactly at the reference.  ``previous``, read-only,
+    holds ``dimension`` coefficients: an integer >= 1.
     """
 
     def __init__(self, alpha: float, dimension: int):
         self.alpha = check_alpha(alpha)
-        self.previous = np.zeros(dimension)
+        self.previous = np.zeros(check_dimension(dimension))
         self.previous.setflags(write=False)
 
     def update(self, plant_grad, model_grad) -> np.ndarray:

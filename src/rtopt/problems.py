@@ -46,7 +46,7 @@ def as_input_vector(u, dimension: int | None = None) -> np.ndarray:
     which shares no memory with ``u``: writing into it raises ValueError.
 
     Raises ValueError on entries that are not real numbers (bools and
-    strings included), wrong shape, wrong length, or non-finite entries.
+    strings included), wrong shape or length, no entries, or non-finite ones.
     """
     if type(u) is np.ndarray and u.dtype is _FLOAT64 and u.ndim == 1:
         arr = u.copy()  # the general conversion's bytes, without its dispatch
@@ -65,6 +65,8 @@ def as_input_vector(u, dimension: int | None = None) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: expected length {dimension}, got {arr.size}"
         )
+    if not arr.size:
+        raise ValueError("input vector has no entries")
     if not all(map(math.isfinite, arr.tolist())):
         raise ValueError("input vector contains non-finite components")
     arr.setflags(write=False)
@@ -99,7 +101,7 @@ class ScalarOracle:
     grad_fn : callable
         Maps a length-``dimension`` vector to a length-``dimension`` array.
     dimension : int
-        Expected input length.
+        Expected input length, an integer >= 1.
     hessian : array, optional
         The function's constant Hessian, for a quadratic.  It must be a
         finite symmetric ``dimension`` x ``dimension`` matrix; the
@@ -123,11 +125,9 @@ class ScalarOracle:
         self, value_fn: Callable, grad_fn: Callable, dimension: int, hessian=None,
         *, _curvature: tuple | None = None,
     ):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
         self._value_fn = value_fn
         self._grad_fn = grad_fn
-        self.dimension = int(dimension)
+        self.dimension = check_dimension(dimension)
         if _curvature is None and hessian is not None:
             h = _as_hessian(hessian, self.dimension)
             _curvature = h, np.linalg.eigh(h)
@@ -175,6 +175,14 @@ class ScalarOracle:
         if not all(map(math.isfinite, out.tolist())):
             raise OracleError(f"oracle gradient is non-finite at u={u!r}")
         return out
+
+
+def check_dimension(dimension) -> int:
+    """An input length, an integer >= 1, as an int; a non-integer raises ConfigError."""
+    dimension = as_int("dimension", dimension)
+    if dimension < 1:
+        raise ValueError("dimension must be >= 1")
+    return dimension
 
 
 def check_noise(noise_level, seed) -> tuple[float, int]:

@@ -32,7 +32,7 @@ DEGENERACY_EPS_FACTOR = 4.0
 
 @dataclass
 class TrustRegionState:
-    """Reference iterate, its measured plant value, and the current radius.
+    """Reference iterate, its measured plant value (a float) and the current radius.
     The reference is ``as_input_vector``'s copy, which no caller's array shares."""
 
     reference: np.ndarray
@@ -46,6 +46,7 @@ class TrustRegionState:
         value = self.reference_plant_value
         if not math.isfinite(value):
             raise ValueError(f"reference_plant_value must be finite, got {value}")
+        self.reference_plant_value = float(value)
 
 
 def compute_rho(plant_ref: float, plant_cand: float, predicted_change: float) -> float | None:

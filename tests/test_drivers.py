@@ -1182,6 +1182,10 @@ class TestArgumentRules:
             (lambda p: check_convergence(_finished_trace(), "1e-6"), "tolerance"),
             (lambda p: ModifierFilter(True, 2), "alpha"),
             (lambda p: ModifierFilter("0.5", 2), "alpha"),
+            *((lambda p, d=d: ScalarOracle(lambda u: 0.0, lambda u: u, d), "dimension")
+              for d in (2.5, True, "3", None)),
+            *((lambda p, d=d: ModifierFilter(1.0, d), "dimension")
+              for d in (2.5, True, "3", None)),
             (lambda p: run_ma_tr(p, [0.0, math.nan]), "u0"),
             (lambda p: run_ma_tr(p, [0.0, 0.0, 0.0]), "u0"),
             (lambda p: run_ma_tr(p, [True, 0.0]), "u0"),
@@ -1219,6 +1223,8 @@ class TestArgumentRules:
             "check-convergence-tolerance-string",
             "modifier-filter-alpha-bool",
             "modifier-filter-alpha-string",
+            *(f"{owner}-dimension-{kind}" for owner in ("scalar-oracle", "modifier-filter")
+              for kind in ("float", "bool", "string", "none")),
             "u0-nan",
             "u0-too-long",
             "u0-bool",

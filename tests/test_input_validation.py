@@ -9,7 +9,7 @@ results must equal those for an input validated up front.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -35,6 +35,8 @@ def reference_as_input_vector(u, dimension=None):
         raise ValueError(
             f"dimension mismatch: expected length {dimension}, got {arr.size}"
         )
+    if arr.size == 0:
+        raise ValueError("input vector has no entries")
     if not np.all(np.isfinite(arr)):
         raise ValueError("input vector contains non-finite components")
     return arr
@@ -61,6 +63,7 @@ def outcome(validate, u, dimension):
 
 @settings(max_examples=400)
 @given(u=inputs, dimension_mode=st.sampled_from(["none", "correct", "wrong"]))
+@example(u=[], dimension_mode="none")  # a vector with no entries
 def test_as_input_vector_matches_reference(u, dimension_mode):
     size = np.size(u)
     dimension = {"none": None, "correct": size, "wrong": size + 1}[dimension_mode]

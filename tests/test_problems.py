@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rtopt import (
+    ModifierFilter,
     OracleError,
     ProblemPair,
     ScalarOracle,
@@ -155,6 +156,8 @@ class TestScalarOracle:
     def test_nonpositive_dimension_rejected(self, dimension):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             ScalarOracle(lambda u: 0.0, lambda u: u, dimension)
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            ModifierFilter(1.0, dimension)
 
     @pytest.mark.parametrize(
         "convert",

@@ -8,10 +8,10 @@ per iteration) and the ``P3`` baseline run's counts in two sentences.
 These tests read those figures from the README and run the same configs:
 each workload's seed-1 run list (``perfbench/workloads.py``) and the
 baseline config, every entry through ``config_from_dict`` and
-``run_config``.  Model calls come from the oracle counters of each problem
-``run_config`` builds, input checks from ``as_input_vector`` at its five
-import sites.  No solve may make a Cauchy override: every catalog model
-declares a Hessian, and its exact step needs no Cauchy point.
+``run_config`` under the benchmark's tracer and with its checks on every
+solve.  The counts are the tracer's, taken at every name it rebinds.  No
+solve may make a Cauchy override: every catalog model declares a Hessian,
+and its exact step needs no Cauchy point.
 
 The configuration reference and status table must list exactly the
 ``RunConfig`` fields and the termination statuses.  Each ``python`` block
@@ -31,20 +31,17 @@ import runpy
 import shlex
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 import rtopt
-from rtopt import RunConfig, config, corrected_model, drivers, problems, subproblem, trust_region
+from rtopt import RunConfig, config, problems, reporting
 from rtopt.cli import main
-from rtopt.config import config_from_dict, run_config
 from rtopt.drivers import TERMINATION_STATUSES
-from rtopt.problems import as_input_vector, get_problem
 from rtopt.reporting import CSV_COLUMNS
-from rtopt.subproblem import solve_subproblem
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -52,13 +49,17 @@ WORDS = " ".join(README.split())
 BASELINE = {"problem": "P3", "algorithm": "ma-tr", "u0": [-1.2, 1.0]}
 
 
-def load_workloads_module():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
+def load_perfbench_module(name: str):
+    """``perfbench/<name>.py``, which imports no other benchmark module."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # a dataclass looks its module up by name
     spec.loader.exec_module(module)
     return module
+
+
+WORKLOADS, TRACER, CHECKS = map(load_perfbench_module, ("workloads", "tracer", "checks"))
 
 
 def figures(pattern: str) -> list[str]:
@@ -73,67 +74,69 @@ def number(figure: str) -> int:
     return int(figure.replace(",", ""))
 
 
-def count_runs(raws, monkeypatch) -> Counter:
-    """The counts of running each of ``raws`` through ``config_from_dict``
-    and ``run_config``."""
-    counts, pairs = Counter(), []
-
-    def built(*args, **kwargs):
-        pairs.append(get_problem(*args, **kwargs))
-        return pairs[-1]
-
-    def checked(*args, **kwargs):
-        counts["input_checks"] += 1
-        return as_input_vector(*args, **kwargs)
-
-    def solved(*args, **kwargs):
-        result = solve_subproblem(*args, **kwargs)
-        counts["overrides"] += bool(result.cauchy_override_applied)
-        return result
-
-    monkeypatch.setattr(config, "get_problem", built)
-    monkeypatch.setattr(drivers, "solve_subproblem", solved)
-    for module in (problems, corrected_model, subproblem, trust_region, drivers):
-        monkeypatch.setattr(module, "as_input_vector", checked)
-    for raw in raws:
-        trace = run_config(config_from_dict(raw))
-        counts["iterations"] += trace.iterations
-        counts["accepted"] += trace.accepted_count
-        counts["plant_probes"] += trace.plant_evaluation_count
-    counts["model_values"] = sum(p.model.value_calls for p in pairs)
-    counts["model_gradients"] = sum(p.model.gradient_calls for p in pairs)
-    return counts
-
-
-WORKLOADS = load_workloads_module()
+def traced_counts(entries, export_dir=None) -> dict:
+    """The README's counts of running each ``(meta, raw)`` run-list entry
+    through ``config_from_dict`` and ``run_config`` under the benchmark's
+    tracer, exported to CSV and JSON in ``export_dir`` if given, with the
+    checks of a traced benchmark pass on every solve and no Cauchy override."""
+    tracer, counts, by_start = TRACER.Tracer(rtopt), Counter(), defaultdict(dict)
+    tracer.install()
+    try:
+        assert tracer.check_bindings() == []
+        for i, (meta, raw) in enumerate(entries):
+            paths = [export_dir / f"{i}.{fmt}" for fmt in ("csv", "json")] if export_dir else []
+            with tracer.span("bench.solve"):
+                trace = config.run_config(config.config_from_dict(raw))
+                for path in paths:
+                    reporting.export_trace(trace, path.suffix[1:], path)
+            pair = tracer.last_problem  # check_run holds its plant counters to the trace's
+            for role in ("plant", "model"):
+                oracle = getattr(pair, role)
+                assert [tracer.calls_in_last_root(f"problems.{role}_{kind}") for kind in
+                        ("value", "gradient")] == [oracle.value_calls, oracle.gradient_calls]
+            assert CHECKS.check_run(trace, pair, TERMINATION_STATUSES,
+                                    reporting.trace_to_dict, *paths) == []
+            if not meta["noisy"]:
+                by_start[meta["start"]][raw["algorithm"]] = trace
+            counts.update(iterations=trace.iterations, accepted=trace.accepted_count,
+                          plant_probes=trace.plant_evaluation_count)
+    finally:
+        tracer.uninstall()
+    assert not hasattr(problems.as_input_vector, "__wrapped__")
+    assert not hasattr(problems.ScalarOracle.value, "__wrapped__")
+    for runs in by_start.values():
+        assert CHECKS.check_shift_equivalence(runs) == []
+    assert tracer.events["subproblem.override"] == 0
+    return {**counts,
+            "model_values": tracer.totals["problems.model_value"][0],
+            "model_gradients": tracer.totals["problems.model_gradient"][0],
+            "input_checks": tracer.totals["problems.as_input_vector"][0]}
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
-def test_traced_counts_match_the_readme_table(name, monkeypatch):
+def test_traced_counts_match_the_readme_table(name, tmp_path):
     row = r"\| `{}` \| ([\d,]+) \| ([\d,]+) \| ([\d.]+) \| ([\d,]+) \| ([\d.]+) \|"
     iterations, model_calls, model_per_iter, checks, checks_per_iter = figures(
         row.format(re.escape(name)))
-    raws = [raw for _, raw in WORKLOADS.run_list(WORKLOADS.WORKLOADS[name], 1)]
-    got = count_runs(raws, monkeypatch)
+    workload = WORKLOADS.WORKLOADS[name]
+    got = traced_counts(WORKLOADS.run_list(workload, 1), tmp_path if workload.export else None)
     calls = got["model_values"] + got["model_gradients"]
     n = got["iterations"]
     assert (n, calls, got["input_checks"]) == tuple(
         map(number, (iterations, model_calls, checks)))
     assert (f"{calls / n:.4f}", f"{got['input_checks'] / n:.4f}") == (
         model_per_iter, checks_per_iter)
-    assert got["overrides"] == 0
 
 
-def test_baseline_counts_match_the_readme_sentences(monkeypatch):
+def test_baseline_counts_match_the_readme_sentences():
     want = figures(r"It takes ([\d,]+) model values, ([\d,]+) model gradients"
                    r" \(one per reference it solved from\) and ([\d,]+) plant probes")
     want += figures(r"baseline run.s ([\d,]+) `as_input_vector` calls?"
                     r" [^()]*\(([\d,]+) iterations, ([\d,]+) accepted\)")
-    got = count_runs([BASELINE], monkeypatch)
+    got = traced_counts([({"start": "baseline", "noisy": False}, BASELINE)])
     names = ("model_values", "model_gradients", "plant_probes", "input_checks",
              "iterations", "accepted")
     assert {k: got[k] for k in names} == dict(zip(names, map(number, want)))
-    assert got["overrides"] == 0
 
 
 class TestReadmeReference:

@@ -275,6 +275,11 @@ class TestState:
         with pytest.raises(ValueError, match="reference_plant_value"):
             TrustRegionState(reference=np.zeros(2), radius=1.0, reference_plant_value=value)
 
+    @pytest.mark.parametrize("value", [True, np.float32(1.5), 2])
+    def test_reference_value_is_kept_as_a_float_as_accept_candidate_keeps_it(self, value):
+        state = TrustRegionState(reference=np.zeros(2), radius=1.0, reference_plant_value=value)
+        assert type(state.reference_plant_value) is float and state.reference_plant_value == value
+
     @pytest.mark.parametrize("written", [99.0, math.nan])
     def test_a_read_only_reference_made_writable_again_moves_no_reference(self, written):
         reference = np.array([1.0, 2.0])
