@@ -18,7 +18,6 @@ from dataclasses import MISSING, fields
 
 from .drivers import (
     ALGORITHMS,
-    SETTINGS,
     RunConfig,
     RunTrace,
     _check_length,
@@ -39,8 +38,9 @@ __all__ = [
 ]
 
 
-# each field's algorithms, and the fields a config must give
-_TAKES = {f.name: f.metadata["algorithms"] for f in fields(RunConfig)}
+# each field's algorithms, alone and listed for a message, and the fields a config must give
+_TAKES = {f.name: (f.metadata["algorithms"], ", ".join(f.metadata["algorithms"]))
+          for f in fields(RunConfig)}
 _REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
@@ -57,9 +57,9 @@ def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
     algorithm = raw["algorithm"]
     if algorithm in ALGORITHMS:  # any other value fails RunConfig, naming 'algorithm'
         for key in raw:
-            takes = _TAKES[key]
+            takes, listed = _TAKES[key]
             require(algorithm in takes, key, "not applicable to algorithm {!r} (valid for {})",
-                    algorithm, ", ".join(takes))
+                    algorithm, listed)
     return check_config(RunConfig(**raw))
 
 
@@ -97,9 +97,9 @@ def load_config(path) -> list[RunConfig]:
 
 
 def run_config(cfg: RunConfig) -> RunTrace:
-    """Build the problem and execute the configured run."""
+    """Build the problem and execute the configured run, handing the driver
+    ``cfg`` itself, checked when it was built: no second RunConfig is built."""
     # get_problem and the drivers are looked up per call, where the benchmark rebinds them
     problem = get_problem(_lookup(cfg)[0], noise_level=cfg.noise_level, seed=cfg.seed)
     driver = {"basic-ma": run_basic_ma, "trust-region": run_trust_region, "ma-tr": run_ma_tr}
-    settings = {name: getattr(cfg, name) for name in SETTINGS[cfg.algorithm]}
-    return driver[cfg.algorithm](problem, cfg.u0, **settings)
+    return driver[cfg.algorithm](problem, cfg.u0, _config=cfg)

@@ -29,9 +29,10 @@ __all__ = [
 _UNCHANGED = nullcontext()  # holds no state, so every in-run model shares it
 
 
-def check_alpha(alpha: float) -> float:
-    """The correction filter gain, a number in (0, 1], as a float."""
-    alpha = as_float("alpha", alpha)
+def check_alpha(alpha: float, *, _typed: bool = False) -> float:
+    """The correction filter gain, a number in (0, 1], as a float; a
+    RunConfig, whose type rule read it, passes the private ``_typed=True``."""
+    alpha = alpha if _typed else as_float("alpha", alpha)
     require(0.0 < alpha <= 1.0, "alpha", "must be in (0, 1], got {}", alpha)
     return alpha
 
@@ -173,14 +174,23 @@ class CorrectedModel:
         return self._anchor_terms
 
     def newton_start(self) -> tuple:
-        """``(c, c.c, c.(c/w))`` for ``c = q^T g / w``, ``w`` and ``q^T g`` of
-        ``anchor_terms`` and a positive-definite Hessian: the exact step's
-        first Newton pass, which no radius changes.  Computed once."""
+        """The exact step's radius-free first pass, for ``w`` and ``q^T g`` of
+        ``anchor_terms``, computed once: for a positive-definite Hessian the
+        first Newton pass ``(c, c.c, c.(c/w))``, ``c = q^T g / w``; otherwise
+        the shifted eigenvalues ``w + max(0, -w[0])``, the pole mask where
+        they are 0 and ``|(q^T g)[pole]|``, the arrays read-only."""
         if self._newton_start is None:
             _, _, w, _, gt = self.anchor_terms()
             with self.errstate():
-                c = gt / w
-                self._newton_start = c, float(c.dot(c)), float(c.dot(c / w))
+                if w[0] > 0.0:
+                    c = gt / w
+                    self._newton_start = c, float(c.dot(c)), float(c.dot(c / w))
+                else:
+                    shifted = w + max(0.0, -w[0])
+                    pole = shifted == 0.0
+                    shifted.setflags(write=False)
+                    pole.setflags(write=False)
+                    self._newton_start = shifted, pole, math.sqrt(float(gt[pole].dot(gt[pole])))
         return self._newton_start
 
     def _terms(self, base=None) -> tuple:

@@ -286,18 +286,24 @@ def _exact_step(w, q, gt, radius: float, first=None) -> np.ndarray:
     is the test for an interior minimizer.  In the hard case ``g`` has no
     component on the pole of a negative eigenvalue and ``||s||`` stays
     inside the ball there; the step is then filled up to the
-    boundary along the bottom eigenvector.  ``first``, for a positive-
-    definite ``H`` only, is the radius-free first pass ``(c, c.c, c.(c/w))``
-    (``CorrectedModel.newton_start``).  No later pass changes the step at a
-    ``mu`` that overflows or turns NaN, so that step is returned at once.
+    boundary along the bottom eigenvector.  ``first`` is the radius-free
+    first pass ``CorrectedModel.newton_start`` gives: ``(c, c.c, c.(c/w))``
+    for a positive-definite ``H``, else ``(shifted, pole, ||gt[pole]||)``;
+    without it they are computed here, to the same bits.  No later pass
+    changes the step at a ``mu`` that overflows or turns NaN, so that step
+    is returned at once.
     """
     if w[0] > 0.0:  # positive definite: no shift and no pole
         shifted, mu = w, 0.0
     else:
-        shifted = w + max(0.0, -w[0])
-        pole = shifted == 0.0
+        if first is None:
+            shifted = w + max(0.0, -w[0])
+            pole = shifted == 0.0
+            first = shifted, pole, math.sqrt(float(gt[pole].dot(gt[pole])))
+        shifted, pole, pole_norm = first
+        first = None  # the Newton passes below start at the pole, not at mu = 0
         # from the pole 1/||s|| rises from 0 with slope 1/||gt[pole]||: Newton's first step
-        mu = math.sqrt(float(gt[pole].dot(gt[pole]))) / radius
+        mu = pole_norm / radius
         if mu == 0.0:
             gt = np.where(pole, 0.0, gt)  # below the pole's resolution, if not already 0
             shifted = np.where(pole, 1.0, shifted)  # any positive value: nothing is divided there
@@ -352,7 +358,7 @@ def solve_subproblem(model: CorrectedModel, radius: float) -> SubproblemResult:
     _, gg, w, q, gt = model.anchor_terms()
     if gt is not None:
         with model.errstate():
-            first = model.newton_start() if w[0] > 0.0 else None
+            first = model.newton_start()
             step = _project(anchor + _exact_step(w, q, gt, radius, first), anchor, radius)
         if not all(map(math.isfinite, step.tolist())):  # eigenvalues tiny beside g
             return SubproblemResult(*cauchy_point(model, radius), True, 0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from perfbench_support import input_checks
 
 from rtopt import (
     DEGENERATE,
@@ -22,6 +23,7 @@ from rtopt import (
     check_sufficient_decrease,
     estimate_beta,
     get_problem,
+    list_problems,
     run_basic_ma,
     run_ma_tr,
     run_trust_region,
@@ -29,7 +31,7 @@ from rtopt import (
     solve_subproblem,
     trace_to_dict,
 )
-from rtopt import corrected_model, drivers, problems, subproblem, trust_region
+from rtopt import drivers, trust_region
 from rtopt.config import config_from_dict, run_config
 from rtopt.problems import as_input_vector
 from rtopt.drivers import SETTINGS, TERMINATION_STATUSES, _box_minimize
@@ -994,24 +996,20 @@ class TestModelReuse:
         assert remeasured_calls == 980
         assert remeasured == trace
 
-    def test_validation_per_iteration_is_pinned(self, monkeypatch):
-        # the README's P3 baseline run: the start is checked as an input
-        # vector, and its state keeps a copy as any caller's does; the solver
-        # checks each exact step finite and hands it over, so a re-check
-        # anywhere in the loop, such as an oracle's or accepting a candidate,
-        # adds to the two
-        problem = get_problem("P3")
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return as_input_vector(*args, **kwargs)
-
-        for module in (problems, corrected_model, subproblem, trust_region, drivers):
-            monkeypatch.setattr(module, "as_input_vector", counted)
-        trace = run_ma_tr(problem, [-1.2, 1.0])
+    @pytest.mark.parametrize("path", ["driver", "config"])
+    def test_validation_per_iteration_is_pinned(self, path):
+        # the README's P3 baseline run, by a driver call and by a config: the
+        # start is checked as an input vector, and its state keeps a copy as
+        # any caller's does; the solver checks each exact step finite and hands
+        # it over, so a re-check anywhere, such as an oracle's, accepting a
+        # candidate or the config's, adds to the two (the tracer counts every
+        # import site)
+        raw = {"problem": "P3", "algorithm": "ma-tr", "u0": [-1.2, 1.0]}
+        runs = {"driver": lambda: run_ma_tr(get_problem("P3"), raw["u0"]),
+                "config": lambda: run_config(config_from_dict(raw))}
+        calls, trace = input_checks(runs[path])
         assert (trace.iterations, trace.accepted_count) == (500, 479)
-        assert len(calls) == 2
+        assert calls == 2
 
     @pytest.mark.parametrize("pid", ["P1", "P2", "P3", "P4"])
     def test_a_run_hands_its_candidates_to_accept_candidate(self, pid, monkeypatch):
@@ -1421,3 +1419,75 @@ class TestReplay:
             # a bool, so that a failure does not diff two long JSON lines
             same = json.dumps(trace_to_dict(replayed)) == json.dumps(trace_to_dict(trace))
             assert same, f"replaying {trace.config} gives another trace"
+
+
+class TestHandOver:
+    """``run_config`` hands its driver the RunConfig it was given: a config
+    run builds one RunConfig, a keyword driver call still builds and checks
+    its own, and the two give the same run, a config naming its problem by
+    label included."""
+
+    DRIVERS = TestReplay.DRIVERS
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The RunConfig builds and replacements, counted as they are checked."""
+        built = []
+        check = RunConfig.__post_init__
+
+        def counted(cfg):
+            built.append(cfg)
+            check(cfg)
+
+        monkeypatch.setattr(RunConfig, "__post_init__", counted)
+        return built
+
+    @pytest.mark.parametrize("algorithm", sorted(DRIVERS))
+    def test_a_config_run_builds_one_runconfig(self, algorithm, builds):
+        cfg = config_from_dict({"problem": "P4", "algorithm": algorithm, "u0": [0.0, 0.0]})
+        trace = run_config(cfg)
+        assert builds == [cfg] and trace.iterations > 0
+
+    @pytest.mark.parametrize("algorithm", sorted(DRIVERS))
+    def test_a_keyword_call_builds_and_checks_its_own(self, algorithm, builds):
+        run = self.DRIVERS[algorithm]
+        trace = run(get_problem("P4"), [0.0, 0.0], tolerance=1e-3)
+        assert len(builds) == 1 and trace.config["tolerance"] == 1e-3
+        with pytest.raises(ConfigError, match=r"^field 'tolerance': must be finite and > 0"):
+            run(get_problem("P4"), [0.0, 0.0], tolerance=-1.0)
+        takes = ", ".join(SETTINGS[algorithm])
+        with pytest.raises(ConfigError) as info:
+            run(get_problem("P4"), [0.0, 0.0], output="t.csv")
+        assert str(info.value) == f"field 'output': not a setting of {algorithm} (takes {takes})"
+
+    def test_the_private_config_is_taken_only_alone_and_for_its_algorithm(self):
+        cfg = config_from_dict({"problem": "P4", "algorithm": "ma-tr", "u0": [0.0, 0.0]})
+        for run, settings in ((run_trust_region, {"_config": cfg}),
+                              (run_ma_tr, {"_config": cfg, "tolerance": 1e-3}),
+                              (run_ma_tr, {"_config": dict(problem="P4")})):
+            with pytest.raises(ConfigError, match=r"^field '_config': not a setting of "):
+                run(get_problem("P4"), [0.0, 0.0], **settings)
+
+    @staticmethod
+    def record_fields(trace):
+        return [[v.tobytes() if isinstance(v, np.ndarray) else v for v in vars(r).values()]
+                for r in trace.records]
+
+    @pytest.mark.parametrize("noise", [0.0, 0.05], ids=["noise-free", "noisy"])
+    @pytest.mark.parametrize("algorithm", sorted(DRIVERS))
+    @pytest.mark.parametrize("pid", sorted(STARTS))
+    def test_a_config_by_id_or_label_runs_as_the_keyword_call(self, pid, algorithm, noise,
+                                                               tmp_path):
+        label = next(name for key, name, _ in list_problems() if key == pid)
+        noisy = {"noise_level": noise, "seed": 9} if noise else {}
+        keyword = self.DRIVERS[algorithm](get_problem(pid, **noisy), STARTS[pid])
+        for name in (pid, label):
+            raw = {"problem": name, "algorithm": algorithm, "u0": STARTS[pid], **noisy}
+            configured = run_config(config_from_dict(raw))
+            assert self.record_fields(configured) == self.record_fields(keyword)
+            assert list(configured.config.items()) == list(keyword.config.items())
+            assert configured.config["problem"] == pid
+            for fmt in ("csv", "json"):
+                a = export_trace(keyword, fmt, tmp_path / f"keyword.{fmt}")
+                b = export_trace(configured, fmt, tmp_path / f"{name}.{fmt}")
+                assert a.read_bytes() == b.read_bytes()

@@ -23,7 +23,6 @@ block is what ``compare`` prints.
 """
 
 import csv
-import importlib.util
 import json
 import os
 import re
@@ -36,6 +35,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
+from perfbench_support import CHECKS, TRACER, WORKLOADS
 
 import rtopt
 from rtopt import RunConfig, config, problems, reporting
@@ -47,19 +47,6 @@ ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 WORDS = " ".join(README.split())
 BASELINE = {"problem": "P3", "algorithm": "ma-tr", "u0": [-1.2, 1.0]}
-
-
-def load_perfbench_module(name: str):
-    """``perfbench/<name>.py``, which imports no other benchmark module."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
-                                                  ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # a dataclass looks its module up by name
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS, TRACER, CHECKS = map(load_perfbench_module, ("workloads", "tracer", "checks"))
 
 
 def figures(pattern: str) -> list[str]:

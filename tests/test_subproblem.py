@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from perfbench_support import input_checks
 
 from rtopt import (
     CorrectedModel,
@@ -21,9 +22,9 @@ from rtopt import (
     get_problem,
     solve_subproblem,
 )
-from rtopt import corrected_model, problems, subproblem
+from rtopt import subproblem
 from rtopt.drivers import _box_minimize
-from rtopt.problems import PROBLEM_IDS, as_input_vector
+from rtopt.problems import PROBLEM_IDS
 from rtopt.subproblem import _exact_step, projected_descent
 
 
@@ -704,26 +705,22 @@ class TestExactSubproblem:
             assert calls == (2, 1)
 
     @pytest.mark.parametrize("solve", [solve_subproblem, cauchy_point])
-    def test_a_public_solve_checks_no_vector_after_the_build(self, solve, monkeypatch):
+    def test_a_public_solve_checks_no_vector_after_the_build(self, solve):
         # the model checked its anchor, and the solver checks the point it
         # makes: each reaches the oracle as it is, with no second input check
+        # at any import site (the tracer counts them all)
         models = []
         for pid in PROBLEM_IDS:
             model = get_problem(pid).model
             n = model.dimension
             models.append(CorrectedModel(model, [0.25, -3.0][:n], anchor=[0.5, 0.5][:n]))
-        calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return as_input_vector(*args, **kwargs)
+        def solve_each():
+            for cm in models:
+                solve(cm, 0.3)
+                assert (cm.base_model.value_calls, cm.base_model.gradient_calls) == (2, 1)
 
-        for module in (problems, corrected_model, subproblem):
-            monkeypatch.setattr(module, "as_input_vector", counted)
-        for cm in models:
-            solve(cm, 0.3)
-            assert (cm.base_model.value_calls, cm.base_model.gradient_calls) == (2, 1)
-        assert calls == []
+        assert input_checks(solve_each)[0] == 0
 
     def test_the_cauchy_point_is_built_only_for_an_overflowing_step(self, monkeypatch):
         def unreachable(model, radius):
@@ -1017,6 +1014,42 @@ class TestExactStepBits:
                 assert got.tobytes() == want.tobytes()
                 inside.add(bool(np.linalg.norm(got) < radius * (1.0 - 1e-9)))
         assert inside == {True, False}
+
+    @pytest.mark.parametrize("kind", ["indefinite", "singular", "hard"])
+    def test_an_indefinite_models_first_pass_gives_the_same_bits(self, kind, monkeypatch):
+        # the seeded cases as models (anchor 0, so g is the modifiers q gt),
+        # each re-solved at a halving ladder of radii as a run re-solves a
+        # kept model after rejected steps: every solve hands _exact_step the
+        # one first pass the model built, read-only, and gets the step's bits
+        # without it
+        solves = []
+
+        def compared(w, q, gt, radius, first=None):
+            step = _exact_step(w, q, gt, radius, first)
+            solves.append((first, step.tobytes() == _exact_step(w, q, gt, radius).tobytes()))
+            return step
+
+        monkeypatch.setattr(subproblem, "_exact_step", compared)
+        for w, q, gt, radius in seeded_exact_step_cases(kind):
+            q = q.copy()
+            q.setflags(write=False)
+            h = q @ np.diag(w) @ q.T
+            model = ScalarOracle(lambda u, h=h: 0.5 * float(u @ (h @ u)), lambda u, h=h: h @ u,
+                                 w.size, _curvature=(h, (w, q)))
+            cm = CorrectedModel(model, q @ gt, anchor=np.zeros(w.size))
+            gt = cm.anchor_terms()[4]
+            first = cm.newton_start()
+            assert cm.newton_start() is first
+            shifted, pole, pole_norm = first
+            assert not (shifted.flags.writeable or pole.flags.writeable)
+            want = w + max(0.0, -w[0])
+            assert shifted.tobytes() == want.tobytes()
+            assert pole.tolist() == (want == 0.0).tolist() and pole.any()
+            assert pole_norm == math.sqrt(float(gt[pole] @ gt[pole]))
+            solves.clear()
+            for k in range(6):
+                solve_subproblem(cm, min(radius, 1e100) * 0.5**k)
+            assert [(given is first, same) for given, same in solves] == [(True, True)] * 6
 
     def test_a_public_first_pass_is_quiet(self):
         # a tiny eigenvalue beside a large gradient overflows c = q^T g / w;
