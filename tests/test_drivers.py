@@ -996,8 +996,7 @@ class TestModelReuse:
         assert remeasured_calls == 980
         assert remeasured == trace
 
-    @pytest.mark.parametrize("path", ["driver", "config"])
-    def test_validation_per_iteration_is_pinned(self, path):
+    def test_validation_per_iteration_is_pinned(self):
         # the README's P3 baseline run, by a driver call and by a config: the
         # start is checked as an input vector, and its state keeps a copy as
         # any caller's does; the solver checks each exact step finite and hands
@@ -1005,11 +1004,11 @@ class TestModelReuse:
         # candidate or the config's, adds to the two (the tracer counts every
         # import site)
         raw = {"problem": "P3", "algorithm": "ma-tr", "u0": [-1.2, 1.0]}
-        runs = {"driver": lambda: run_ma_tr(get_problem("P3"), raw["u0"]),
-                "config": lambda: run_config(config_from_dict(raw))}
-        calls, trace = input_checks(runs[path])
-        assert (trace.iterations, trace.accepted_count) == (500, 479)
-        assert calls == 2
+        for run in (lambda: run_ma_tr(get_problem("P3"), raw["u0"]),
+                    lambda: run_config(config_from_dict(raw))):
+            calls, trace = input_checks(run)
+            assert (trace.iterations, trace.accepted_count) == (500, 479)
+            assert calls == 2
 
     @pytest.mark.parametrize("pid", ["P1", "P2", "P3", "P4"])
     def test_a_run_hands_its_candidates_to_accept_candidate(self, pid, monkeypatch):
