@@ -38,9 +38,8 @@ __all__ = [
 ]
 
 
-# each field's algorithms, alone and listed for a message, and the fields a config must give
-_TAKES = {f.name: (f.metadata["algorithms"], ", ".join(f.metadata["algorithms"]))
-          for f in fields(RunConfig)}
+# each field's algorithms, and the fields a config must give
+_TAKES = {f.name: f.metadata["algorithms"] for f in fields(RunConfig)}
 _REQUIRED = tuple(f.name for f in fields(RunConfig) if f.default is MISSING)
 
 
@@ -57,9 +56,9 @@ def config_from_dict(raw: dict, where: str = "config") -> RunConfig:
     algorithm = raw["algorithm"]
     if algorithm in ALGORITHMS:  # any other value fails RunConfig, naming 'algorithm'
         for key in raw:
-            takes, listed = _TAKES[key]
+            takes = _TAKES[key]
             require(algorithm in takes, key, "not applicable to algorithm {!r} (valid for {})",
-                    algorithm, listed)
+                    algorithm, ", ".join(takes))
     return check_config(RunConfig(**raw))
 
 

@@ -29,10 +29,9 @@ __all__ = [
 _UNCHANGED = nullcontext()  # holds no state, so every in-run model shares it
 
 
-def check_alpha(alpha: float, *, _typed: bool = False) -> float:
-    """The correction filter gain, a number in (0, 1], as a float; a
-    RunConfig, whose type rule read it, passes the private ``_typed=True``."""
-    alpha = alpha if _typed else as_float("alpha", alpha)
+def check_alpha(alpha: float) -> float:
+    """The correction filter gain, a number in (0, 1], as a float."""
+    alpha = as_float("alpha", alpha)
     require(0.0 < alpha <= 1.0, "alpha", "must be in (0, 1], got {}", alpha)
     return alpha
 
@@ -83,6 +82,17 @@ class ModifierFilter:
         self.previous = np.array(lam)
         self.previous.setflags(write=False)
         return self.previous
+
+
+def _pole_terms(w, gt) -> tuple:
+    """The exact step's radius-free terms for an indefinite or singular
+    Hessian, ``w[0] <= 0``: the shifted eigenvalues ``w + max(0, -w[0])``,
+    the pole mask where they are 0 and ``|gt[pole]|``, the arrays read-only."""
+    shifted = w + max(0.0, -w[0])
+    pole = shifted == 0.0
+    shifted.setflags(write=False)
+    pole.setflags(write=False)
+    return shifted, pole, math.sqrt(float(gt[pole].dot(gt[pole])))
 
 
 class CorrectedModel:
@@ -177,8 +187,7 @@ class CorrectedModel:
         """The exact step's radius-free first pass, for ``w`` and ``q^T g`` of
         ``anchor_terms``, computed once: for a positive-definite Hessian the
         first Newton pass ``(c, c.c, c.(c/w))``, ``c = q^T g / w``; otherwise
-        the shifted eigenvalues ``w + max(0, -w[0])``, the pole mask where
-        they are 0 and ``|(q^T g)[pole]|``, the arrays read-only."""
+        ``_pole_terms(w, q^T g)``."""
         if self._newton_start is None:
             _, _, w, _, gt = self.anchor_terms()
             with self.errstate():
@@ -186,11 +195,7 @@ class CorrectedModel:
                     c = gt / w
                     self._newton_start = c, float(c.dot(c)), float(c.dot(c / w))
                 else:
-                    shifted = w + max(0.0, -w[0])
-                    pole = shifted == 0.0
-                    shifted.setflags(write=False)
-                    pole.setflags(write=False)
-                    self._newton_start = shifted, pole, math.sqrt(float(gt[pole].dot(gt[pole])))
+                    self._newton_start = _pole_terms(w, gt)
         return self._newton_start
 
     def _terms(self, base=None) -> tuple:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .corrected_model import CorrectedModel, ModifierFilter, check_alpha
 from .errors import OracleError, as_float, as_int, as_str, as_vector, or_none, require
-from .problems import ProblemPair, as_input_vector, check_noise
+from .problems import ProblemPair, as_input_vector, check_noise, lookup_problem
 from .subproblem import projected_descent, solve_subproblem
 from .trust_region import TrustRegionState, accept_candidate, compute_rho, update_radius
 
@@ -63,15 +63,13 @@ TERMINATION_STATUSES = (
 ALGORITHMS = ("basic-ma", "trust-region", "ma-tr")
 _LOOPS = ("trust-region", "ma-tr")
 FORMATS = ("csv", "json")
-# the output suffixes, each naming its trace format, and the lists messages name, joined once
+# the output suffixes, each naming its trace format
 _SUFFIXES = tuple("." + f for f in FORMATS)
-_ALGORITHM_LIST, _SUFFIX_LIST = ", ".join(ALGORITHMS), " or ".join(_SUFFIXES)
 
 
-def _check_tolerance(tolerance: float, *, _typed: bool = False) -> float:
-    """The stopping tolerance, a finite number > 0, as a float; a RunConfig,
-    whose type rule read it, passes the private ``_typed=True``."""
-    tolerance = tolerance if _typed else as_float("tolerance", tolerance)
+def _check_tolerance(tolerance: float) -> float:
+    """The stopping tolerance, a finite number > 0, as a float."""
+    tolerance = as_float("tolerance", tolerance)
     require(tolerance > 0.0, "tolerance", "must be finite and > 0, got {}", tolerance)
     return tolerance
 
@@ -135,14 +133,14 @@ class RunConfig:
                 object.__setattr__(self, name, rule(name, value))
         algorithm, output = self.algorithm, self.output
         require(algorithm in ALGORITHMS, "algorithm", "must be one of {}; got {!r}",
-                _ALGORITHM_LIST, algorithm)
-        for name, takes, default, listed in _RESTRICTED:
+                ", ".join(ALGORITHMS), algorithm)
+        for name, takes, default in _RESTRICTED:
             require(algorithm in takes or getattr(self, name) == default, name,
-                    "not applicable to algorithm {!r} (valid for {})", algorithm, listed)
+                    "not applicable to algorithm {!r} (valid for {})", algorithm, ", ".join(takes))
         require(output is None or output.endswith(_SUFFIXES), "output",
-                "must end in {}; got {!r}", _SUFFIX_LIST, output)
-        check_noise(self.noise_level, self.seed, _typed=True)
-        _check_tolerance(self.tolerance, _typed=True)
+                "must end in {}; got {!r}", " or ".join(_SUFFIXES), output)
+        check_noise(self.noise_level, self.seed)
+        _check_tolerance(self.tolerance)
         require(self.max_iterations >= 1, "max_iterations", "must be >= 1")
         probes = self.max_plant_evaluations
         require(probes >= 2, "max_plant_evaluations", "must be >= 2: the start probes twice")
@@ -154,7 +152,7 @@ class RunConfig:
         require(expansion > 1.0, "expansion_factor", "must be finite and > 1, got {}", expansion)
         if radius_max is not None:  # None: unbounded
             require(radius_max > 0.0, "radius_max", "must be > 0, got {}", radius_max)
-        check_alpha(self.alpha, _typed=True)
+        check_alpha(self.alpha)
         delta0 = self.delta0
         require(delta0 > 0.0, "delta0", "must be finite and > 0, got {}", delta0)
         require(radius_max is None or delta0 <= radius_max, "delta0", "must not exceed radius_max")
@@ -173,11 +171,9 @@ _RULES = {
 }
 # (name, type rule, default) of each RunConfig field, in field order
 _TYPED = tuple((f.name, _RULES[f.type], f.default) for f in fields(RunConfig))
-# (name, algorithms, default, their list) of each RunConfig field that some algorithm does not take
-_RESTRICTED = tuple(
-    (f.name, f.metadata["algorithms"], f.default, ", ".join(f.metadata["algorithms"]))
-    for f in fields(RunConfig) if f.metadata["algorithms"] != ALGORITHMS
-)
+# (name, algorithms, default) of each RunConfig field that some algorithm does not take
+_RESTRICTED = tuple((f.name, f.metadata["algorithms"], f.default) for f in fields(RunConfig)
+                    if f.metadata["algorithms"] != ALGORITHMS)
 
 # trace.config keys per algorithm, in RunConfig field order
 _RECORDED = {
@@ -192,7 +188,6 @@ _RECORDED = {
 # each driver's keywords: its algorithm's recorded fields but those its problem and u0 give
 _GIVEN = ("problem", "algorithm", "u0", "noise_level", "seed")
 SETTINGS = {a: tuple(n for n in _RECORDED[a] if n not in _GIVEN) for a in ALGORITHMS}
-_SETTING_LISTS = {a: ", ".join(takes) for a, takes in SETTINGS.items()}
 
 
 @dataclass
@@ -453,13 +448,17 @@ def _drive(algorithm, problem, u0, settings) -> RunTrace:
     ``settings`` are the call's keywords, each a field of
     ``SETTINGS[algorithm]``; the rest take RunConfig's defaults.
     ``run_config`` instead passes the RunConfig it built ``problem`` from,
-    alone, as the private ``_config``: a config of this algorithm, checked
-    when it was built, runs as it is, with its ``u0``."""
+    alone, as the private ``_config``, with its ``u0``: a config of this
+    algorithm, problem, noise, seed and ``u0``, checked when it was built,
+    runs as it is.  Any other ``_config`` is not a setting."""
     cfg = settings.get("_config") if len(settings) == 1 else None
-    if not (isinstance(cfg, RunConfig) and cfg.algorithm == algorithm):
+    if not (isinstance(cfg, RunConfig) and cfg.algorithm == algorithm and cfg.u0 is u0
+            and (cfg.noise_level, cfg.seed) == (problem.noise_level, problem.seed)
+            and lookup_problem(cfg.problem)[0] == problem.identifier):
+        takes = SETTINGS[algorithm]
         for name in settings:
-            require(name in SETTINGS[algorithm], name, "not a setting of {} (takes {})",
-                    algorithm, _SETTING_LISTS[algorithm])
+            require(name in takes, name, "not a setting of {} (takes {})", algorithm,
+                    ", ".join(takes))
         cfg = RunConfig(
             problem=problem.identifier,
             algorithm=algorithm,

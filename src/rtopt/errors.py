@@ -18,7 +18,7 @@ class ConfigError(ValueError):
 def require(condition: bool, field: str, reason: str, *args) -> None:
     """Raise a ConfigError naming ``field`` unless ``condition`` holds.
     Given ``args``, the message is ``reason.format(*args)``, built only on
-    failure: a list it names is passed joined, once, where it is defined."""
+    failure."""
     if not condition:
         raise ConfigError(f"field {field!r}: {reason.format(*args) if args else reason}")
 
@@ -42,8 +42,6 @@ def as_float(name: str, v) -> float:
 
 
 def as_int(name: str, v) -> int:
-    if type(v) is int:  # past the Integral ABC check
-        return v
     ok = isinstance(v, Integral) and not isinstance(v, bool)
     require(ok, name, "expected an integer, got {!r}", v)
     return int(v)

@@ -185,13 +185,12 @@ def check_dimension(dimension) -> int:
     return dimension
 
 
-def check_noise(noise_level, seed, *, _typed: bool = False) -> tuple[float, int]:
+def check_noise(noise_level, seed) -> tuple[float, int]:
     """``noise_level`` (finite, >= 0) and ``seed`` (an integer >= 0) as a
-    float and an int; a violation raises a ConfigError naming the field.
-    A RunConfig, whose type rules read both, passes the private ``_typed=True``."""
-    noise = noise_level if _typed else as_float("noise_level", noise_level)
+    float and an int; a violation raises a ConfigError naming the field."""
+    noise = as_float("noise_level", noise_level)
     require(noise >= 0.0, "noise_level", "must be finite and >= 0, got {}", noise)
-    seed = seed if _typed else as_int("seed", seed)
+    seed = as_int("seed", seed)
     require(seed >= 0, "seed", "must be >= 0, got {}", seed)
     return noise, seed
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrected_model import CorrectedModel
+from .corrected_model import CorrectedModel, _pole_terms
 from .errors import OracleError
 from .problems import as_input_vector
 
@@ -288,20 +288,16 @@ def _exact_step(w, q, gt, radius: float, first=None) -> np.ndarray:
     inside the ball there; the step is then filled up to the
     boundary along the bottom eigenvector.  ``first`` is the radius-free
     first pass ``CorrectedModel.newton_start`` gives: ``(c, c.c, c.(c/w))``
-    for a positive-definite ``H``, else ``(shifted, pole, ||gt[pole]||)``;
-    without it they are computed here, to the same bits.  No later pass
+    for a positive-definite ``H``, else ``_pole_terms(w, gt)``, which is
+    computed here without it, to the same bits.  No later pass
     changes the step at a ``mu`` that overflows or turns NaN, so that step
     is returned at once.
     """
+    newton = None  # the first Newton pass at mu = 0, if given
     if w[0] > 0.0:  # positive definite: no shift and no pole
-        shifted, mu = w, 0.0
+        shifted, mu, newton = w, 0.0, first
     else:
-        if first is None:
-            shifted = w + max(0.0, -w[0])
-            pole = shifted == 0.0
-            first = shifted, pole, math.sqrt(float(gt[pole].dot(gt[pole])))
-        shifted, pole, pole_norm = first
-        first = None  # the Newton passes below start at the pole, not at mu = 0
+        shifted, pole, pole_norm = _pole_terms(w, gt) if first is None else first
         # from the pole 1/||s|| rises from 0 with slope 1/||gt[pole]||: Newton's first step
         mu = pole_norm / radius
         if mu == 0.0:
@@ -309,8 +305,8 @@ def _exact_step(w, q, gt, radius: float, first=None) -> np.ndarray:
             shifted = np.where(pole, 1.0, shifted)  # any positive value: nothing is divided there
     for _ in range(_MAX_NEWTON_STEPS):
         d = shifted + mu if mu else shifted  # + 0.0 would change no bit: shifted has no -0.0
-        if first is not None and not mu:  # the first pass, the same at every radius
-            c, norm2, cw = first
+        if newton is not None and not mu:  # the first pass, the same at every radius
+            c, norm2, cw = newton
         else:
             c = gt / d
             norm2, cw = float(c.dot(c)), None

@@ -1459,13 +1459,22 @@ class TestHandOver:
             run(get_problem("P4"), [0.0, 0.0], output="t.csv")
         assert str(info.value) == f"field 'output': not a setting of {algorithm} (takes {takes})"
 
-    def test_the_private_config_is_taken_only_alone_and_for_its_algorithm(self):
+    def test_the_private_config_is_taken_only_alone_and_for_its_own_call(self):
+        # alone, of the driver's algorithm, and for the very problem, noise,
+        # seed and u0 run_config builds from it: any other is not a setting
         cfg = config_from_dict({"problem": "P4", "algorithm": "ma-tr", "u0": [0.0, 0.0]})
-        for run, settings in ((run_trust_region, {"_config": cfg}),
-                              (run_ma_tr, {"_config": cfg, "tolerance": 1e-3}),
-                              (run_ma_tr, {"_config": dict(problem="P4")})):
+        u0, p4 = cfg.u0, get_problem("P4")
+        for run, problem, start, settings in (
+                (run_trust_region, p4, u0, {"_config": cfg}),
+                (run_ma_tr, p4, u0, {"_config": cfg, "tolerance": 1e-3}),
+                (run_ma_tr, p4, u0, {"_config": dict(problem="P4")}),
+                (run_ma_tr, p4, [0.0, 0.0], {"_config": cfg}),
+                (run_ma_tr, get_problem("P1"), u0, {"_config": cfg}),
+                (run_ma_tr, get_problem("P4", noise_level=0.1), u0, {"_config": cfg}),
+                (run_ma_tr, get_problem("P4", seed=1), u0, {"_config": cfg})):
             with pytest.raises(ConfigError, match=r"^field '_config': not a setting of "):
-                run(get_problem("P4"), [0.0, 0.0], **settings)
+                run(problem, start, **settings)
+        assert run_ma_tr(p4, u0, _config=cfg).config["problem"] == "P4"
 
     @staticmethod
     def record_fields(trace):
